@@ -36,6 +36,7 @@ __all__ = [
     "rooted_order",
     "cyclic_order",
     "position_pairs",
+    "cyclic_edges",
     "edge_position",
     "interval",
     "shift",
@@ -108,9 +109,8 @@ def baranyai_edge(sigma: Permutation, i: int, j: int) -> Edge:
         raise ValueError(f"part index must be in 1..{m}, got {i}")
     if not 0 <= j <= n - 1:
         raise ValueError(f"edge index must be in 0..{n - 1}, got {j}")
-    if j == 0:
-        return make_edge(sigma(i), sigma(2 * n))
-    return make_edge(sigma(wrap_index(i + j, m)), sigma(wrap_index(i - j + m, m)))
+    p, q = position_pairs(n)[i * n - 1 - j]
+    return make_edge(sigma.images[p], sigma.images[q])
 
 
 @dataclass(frozen=True)
@@ -132,10 +132,8 @@ def rooted_order(sigma: Permutation) -> RootedBaranyaiOrder:
     longest rotation offset down to 1, then the spoke through the root.
     """
     n = half_order(sigma)
-    parts = tuple(
-        tuple(baranyai_edge(sigma, i, j) for j in range(n - 1, -1, -1))
-        for i in range(1, 2 * n)
-    )
+    edges = cyclic_edges(sigma.images, n)
+    parts = tuple(tuple(edges[start : start + n]) for start in range(0, len(edges), n))
     return RootedBaranyaiOrder(root=sigma(2 * n), parts=parts)
 
 
@@ -173,38 +171,34 @@ def position_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+def cyclic_edges(images: tuple[int, ...], n: int) -> list[Edge]:
+    """Canonical edge at each cyclic position for a raw image tuple of length 2n.
+
+    The one builder of the cyclic order: parts, intervals, goodness
+    windows and edge positions are all read off this list.  No validation
+    happens here because the permutation sweeps call it once per
+    permutation.
+    """
+    edges = []
+    for p, q in position_pairs(n):
+        a, b = images[p], images[q]
+        edges.append((a, b) if a < b else (b, a))
+    return edges
+
+
 def cyclic_order(sigma: Permutation) -> CyclicOrder:
     """The cyclic order on the n(2n-1) edges induced by sigma."""
     n = half_order(sigma)
-    images = sigma.images
-    sequence = []
-    for p, q in position_pairs(n):
-        a, b = images[p], images[q]
-        sequence.append((a, b) if a < b else (b, a))
-    return CyclicOrder(n=n, sequence=tuple(sequence))
+    return CyclicOrder(n=n, sequence=tuple(cyclic_edges(sigma.images, n)))
 
 
 def edge_position(sigma: Permutation, edge: tuple[int, int]) -> int:
     """1-based position of an edge in the cyclic order for sigma.
 
     Every edge of K_{2n} occurs exactly once, so the position is unique.
-    Spokes sit at the end of their part; for a chord the part index i
-    solves 2i = p + q modulo 2n-1, where p and q are the polygon positions
-    of the endpoints (the inverse of 2 modulo 2n-1 is n).
     """
     n = half_order(sigma)
-    two_n = 2 * n
-    m = two_n - 1
-    u, v = make_edge(edge[0], edge[1], two_n)
-    p = sigma.images.index(u) + 1
-    q = sigma.images.index(v) + 1
-    if p == two_n or q == two_n:
-        spoke = q if p == two_n else p
-        return spoke * n
-    i = wrap_index(n * (p + q), m)
-    d = (p - i) % m
-    j = d if d <= n - 1 else m - d
-    return (i - 1) * n + (n - j)
+    return cyclic_order(sigma).sequence.index(make_edge(edge[0], edge[1], 2 * n)) + 1
 
 
 @dataclass(frozen=True)
@@ -286,7 +280,6 @@ def verify_goodness(
         r = n - 1 if n > 1 else 1
     if not 1 <= r <= total:
         raise ValueError(f"interval length must be in 1..{total}, got {r}")
-    pairs = position_pairs(n)
     counterexamples: list[tuple[tuple[int, ...], int]] = []
     permutations_checked = 0
     intervals_checked = 0
@@ -295,10 +288,7 @@ def verify_goodness(
         if sigma.size != 2 * n:
             raise ValueError(f"permutation size {sigma.size} does not match 2n = {2 * n}")
         images = sigma.images
-        flat: list[int] = []
-        for p, q in pairs:
-            flat.append(images[p])
-            flat.append(images[q])
+        flat = list(itertools.chain.from_iterable(cyclic_edges(images, n)))
         flat.extend(flat[: 2 * (r - 1)])
         permutations_checked += 1
         for start in range(total):

@@ -15,7 +15,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .core import (
     Matching,
@@ -171,7 +171,31 @@ def _instances(config: RunConfig) -> list[tuple[int, int]]:
     return [(config.n, config.r)]
 
 
-def _sigma_sample(config: RunConfig, two_n: int, auto_samples: int) -> tuple[list[Permutation], str]:
+def _over_instances(
+    config: RunConfig, command: str, run: Callable[[int, int], CommandResult]
+) -> CommandResult:
+    """Run every requested (n, r) instance and merge the per-instance results.
+
+    A single instance reports its row at the top level.  A sweep reports
+    the rows under "instances" and suffixes each check name with _n{n}_r{r}.
+    """
+    results = [(n, r, run(n, r)) for n, r in _instances(config)]
+    exhausted = any(result.budget_exhausted for _, _, result in results)
+    if len(results) == 1:
+        result = results[0][2]
+        return CommandResult({"command": command, **result.payload}, result.checks, exhausted)
+    rows = [result.payload for _, _, result in results]
+    checks = {
+        f"{name}_n{n}_r{r}": ok
+        for n, r, result in results
+        for name, ok in result.checks.items()
+    }
+    return CommandResult({"command": command, "instances": rows}, checks, exhausted)
+
+
+def _sigma_sample(
+    config: RunConfig, two_n: int, auto_samples: int
+) -> tuple[Iterable[Permutation], str]:
     """Permutations to sweep plus a label: a given sigma, all of S_{2n}, or a sample."""
     if config.sigma is not None:
         return [_parse_sigma(config.sigma, two_n)], "given"
@@ -184,7 +208,7 @@ def _sigma_sample(config: RunConfig, two_n: int, auto_samples: int) -> tuple[lis
                 f"exhaustive sweep with 2n = {two_n} exceeds --limit-perms {config.limit_perms}; "
                 "pass --samples to sample instead"
             )
-        return list(all_permutations(two_n)), "exhaustive"
+        return all_permutations(two_n), "exhaustive"
     if samples < 0:
         raise ValueError(f"--samples must be nonnegative, got {samples}")
     return sample_permutations(two_n, samples, config.seed), "sampled"
@@ -246,7 +270,7 @@ def _first_matching(r: int) -> Matching:
     return Matching.from_edges((2 * t + 1, 2 * t + 2) for t in range(r))
 
 
-def _count_instance(n: int, r: int, config: RunConfig) -> tuple[dict[str, Any], dict[str, bool]]:
+def _count_instance(n: int, r: int, config: RunConfig) -> CommandResult:
     params = Parameters(n, r)
     chi_value = chi(params)
     phi_value = phi(params)
@@ -266,23 +290,11 @@ def _count_instance(n: int, r: int, config: RunConfig) -> tuple[dict[str, Any], 
         row["q_formula"] = None
         row["q_split"] = None
         row["q_oracle"] = None
-    return row, checks
+    return CommandResult(row, checks)
 
 
 def _cmd_count(config: RunConfig) -> CommandResult:
-    instances = _instances(config)
-    if len(instances) == 1:
-        n, r = instances[0]
-        row, checks = _count_instance(n, r, config)
-        return CommandResult({"command": "count", **row}, checks)
-    rows = []
-    checks: dict[str, bool] = {}
-    for n, r in instances:
-        row, row_checks = _count_instance(n, r, config)
-        rows.append(row)
-        for name, ok in row_checks.items():
-            checks[f"{name}_n{n}_r{r}"] = ok
-    return CommandResult({"command": "count", "instances": rows}, checks)
+    return _over_instances(config, "count", lambda n, r: _count_instance(n, r, config))
 
 
 def _cmd_double_count(config: RunConfig) -> CommandResult:
@@ -316,9 +328,7 @@ def _cmd_double_count(config: RunConfig) -> CommandResult:
     return CommandResult(payload, checks)
 
 
-def _search_instance(
-    n: int, r: int, budget: SearchBudget
-) -> tuple[dict[str, Any], dict[str, bool], bool]:
+def _search_instance(n: int, r: int, budget: SearchBudget) -> CommandResult:
     params = Parameters(n, r)
     report = max_intersecting(params, budget)
     row: dict[str, Any] = {
@@ -342,10 +352,12 @@ def _search_instance(
         centers = [is_star(fam) for fam in report.witnesses]
         row["centers"] = sorted(_edge_json(c) for c in centers if c is not None)
         checks["all_maximum_are_stars"] = bool(report.all_maximum_are_stars)
-        checks["one_maximum_family_per_edge"] = (
-            report.maximum_family_count == report.expected_maximum_count
-        )
-    return row, checks, report.status != STATUS_PROVEN
+        if r <= n - 1:
+            # for r = n distinct edges can span the same star, e.g. {1,2} and {3,4} at n = 2
+            checks["one_maximum_family_per_edge"] = (
+                report.maximum_family_count == report.expected_maximum_count
+            )
+    return CommandResult(row, checks, budget_exhausted=report.status != STATUS_PROVEN)
 
 
 def _cmd_ekr_search(config: RunConfig) -> CommandResult:
@@ -354,23 +366,7 @@ def _cmd_ekr_search(config: RunConfig) -> CommandResult:
         max_seconds=config.max_seconds,
         enumerate_all_maximum=config.enumerate_max,
     )
-    instances = _instances(config)
-    exhausted = False
-    if len(instances) == 1:
-        n, r = instances[0]
-        row, checks, ran_out = _search_instance(n, r, budget)
-        return CommandResult({"command": "ekr-search", **row}, checks, budget_exhausted=ran_out)
-    rows = []
-    checks = {}
-    for n, r in instances:
-        row, row_checks, ran_out = _search_instance(n, r, budget)
-        exhausted = exhausted or ran_out
-        rows.append(row)
-        for name, ok in row_checks.items():
-            checks[f"{name}_n{n}_r{r}"] = ok
-    return CommandResult(
-        {"command": "ekr-search", "instances": rows}, checks, budget_exhausted=exhausted
-    )
+    return _over_instances(config, "ekr-search", lambda n, r: _search_instance(n, r, budget))
 
 
 def _cmd_center_map(config: RunConfig) -> CommandResult:
@@ -387,7 +383,7 @@ def _cmd_center_map(config: RunConfig) -> CommandResult:
         "r": config.r,
         "edge": _edge_json(edge),
         "permutations": result.total,
-        "saturated": len(result.entries),
+        "saturated": result.saturated,
         "violation_count": result.violation_count,
         "center": _edge_json(result.constant_edge) if result.constant_edge else None,
         "violations": [
@@ -434,7 +430,9 @@ def _cmd_lemma_identities(config: RunConfig) -> CommandResult:
             failures.append({"identity": name, "sigma": list(sigma.images), "j": j})
 
     ok = {name: True for name in counts}
+    permutations_checked = 0
     for sigma in sigmas:
+        permutations_checked += 1
         for j in adjacent_range:
             counts["adjacent_involution"] += 1
             if transpose_adjacent(transpose_adjacent(sigma, j), j) != sigma:
@@ -469,7 +467,7 @@ def _cmd_lemma_identities(config: RunConfig) -> CommandResult:
         "n": n,
         "mode": mode,
         "seed": config.seed if mode == "sampled" else None,
-        "permutations_checked": len(sigmas),
+        "permutations_checked": permutations_checked,
         "checks_run": counts,
         "failures": failures,
     }

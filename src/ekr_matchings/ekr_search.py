@@ -4,12 +4,11 @@ The r-matchings of K_{2n} form an intersection graph (vertices are
 matchings, edges join pairs sharing an edge of K_{2n}); an intersecting
 family is a clique.  The search is a branch-and-bound maximum-clique
 solver over bitset adjacency rows: greedy coloring gives the upper bound
-at every node, a star provides the initial incumbent, and vertices are
-relabeled by descending degree up front.  A second pass can enumerate
-every clique of the optimum size, which is how star uniqueness gets
-checked.  Budgets (node count and wall clock) are first-class: blowing
-one yields status "budget_exhausted" with the best bounds found, never a
-silently weaker answer.
+at every node and a star provides the initial incumbent.  A second pass
+can enumerate every clique of the optimum size, which is how star
+uniqueness gets checked.  Budgets (node count and wall clock) are
+first-class: blowing one yields status "budget_exhausted" with the best
+witness found so far, never a silently weaker answer.
 """
 
 from __future__ import annotations
@@ -226,37 +225,22 @@ def max_intersecting(params: Parameters, budget: SearchBudget | None = None) -> 
         budget = SearchBudget()
     matchings = enumerate_matchings(params)
     phi_value = phi(params)
-    natural_rows = intersection_graph(matchings)
-
-    vertex_count = len(matchings)
-    by_degree = sorted(range(vertex_count), key=lambda v: (-natural_rows[v].bit_count(), v))
-    rank = [0] * vertex_count
-    for new, old in enumerate(by_degree):
-        rank[old] = new
-    adjacency = [0] * vertex_count
-    for old in range(vertex_count):
-        row = natural_rows[old]
-        shifted = 0
-        while row:
-            bit = row & -row
-            shifted |= 1 << rank[bit.bit_length() - 1]
-            row ^= bit
-        adjacency[rank[old]] = shifted
+    adjacency = intersection_graph(matchings)
 
     seed_edge = (1, 2)
-    seed = [rank[i] for i, m in enumerate(matchings) if seed_edge in m.key]
+    seed = [i for i, m in enumerate(matchings) if seed_edge in m.key]
     if len(seed) != phi_value:
         raise ArithmeticError("star seed size does not match phi")
     best = [seed]
     counter = _Counter(budget)
     status = STATUS_PROVEN
     try:
-        _expand(adjacency, [], (1 << vertex_count) - 1, best, counter)
+        _expand(adjacency, [], (1 << len(matchings)) - 1, best, counter)
     except _BudgetExceeded:
         status = STATUS_BUDGET
 
     def to_family(indices: Sequence[int]) -> MatchingFamily:
-        family = MatchingFamily(matchings[by_degree[v]] for v in indices)
+        family = MatchingFamily(matchings[v] for v in indices)
         if not family.is_intersecting:
             raise ArithmeticError("witness family is not intersecting")
         return family

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 from .core import Edge, Matching, MatchingFamily, Parameters
-from .baranyai import Permutation, half_order, position_pairs
+from .baranyai import Permutation, cyclic_edges, half_order
 
 __all__ = [
     "TraceResult",
@@ -110,11 +110,7 @@ def compatible_member_keys(
     Shared hot path for traces and exhaustive sweeps; images is a raw
     permutation tuple.
     """
-    pairs = position_pairs(n)
-    edges_at = []
-    for p, q in pairs:
-        a, b = images[p], images[q]
-        edges_at.append((a, b) if a < b else (b, a))
+    edges_at = cyclic_edges(images, n)
     found: set[frozenset[Edge]] = set()
     if r == 1:
         for e in edges_at:
@@ -123,7 +119,7 @@ def compatible_member_keys(
                 found.add(key)
         return found
     extended = edges_at + edges_at[: r - 1]
-    for start in range(len(pairs)):
+    for start in range(len(edges_at)):
         key = frozenset(extended[start : start + r])
         if key in member_keys:
             found.add(key)
@@ -228,10 +224,6 @@ def _count_block(n: int, edges: tuple[Edge, ...], first: int | None) -> int:
     return count
 
 
-def _count_block_star(args: tuple[int, tuple[Edge, ...], int]) -> int:
-    return _count_block(*args)
-
-
 def q_bruteforce(a: Matching, params: Parameters, limit: int = 10, jobs: int = 1) -> int:
     """Count compatible permutations for a by exhausting S_{2n}.
 
@@ -255,7 +247,7 @@ def q_bruteforce(a: Matching, params: Parameters, limit: int = 10, jobs: int = 1
 
     tasks = [(n, a.edges, first) for first in range(1, two_n + 1)]
     with multiprocessing.get_context("fork").Pool(processes=jobs) as pool:
-        partial = pool.map(_count_block_star, tasks)
+        partial = pool.starmap(_count_block, tasks)
     return sum(partial)
 
 

@@ -125,31 +125,30 @@ class CenterViolation:
 
 @dataclass(frozen=True)
 class CenterMap:
-    """Center edge per permutation for a maximum intersecting family.
+    """Center edges over S_{2n} for a maximum intersecting family.
 
-    entries maps every raw image tuple of S_{2n} to the common edge of its
-    saturated trace.  violation_count totals permutations that failed
-    saturation or had no single common edge; the first few are kept.
+    saturated counts the permutations whose trace is saturated with a
+    single common edge, and centers holds the distinct common edges seen.
+    violation_count totals permutations that failed saturation or had no
+    single common edge; the first few are kept.
     """
 
     r: int
-    entries: dict[tuple[int, ...], Edge]
+    saturated: int
+    centers: frozenset[Edge]
     violations: tuple[CenterViolation, ...]
     violation_count: int
 
     @property
     def total(self) -> int:
-        return len(self.entries) + self.violation_count
+        return self.saturated + self.violation_count
 
     @property
     def constant_edge(self) -> Edge | None:
         """The single center edge, when the map is constant and violation-free."""
-        if self.violation_count or not self.entries:
+        if self.violation_count or len(self.centers) != 1:
             return None
-        centers = set(self.entries.values())
-        if len(centers) == 1:
-            return next(iter(centers))
-        return None
+        return next(iter(self.centers))
 
     @property
     def is_constant(self) -> bool:
@@ -184,7 +183,8 @@ def center_map(
     if not family.is_intersecting:
         raise ValueError("family is not intersecting")
     member_keys = family.member_keys
-    entries: dict[tuple[int, ...], Edge] = {}
+    saturated = 0
+    centers: set[Edge] = set()
     violations: list[CenterViolation] = []
     violation_count = 0
     for images in itertools.permutations(range(1, two_n + 1)):
@@ -200,10 +200,12 @@ def center_map(
             if len(violations) < max_recorded:
                 violations.append(CenterViolation(images, "no common edge", len(found)))
             continue
-        entries[images] = next(iter(common))
+        saturated += 1
+        centers |= common
     return CenterMap(
         r=r,
-        entries=entries,
+        saturated=saturated,
+        centers=frozenset(centers),
         violations=tuple(violations),
         violation_count=violation_count,
     )

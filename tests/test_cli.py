@@ -114,6 +114,17 @@ def test_ekr_search_enumeration(capsys):
     assert len(payload["centers"]) == 15
 
 
+def test_ekr_search_perfect_matchings_n2(capsys):
+    # the stars at {1,2} and {3,4} are one family, so there are 3 maxima, not 6
+    code, payload = run_json(
+        capsys, "ekr-search", "--n", "2", "--r", "2", "--enumerate-max"
+    )
+    assert code == 0
+    assert payload["maximum_families"] == 3
+    assert payload["passed"] is True
+    assert "one_maximum_family_per_edge" not in payload["checks"]
+
+
 def test_ekr_search_pairs_csv(capsys):
     code, out, err = run(
         capsys, "ekr-search", "--pairs", "2:1,3:1,3:2", "--format", "csv"

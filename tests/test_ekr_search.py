@@ -24,6 +24,15 @@ from ekr_matchings.ekr_search import (
 )
 
 
+@pytest.mark.parametrize(
+    "n,r", [(n, r) for n in range(1, 6) for r in range(1, n + 1)]
+)
+def test_intersection_graph_is_regular(n, r):
+    # S_{2n} acts transitively on r-matchings, so every row has one popcount
+    rows = intersection_graph(enumerate_matchings(Parameters(n, r)))
+    assert len({row.bit_count() for row in rows}) == 1
+
+
 def test_intersection_graph_degrees():
     matchings = enumerate_matchings(Parameters(3, 2))
     adjacency = intersection_graph(matchings)
@@ -45,6 +54,17 @@ def test_max_is_phi_small(n, r):
     witness = report.witnesses[0]
     assert len(witness) == report.max_size
     assert witness.is_intersecting
+
+
+@pytest.mark.parametrize(
+    "n,r,bound_nodes,enum_nodes",
+    [(3, 2, 12, 307), (4, 2, 27, 3413), (4, 3, 73, 31254), (4, 4, 32, 3656)],
+)
+def test_search_nodes_pinned(n, r, bound_nodes, enum_nodes):
+    params = Parameters(n, r)
+    assert max_intersecting(params).search_nodes == bound_nodes
+    enumerated = max_intersecting(params, SearchBudget(enumerate_all_maximum=True))
+    assert enumerated.search_nodes == enum_nodes
 
 
 def test_max_perfect_matchings_single():
