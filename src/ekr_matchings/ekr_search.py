@@ -4,11 +4,20 @@ The r-matchings of K_{2n} form an intersection graph (vertices are
 matchings, edges join pairs sharing an edge of K_{2n}); an intersecting
 family is a clique.  The search is a branch-and-bound maximum-clique
 solver over bitset adjacency rows: greedy coloring gives the upper bound
-at every node and a star provides the initial incumbent.  A second pass
-can enumerate every clique of the optimum size, which is how star
-uniqueness gets checked.  Budgets (node count and wall clock) are
-first-class: blowing one yields status "budget_exhausted" with the best
-witness found so far, never a silently weaker answer.
+at every node and a star provides the initial incumbent.
+
+S_{2n} acts transitively on the r-matchings and preserves intersection,
+so every maximum clique has an image through the first matching v0.  The
+search therefore only looks inside N(v0): the optimum is 1 + omega(N(v0)).
+A second pass can enumerate the c0 maximum cliques through v0; double
+counting the pairs (maximum clique, member) gives the number of maximum
+families, M = c0 * chi / omega.  Stars go to stars under S_{2n}, so every
+maximum family is a star exactly when the c0 cliques through v0 are, and
+then the maximum families are the stars themselves; this is how star
+uniqueness gets checked.  Budgets (node count and wall clock, checked at
+every node against one deadline for all phases) are first-class: blowing
+one yields status "budget_exhausted" with the best witness found so far,
+never a silently weaker answer.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from __future__ import annotations
 import math
 import time
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .core import (
@@ -65,7 +74,7 @@ class _BudgetExceeded(Exception):
 
 
 class _Counter:
-    """Node counter with a coarse wall-clock check every few thousand nodes."""
+    """Node counter that checks the node limit and the deadline at every node."""
 
     __slots__ = ("nodes", "max_nodes", "deadline")
 
@@ -76,9 +85,7 @@ class _Counter:
 
     def tick(self) -> None:
         self.nodes += 1
-        if self.nodes > self.max_nodes:
-            raise _BudgetExceeded
-        if self.nodes % 4096 == 0 and time.monotonic() > self.deadline:
+        if self.nodes > self.max_nodes or time.monotonic() > self.deadline:
             raise _BudgetExceeded
 
 
@@ -120,14 +127,19 @@ class EkrReport:
         )
 
 
-def intersection_graph(matchings: Sequence[Matching]) -> list[int]:
-    """Bitset adjacency rows: i and j are adjacent iff the matchings share an edge."""
-    rows = [0] * len(matchings)
+def _stars(matchings: Sequence[Matching]) -> dict[Edge, list[int]]:
+    """The ascending indices of the matchings through each edge of K_{2n}."""
     buckets: dict[Edge, list[int]] = defaultdict(list)
     for idx, matching in enumerate(matchings):
         for edge in matching.edges:
             buckets[edge].append(idx)
-    for indices in buckets.values():
+    return buckets
+
+
+def intersection_graph(matchings: Sequence[Matching]) -> list[int]:
+    """Bitset adjacency rows: i and j are adjacent iff the matchings share an edge."""
+    rows = [0] * len(matchings)
+    for indices in _stars(matchings).values():
         mask = 0
         for i in indices:
             mask |= 1 << i
@@ -184,8 +196,13 @@ def _enumerate_cliques_of_size(
     adjacency: list[int],
     size: int,
     counter: _Counter,
+    through: int | None = None,
 ) -> list[tuple[int, ...]]:
-    """All cliques with exactly `size` vertices, each found once (ascending order)."""
+    """All cliques with exactly `size` vertices, each found once.
+
+    Members after the first come in ascending order.  With `through`, only
+    the cliques containing that vertex are listed, and it comes first.
+    """
     found: list[tuple[int, ...]] = []
     stack: list[int] = []
     vertex_count = len(adjacency)
@@ -210,32 +227,44 @@ def _enumerate_cliques_of_size(
             recurse(candidates & adjacency[v] & above[v])
             stack.pop()
 
-    recurse((1 << vertex_count) - 1)
+    if through is None:
+        recurse((1 << vertex_count) - 1)
+    else:
+        stack.append(through)
+        recurse(adjacency[through])
     return found
 
 
 def max_intersecting(params: Parameters, budget: SearchBudget | None = None) -> EkrReport:
     """Exact maximum intersecting family of r-matchings of K_{2n}.
 
-    Seeds the incumbent with the star at the edge (1, 2), proves optimality
-    by branch and bound, and (when the budget asks for it) enumerates every
-    maximum family.  Every reported witness is re-verified intersecting.
+    S_{2n} acts transitively on the matchings, so some maximum family
+    contains v0 = matchings[0]; the branch and bound proves optimality
+    inside N(v0) only, with the star at the edge (1, 2), which contains v0,
+    as the incumbent.  When the budget asks for it, the c0 maximum families
+    through v0 are enumerated and the maximum families counted by double
+    counting the pairs (family, member): M = c0 * chi / omega.  If the c0
+    families are all stars, every maximum family is a star, and the report
+    lists the distinct stars of the optimum size, which must number M;
+    otherwise it lists the families through v0, with all_maximum_are_stars
+    False.  Every reported witness is re-verified intersecting.
     """
     if budget is None:
         budget = SearchBudget()
+    counter = _Counter(budget)
     matchings = enumerate_matchings(params)
     phi_value = phi(params)
     adjacency = intersection_graph(matchings)
+    stars = _stars(matchings)
 
-    seed_edge = (1, 2)
-    seed = [i for i, m in enumerate(matchings) if seed_edge in m.key]
+    v0 = 0
+    seed = stars[(1, 2)]
     if len(seed) != phi_value:
         raise ArithmeticError("star seed size does not match phi")
     best = [seed]
-    counter = _Counter(budget)
     status = STATUS_PROVEN
     try:
-        _expand(adjacency, [], (1 << len(matchings)) - 1, best, counter)
+        _expand(adjacency, [v0], adjacency[v0], best, counter)
     except _BudgetExceeded:
         status = STATUS_BUDGET
 
@@ -255,17 +284,24 @@ def max_intersecting(params: Parameters, budget: SearchBudget | None = None) -> 
     all_stars: bool | None = None
     if budget.enumerate_all_maximum and status == STATUS_PROVEN:
         try:
-            cliques = _enumerate_cliques_of_size(adjacency, max_size, counter)
+            through_v0 = _enumerate_cliques_of_size(adjacency, max_size, counter, through=v0)
         except _BudgetExceeded:
             status = STATUS_BUDGET
         else:
-            families = sorted(
-                (to_family(c) for c in cliques),
-                key=lambda fam: tuple(m.edges for m in fam.members),
-            )
-            witnesses = tuple(families)
-            maximum_family_count = len(families)
+            maximum_family_count, remainder = divmod(len(through_v0) * len(matchings), max_size)
+            if remainder:
+                raise ArithmeticError("maximum families through v0 do not double count")
+            families = [to_family(c) for c in through_v0]
             all_stars = all(is_star(fam) is not None for fam in families)
+            if all_stars:
+                # S_{2n} maps stars to stars, so no maximum family elsewhere is a non-star
+                distinct = {tuple(indices) for indices in stars.values() if len(indices) == max_size}
+                families = [to_family(indices) for indices in distinct]
+                if len(families) != maximum_family_count:
+                    raise ArithmeticError("star count differs from the double count")
+            witnesses = tuple(
+                sorted(families, key=lambda fam: tuple(m.edges for m in fam.members))
+            )
 
     return EkrReport(
         n=params.n,
@@ -343,14 +379,21 @@ def kneser_complement_bridge(
     K(2n, 2), which are exactly the r-matchings of K_{2n}: the enumeration
     must be in bijection with the matching enumeration, every vertex star
     must have phi(n, r) sets, and the maximum-family theorem then reads as
-    the strict EKR property of the complement graph.
+    the strict EKR property of the complement graph.  The clique enumeration
+    runs under the caller's budget; if it runs out, the dictionary checks
+    fail and theorem.status is "budget_exhausted".
     """
     if params.r > params.n - 1:
         raise ValueError(f"the bridge needs r <= n-1, got r={params.r}, n={params.n}")
+    theorem = verify_theorem(params, budget)
     graph: KneserGraph = kneser_graph(2 * params.n)
     adjacency = list(graph.adjacency)
-    counter = _Counter(SearchBudget())
-    cliques = _enumerate_cliques_of_size(adjacency, params.r, counter)
+    counter = _Counter(budget or SearchBudget())
+    try:
+        cliques = _enumerate_cliques_of_size(adjacency, params.r, counter)
+    except _BudgetExceeded:
+        cliques = []
+        theorem = replace(theorem, status=STATUS_BUDGET)
 
     matchings = enumerate_matchings(params)
     expected_keys = {m.key for m in matchings}
@@ -364,7 +407,6 @@ def kneser_complement_bridge(
             per_vertex[v] += 1
     star_sizes_ok = all(count == phi_value for count in per_vertex)
 
-    theorem = verify_theorem(params, budget)
     return BridgeReport(
         n=params.n,
         r=params.r,

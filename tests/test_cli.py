@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from ekr_matchings import ekr_search
 from ekr_matchings.cli import main
 
 
@@ -139,10 +140,22 @@ def test_ekr_search_pairs_csv(capsys):
 
 
 def test_ekr_search_budget_exit(capsys):
-    code, out, err = run(capsys, "ekr-search", "--n", "4", "--r", "2", "--max-nodes", "5")
+    # the bound search at (5,5) takes 19 nodes
+    code, out, err = run(capsys, "ekr-search", "--n", "5", "--r", "5", "--max-nodes", "5")
     assert code == 3
     payload = json.loads(out)
     assert payload["status"] == "budget_exhausted"
+
+
+def test_ekr_search_non_star_maxima_exit(capsys, monkeypatch):
+    monkeypatch.setattr(ekr_search, "is_star", lambda family: None)
+    code, payload = run_json(
+        capsys, "ekr-search", "--n", "3", "--r", "2", "--enumerate-max"
+    )
+    assert code == 1
+    assert payload["all_stars"] is False
+    assert payload["maximum_families"] == 15
+    assert payload["checks"]["all_maximum_are_stars"] is False
 
 
 def test_center_map_cli(capsys):
