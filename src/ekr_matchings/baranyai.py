@@ -20,7 +20,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .core import Edge, Matching, make_edge
 
@@ -42,6 +42,7 @@ __all__ = [
     "shift",
     "verify_goodness",
     "all_permutations",
+    "rotation_classes",
     "sample_permutations",
 ]
 
@@ -282,7 +283,6 @@ def verify_goodness(
         raise ValueError(f"interval length must be in 1..{total}, got {r}")
     counterexamples: list[tuple[tuple[int, ...], int]] = []
     permutations_checked = 0
-    intervals_checked = 0
     width = 2 * r
     for sigma in sigmas:
         if sigma.size != 2 * n:
@@ -292,7 +292,6 @@ def verify_goodness(
         flat.extend(flat[: 2 * (r - 1)])
         permutations_checked += 1
         for start in range(total):
-            intervals_checked += 1
             window = flat[2 * start : 2 * start + width]
             if len(set(window)) != width:
                 if len(counterexamples) < max_counterexamples:
@@ -301,7 +300,7 @@ def verify_goodness(
         n=n,
         r=r,
         permutations_checked=permutations_checked,
-        intervals_checked=intervals_checked,
+        intervals_checked=permutations_checked * total,
         counterexamples=tuple(counterexamples),
     )
 
@@ -310,6 +309,22 @@ def all_permutations(two_n: int) -> Iterable[Permutation]:
     """Every permutation of 1..two_n in lexicographic order."""
     for images in itertools.permutations(range(1, two_n + 1)):
         yield Permutation(images)
+
+
+def rotation_classes(two_n: int, root: int | None = None) -> Iterator[tuple[int, ...]]:
+    """One raw image tuple per shift orbit of S_{two_n}, optionally for one root.
+
+    shift() rotates the 2n-1 corners and fixes the root; each orbit is
+    streamed as its member with the least corner at position 1.  Windows
+    are constant on an orbit, so a sweep weights each tuple 2n-1.
+    """
+    vertices = range(1, two_n + 1)
+    if root is not None and root not in vertices:
+        raise ValueError(f"root must be in 1..{two_n}, got {root}")
+    for last in vertices if root is None else (root,):
+        least, *rest = (x for x in vertices if x != last)
+        for tail in itertools.permutations(rest):
+            yield (least, *tail, last)
 
 
 def sample_permutations(two_n: int, count: int, seed: int) -> list[Permutation]:

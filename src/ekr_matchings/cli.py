@@ -28,10 +28,9 @@ from .core import (
 )
 from .baranyai import (
     Permutation,
-    all_permutations,
-    baranyai_edge,
     cyclic_order,
     rooted_order,
+    rotation_classes,
     sample_permutations,
     shift,
     verify_goodness,
@@ -50,12 +49,10 @@ from .kneser import (
     kneser_graph,
     verify_ham_power,
 )
-from .transposition_lab import (
-    center_map,
-    composition_identity,
-    reflect_swap,
-    transpose_adjacent,
-)
+from .transposition_lab import SWAP_IDENTITIES, center_map, swap_identities
+# looked up only by the benchmark tracer, see ENTRY_POINTS in bench/spans.py
+from .baranyai import all_permutations, baranyai_edge  # noqa: F401
+from .transposition_lab import composition_identity, reflect_swap, transpose_adjacent  # noqa: F401
 
 __all__ = ["RunConfig", "dispatch", "emit_report", "main"]
 
@@ -195,10 +192,10 @@ def _over_instances(
 
 def _sigma_sample(
     config: RunConfig, two_n: int, auto_samples: int
-) -> tuple[Iterable[Permutation], str]:
-    """Permutations to sweep plus a label: a given sigma, all of S_{2n}, or a sample."""
+) -> tuple[Iterable[Permutation], str, int]:
+    """Permutations to sweep, a label, and how many permutations each one stands for."""
     if config.sigma is not None:
-        return [_parse_sigma(config.sigma, two_n)], "given"
+        return [_parse_sigma(config.sigma, two_n)], "given", 1
     samples = config.samples
     if samples is None:
         samples = 0 if two_n <= EXHAUSTIVE_CUTOFF else auto_samples
@@ -208,10 +205,10 @@ def _sigma_sample(
                 f"exhaustive sweep with 2n = {two_n} exceeds --limit-perms {config.limit_perms}; "
                 "pass --samples to sample instead"
             )
-        return all_permutations(two_n), "exhaustive"
+        return map(Permutation, rotation_classes(two_n)), "exhaustive", two_n - 1
     if samples < 0:
         raise ValueError(f"--samples must be nonnegative, got {samples}")
-    return sample_permutations(two_n, samples, config.seed), "sampled"
+    return sample_permutations(two_n, samples, config.seed), "sampled", 1
 
 
 def _edge_json(edge: tuple[int, int]) -> list[int]:
@@ -248,7 +245,7 @@ def _cmd_construct(config: RunConfig) -> CommandResult:
 
 def _cmd_verify_goodness(config: RunConfig) -> CommandResult:
     n = _require_n(config)
-    sigmas, mode = _sigma_sample(config, 2 * n, auto_samples=1000)
+    sigmas, mode, weight = _sigma_sample(config, 2 * n, auto_samples=1000)
     report = verify_goodness(n, sigmas, r=config.r)
     payload = {
         "command": "verify-goodness",
@@ -256,8 +253,8 @@ def _cmd_verify_goodness(config: RunConfig) -> CommandResult:
         "r": report.r,
         "mode": mode,
         "seed": config.seed if mode == "sampled" else None,
-        "permutations_checked": report.permutations_checked,
-        "intervals_checked": report.intervals_checked,
+        "permutations_checked": report.permutations_checked * weight,
+        "intervals_checked": report.intervals_checked * weight,
         "counterexamples": [
             {"sigma": list(images), "position": position}
             for images, position in report.counterexamples
@@ -304,9 +301,7 @@ def _cmd_double_count(config: RunConfig) -> CommandResult:
     params = Parameters(n, config.r)
     edge = _parse_edge(config.edge) if config.edge else (1, 2)
     family = star_family(params, edge)
-    report = verify_double_count(
-        family, params, sweep=2 * n <= config.limit_perms, limit=config.limit_perms
-    )
+    report = verify_double_count(family, params, limit=config.limit_perms)
     payload = {
         "command": "double-count",
         "n": n,
@@ -401,67 +396,21 @@ def _cmd_center_map(config: RunConfig) -> CommandResult:
 
 def _cmd_lemma_identities(config: RunConfig) -> CommandResult:
     n = _require_n(config)
-    two_n = 2 * n
-    if n < 2:
-        raise ValueError("swap identities need n >= 2")
-    sigmas, mode = _sigma_sample(config, two_n, auto_samples=200)
-    adjacent_range = range(1, two_n)
-    reflect_range = range(1, n)
-    composition_range = range(n + 1, 2 * n - 2)
-    if config.j is not None:
-        j = config.j
-        in_any = j in adjacent_range or j in reflect_range or j in composition_range
-        if not in_any:
-            raise ValueError(f"--j {j} is outside every identity's index range for n={n}")
-        adjacent_range = [j] if j in adjacent_range else []
-        reflect_range = [j] if j in reflect_range else []
-        composition_range = [j] if j in composition_range else []
+    sigmas, mode, weight = _sigma_sample(config, 2 * n, auto_samples=200)
+    if config.j is not None and not 1 <= config.j <= 2 * n - 1:
+        raise ValueError(f"--j {config.j} is outside every identity's index range for n={n}")
+    counts = dict.fromkeys(SWAP_IDENTITIES, 0)
+    ok = dict.fromkeys(SWAP_IDENTITIES, True)
     failures: list[dict[str, Any]] = []
-    counts = {name: 0 for name in (
-        "adjacent_involution",
-        "reflection_involution",
-        "boundary_coincidence",
-        "last_part_preserved",
-        "composition",
-    )}
-
-    def record(name: str, sigma: Permutation, j: int | None) -> None:
-        if len(failures) < 10:
-            failures.append({"identity": name, "sigma": list(sigma.images), "j": j})
-
-    ok = {name: True for name in counts}
     permutations_checked = 0
     for sigma in sigmas:
-        permutations_checked += 1
-        for j in adjacent_range:
-            counts["adjacent_involution"] += 1
-            if transpose_adjacent(transpose_adjacent(sigma, j), j) != sigma:
-                ok["adjacent_involution"] = False
-                record("adjacent_involution", sigma, j)
-        for j in reflect_range:
-            counts["reflection_involution"] += 1
-            if reflect_swap(reflect_swap(sigma, j), j) != sigma:
-                ok["reflection_involution"] = False
-                record("reflection_involution", sigma, j)
-        if config.j is None or config.j == n - 1:
-            counts["boundary_coincidence"] += 1
-            if transpose_adjacent(sigma, n - 1) != reflect_swap(sigma, n - 1):
-                ok["boundary_coincidence"] = False
-                record("boundary_coincidence", sigma, n - 1)
-        last = two_n - 1
-        for j in reflect_range:
-            counts["last_part_preserved"] += 1
-            swapped = reflect_swap(sigma, j)
-            for k in range(n):
-                if baranyai_edge(swapped, last, k) != baranyai_edge(sigma, last, k):
-                    ok["last_part_preserved"] = False
-                    record("last_part_preserved", sigma, j)
-                    break
-        for j in composition_range:
-            counts["composition"] += 1
-            if not composition_identity(sigma, j):
-                ok["composition"] = False
-                record("composition", sigma, j)
+        permutations_checked += weight
+        for name, j, holds in swap_identities(sigma, config.j):
+            counts[name] += weight
+            if not holds:
+                ok[name] = False
+                if len(failures) < 10:
+                    failures.append({"identity": name, "sigma": list(sigma.images), "j": j})
     payload = {
         "command": "lemma-identities",
         "n": n,

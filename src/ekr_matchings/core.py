@@ -143,8 +143,10 @@ class MatchingFamily:
 
     @cached_property
     def is_intersecting(self) -> bool:
-        """True iff every two members share an edge (pairwise check)."""
+        """True iff every two members share an edge; a common edge settles it."""
         members = self.members
+        if members and frozenset.intersection(*(m.key for m in members)):
+            return True
         for i in range(len(members)):
             for j in range(i + 1, len(members)):
                 if not intersects(members[i], members[j]):

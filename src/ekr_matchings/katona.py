@@ -20,13 +20,11 @@ the rest of the package is built around.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
 
 from .core import Edge, Matching, MatchingFamily, Parameters
-from .baranyai import Permutation, cyclic_edges, half_order
+from .baranyai import Permutation, cyclic_edges, half_order, rotation_classes
 
 __all__ = [
     "TraceResult",
@@ -209,27 +207,18 @@ def q_formula(params: Parameters) -> CompatibilityCount:
     return CompatibilityCount(formula_value=interior + straddling, split=(interior, straddling))
 
 
-def _count_block(n: int, edges: tuple[Edge, ...], first: int | None) -> int:
-    two_n = 2 * n
-    if first is None:
-        perms: Iterable[tuple[int, ...]] = itertools.permutations(range(1, two_n + 1))
-    else:
-        rest = [x for x in range(1, two_n + 1) if x != first]
-        perms = ((first,) + tail for tail in itertools.permutations(rest))
+def _count_block(n: int, edges: tuple[Edge, ...], root: int | None) -> int:
     run_start = _interval_run_start
-    count = 0
-    for images in perms:
-        if run_start(edges, images, n) is not None:
-            count += 1
-    return count
+    return sum(1 for images in rotation_classes(2 * n, root) if run_start(edges, images, n) is not None)
 
 
 def q_bruteforce(a: Matching, params: Parameters, limit: int = 10, jobs: int = 1) -> int:
     """Count compatible permutations for a by exhausting S_{2n}.
 
     Refuses to run when 2n exceeds limit (default 10, so at most 10!
-    permutations).  With jobs > 1 the sweep is partitioned by the first
-    image value and the partial counts are summed in a fixed order.
+    permutations).  One permutation per rotation class is tested and counted
+    2n-1 times.  With jobs > 1 the classes are split by root vertex and the
+    partial counts are summed in a fixed order.
     """
     n = params.n
     two_n = 2 * n
@@ -242,13 +231,13 @@ def q_bruteforce(a: Matching, params: Parameters, limit: int = 10, jobs: int = 1
     if a.support and max(a.support) > two_n:
         raise ValueError(f"matching uses vertices outside 1..{two_n}")
     if jobs <= 1:
-        return _count_block(n, a.edges, None)
+        return (two_n - 1) * _count_block(n, a.edges, None)
     import multiprocessing
 
-    tasks = [(n, a.edges, first) for first in range(1, two_n + 1)]
+    tasks = [(n, a.edges, root) for root in range(1, two_n + 1)]
     with multiprocessing.get_context("fork").Pool(processes=jobs) as pool:
         partial = pool.starmap(_count_block, tasks)
-    return sum(partial)
+    return (two_n - 1) * sum(partial)
 
 
 @dataclass(frozen=True)
@@ -301,16 +290,15 @@ class DoubleCountReport:
 def verify_double_count(
     family: MatchingFamily,
     params: Parameters,
-    sweep: bool = True,
     limit: int = 10,
 ) -> DoubleCountReport:
     """Check the double-counting inequality for an intersecting family.
 
-    Always compares q * |family| against r * (2n)!.  When sweep is true and
-    2n <= limit, additionally walks all of S_{2n}, summing trace sizes
-    (which must equal q * |family|), verifying every trace has at most r
-    members, and counting compatible permutations per member (each must
-    equal the closed-form q).
+    Always compares q * |family| against r * (2n)!.  When 2n <= limit,
+    additionally sweeps S_{2n}, summing trace sizes (which must equal
+    q * |family|), verifying every trace has at most r members, and
+    counting compatible permutations per member (each must equal the
+    closed-form q).  The sweep weights one permutation per rotation class 2n-1.
     """
     n, r = params.n, params.r
     if family.r != r:
@@ -328,20 +316,21 @@ def verify_double_count(
         weighted_count=weighted,
         bound=bound,
     )
-    if not sweep or 2 * n > limit:
+    if 2 * n > limit:
         return report
+    weight = 2 * n - 1
     member_keys = family.member_keys
     per_member: dict[frozenset[Edge], int] = {key: 0 for key in member_keys}
     total = 0
     max_trace = 0
-    for images in itertools.permutations(range(1, 2 * n + 1)):
+    for images in rotation_classes(2 * n):
         found = compatible_member_keys(images, n, r, member_keys)
         size = len(found)
-        total += size
+        total += size * weight
         if size > max_trace:
             max_trace = size
         for key in found:
-            per_member[key] += 1
+            per_member[key] += weight
     member_counts = tuple(per_member[m.key] for m in family)
     return replace(
         report,

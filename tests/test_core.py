@@ -1,5 +1,6 @@
 """Counting and canonical-form tests for edges, matchings, and families."""
 
+import itertools
 import math
 
 import pytest
@@ -173,6 +174,28 @@ def test_family_intersecting_detection():
         ]
     )
     assert not broken.is_intersecting
+
+
+@pytest.mark.parametrize(
+    "members",
+    [
+        [],
+        [Matching.from_edges([(1, 2), (3, 4)])],
+        list(star_family(Parameters(4, 3), (2, 7))),
+        # pairwise intersecting without a common edge: decided pair by pair
+        [
+            Matching.from_edges([(1, 2), (3, 4)]),
+            Matching.from_edges([(3, 4), (5, 6)]),
+            Matching.from_edges([(1, 2), (5, 6)]),
+        ],
+    ],
+    ids=["empty", "one-member", "star", "triangle"],
+)
+def test_family_intersecting_matches_pairwise_check(members):
+    family = MatchingFamily(members)
+    pairwise = all(intersects(a, b) for a, b in itertools.combinations(family.members, 2))
+    assert pairwise
+    assert family.is_intersecting is True
 
 
 @given(st.lists(st.sampled_from(all_edges(3)), min_size=1, max_size=3, unique=True))

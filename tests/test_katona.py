@@ -252,8 +252,9 @@ def test_double_count_rejects_non_intersecting():
 
 
 def test_double_count_without_sweep():
+    # 2n = 6 exceeds the limit, so only the bound is checked
     params = Parameters(3, 2)
-    report = verify_double_count(star_family(params, (3, 4)), params, sweep=False)
+    report = verify_double_count(star_family(params, (3, 4)), params, limit=4)
     assert report.sweep_total is None
     assert report.sweep_matches is None
     assert report.passed  # bound alone
@@ -270,3 +271,34 @@ def test_double_count_substars(indices):
     report = verify_double_count(family, params)
     assert report.sweep_total == 240 * len(family)
     assert report.passed
+
+
+def full_sweep_counts(family, n, r):
+    """Trace total, largest trace and per-member counts over every permutation."""
+    per_member = dict.fromkeys(family.member_keys, 0)
+    total = largest = 0
+    for images in itertools.permutations(range(1, 2 * n + 1)):
+        found = compatible_member_keys(images, n, r, family.member_keys)
+        total += len(found)
+        largest = max(largest, len(found))
+        for key in found:
+            per_member[key] += 1
+    return total, largest, tuple(per_member[m.key] for m in family)
+
+
+@pytest.mark.parametrize("n,r", [(3, 2), (4, 2)])
+def test_rotation_quotient_matches_full_sweep(n, r):
+    params = Parameters(n, r)
+    for a in (Matching.from_edges([(1, 2), (3, 4)]), Matching.from_edges([(2, 5), (3, 2 * n)])):
+        full = sum(
+            1
+            for images in itertools.permutations(range(1, 2 * n + 1))
+            if is_compatible(a, Permutation(images)) is not None
+        )
+        assert q_bruteforce(a, params) == q_bruteforce(a, params, jobs=2) == full
+    for family in (star_family(params, (1, 2 * n)), triangle_family()):
+        report = verify_double_count(family, params)
+        total, largest, per_member = full_sweep_counts(family, n, r)
+        assert report.sweep_total == total
+        assert report.sweep_max_trace == largest
+        assert report.member_counts == per_member

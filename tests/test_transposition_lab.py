@@ -1,6 +1,7 @@
 """Swap identities and the interval-realizing permutation construction."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,12 +15,15 @@ from ekr_matchings.baranyai import (
     sample_permutations,
 )
 from ekr_matchings.core import Matching, MatchingFamily, Parameters, star_family
-from ekr_matchings.katona import is_compatible, trace
+from ekr_matchings import transposition_lab
+from ekr_matchings.katona import compatible_member_keys, is_compatible, trace
 from ekr_matchings.transposition_lab import (
+    SWAP_IDENTITIES,
     center_map,
     composition_identity,
     construct_interval_permutation,
     reflect_swap,
+    swap_identities,
     transpose_adjacent,
 )
 
@@ -207,3 +211,65 @@ def test_center_map_respects_limit():
     params = Parameters(3, 2)
     with pytest.raises(ValueError):
         center_map(star_family(params, (1, 2)), params, limit=4)
+
+
+@pytest.mark.parametrize("n,r", [(3, 2), (4, 2)])
+def test_center_map_quotient_matches_full_sweep(n, r):
+    params = Parameters(n, r)
+    family = star_family(params, (2, 2 * n - 1))
+    saturated = 0
+    centers = set()
+    for images in itertools.permutations(range(1, 2 * n + 1)):
+        found = compatible_member_keys(images, n, r, family.member_keys)
+        common = frozenset.intersection(*found) if len(found) == r else frozenset()
+        if len(common) == 1:
+            saturated += 1
+            centers |= common
+    result = center_map(family, params)
+    assert result.saturated == saturated == math.factorial(2 * n)
+    assert result.violation_count == 0
+    assert result.centers == centers == {(2, 2 * n - 1)}
+
+
+def test_center_map_counts_each_violating_class_in_full(monkeypatch):
+    # with every trace empty, all 6! permutations fail and ten classes are kept
+    monkeypatch.setattr(transposition_lab, "compatible_member_keys", lambda *args: set())
+    params = Parameters(3, 2)
+    result = center_map(star_family(params, (1, 2)), params)
+    assert result.saturated == 0
+    assert result.violation_count == result.total == 720
+    assert len(result.violations) == 10
+    assert len({v.images for v in result.violations}) == 10
+    assert all(v.reason == "unsaturated" and v.trace_size == 0 for v in result.violations)
+
+
+def test_swap_identities_order_and_restriction():
+    sigma = Permutation((3, 1, 4, 8, 5, 2, 7, 6))
+    outcomes = list(swap_identities(sigma))
+    assert [name for name, _, _ in outcomes] == (
+        ["adjacent_involution"] * 7
+        + ["reflection_involution"] * 3
+        + ["boundary_coincidence"]
+        + ["last_part_preserved"] * 3
+        + ["composition"]
+    )
+    assert {name for name, _, _ in outcomes} == set(SWAP_IDENTITIES)
+    assert all(holds for _, _, holds in outcomes)
+    assert list(swap_identities(sigma, 5)) == [
+        ("adjacent_involution", 5, True),
+        ("composition", 5, True),
+    ]
+    assert [name for name, _, _ in swap_identities(sigma, 3)] == [
+        "adjacent_involution",
+        "reflection_involution",
+        "boundary_coincidence",
+        "last_part_preserved",
+    ]
+    with pytest.raises(ValueError):
+        list(swap_identities(Permutation.identity(2)))
+
+
+def test_swap_identities_report_a_failure(monkeypatch):
+    monkeypatch.setattr(transposition_lab, "composition_identity", lambda sigma, j: False)
+    outcomes = list(swap_identities(Permutation.identity(8)))
+    assert [(name, j) for name, j, holds in outcomes if not holds] == [("composition", 5)]
