@@ -17,6 +17,7 @@ order are always matchings; runs of length n can fail at part boundaries.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -175,10 +176,11 @@ def position_pairs(n: int) -> tuple[tuple[int, int], ...]:
 def cyclic_edges(images: tuple[int, ...], n: int) -> list[Edge]:
     """Canonical edge at each cyclic position for a raw image tuple of length 2n.
 
-    The one builder of the cyclic order: parts, intervals, goodness
-    windows and edge positions are all read off this list.  No validation
-    happens here because the permutation sweeps call it once per
-    permutation.
+    The one builder of the cyclic order as edges: parts, intervals,
+    compatibility windows and edge positions are all read off this list
+    (verify_goodness needs only vertices and reads position_pairs itself).
+    No validation happens here because the permutation sweeps call it once
+    per permutation.
     """
     edges = []
     for p, q in position_pairs(n):
@@ -272,7 +274,14 @@ def verify_goodness(
 
     r defaults to n-1, the longest length for which every interval is a
     matching.  Counterexamples are recorded as (images, start position)
-    pairs, capped at max_counterexamples.
+    pairs in ascending start order, capped at max_counterexamples.
+
+    One pass per sigma reads the n(2n-1)+r-1 positions of the cyclic
+    order, wrapping, and keeps the last position at which each vertex was
+    seen.  An interval fails exactly when it holds two occurrences of one
+    vertex, so a repeat at positions prev < k with k - prev < r makes every
+    start in k-r+1..prev fail.  Those left ends only grow with k, so the
+    failing starts come out in ascending order.
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
@@ -281,21 +290,34 @@ def verify_goodness(
         r = n - 1 if n > 1 else 1
     if not 1 <= r <= total:
         raise ValueError(f"interval length must be in 1..{total}, got {r}")
+    pairs = position_pairs(n)
+    # slot 2k and 2k+1 hold the two ends of the edge at position k
+    read_slots = operator.itemgetter(*itertools.chain.from_iterable(pairs + pairs[: r - 1]))
+    width = 2 * r
+    unseen = [-width - 2] * (2 * n + 1)
     counterexamples: list[tuple[tuple[int, ...], int]] = []
     permutations_checked = 0
-    width = 2 * r
     for sigma in sigmas:
         if sigma.size != 2 * n:
             raise ValueError(f"permutation size {sigma.size} does not match 2n = {2 * n}")
-        images = sigma.images
-        flat = list(itertools.chain.from_iterable(cyclic_edges(images, n)))
-        flat.extend(flat[: 2 * (r - 1)])
         permutations_checked += 1
-        for start in range(total):
-            window = flat[2 * start : 2 * start + width]
-            if len(set(window)) != width:
-                if len(counterexamples) < max_counterexamples:
-                    counterexamples.append((images, start + 1))
+        if len(counterexamples) >= max_counterexamples:
+            continue
+        images = sigma.images
+        last = unseen.copy()
+        recorded = -1
+        for slot, vertex in enumerate(read_slots(images)):
+            prev = last[vertex]
+            last[vertex] = slot
+            if slot - prev < width:
+                # positions prev >> 1 and slot >> 1 share this vertex; when they
+                # are r apart the range of failing starts below is empty
+                first = max((slot >> 1) - r + 1, recorded + 1)
+                recorded = max(recorded, min(prev >> 1, total - 1))
+                counterexamples.extend((images, start + 1) for start in range(first, recorded + 1))
+                if len(counterexamples) >= max_counterexamples:
+                    del counterexamples[max_counterexamples:]
+                    break
     return GoodnessReport(
         n=n,
         r=r,

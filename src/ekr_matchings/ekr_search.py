@@ -136,10 +136,15 @@ def _stars(matchings: Sequence[Matching]) -> dict[Edge, list[int]]:
     return buckets
 
 
-def intersection_graph(matchings: Sequence[Matching]) -> list[int]:
-    """Bitset adjacency rows: i and j are adjacent iff the matchings share an edge."""
+def intersection_graph(matchings: Sequence[Matching], deadline: float = math.inf) -> list[int]:
+    """Bitset adjacency rows: i and j are adjacent iff the matchings share an edge.
+
+    The build checks time.monotonic() against the deadline once per star.
+    """
     rows = [0] * len(matchings)
     for indices in _stars(matchings).values():
+        if time.monotonic() > deadline:
+            raise _BudgetExceeded
         mask = 0
         for i in indices:
             mask |= 1 << i
@@ -254,7 +259,6 @@ def max_intersecting(params: Parameters, budget: SearchBudget | None = None) -> 
     counter = _Counter(budget)
     matchings = enumerate_matchings(params)
     phi_value = phi(params)
-    adjacency = intersection_graph(matchings)
     stars = _stars(matchings)
 
     v0 = 0
@@ -264,6 +268,7 @@ def max_intersecting(params: Parameters, budget: SearchBudget | None = None) -> 
     best = [seed]
     status = STATUS_PROVEN
     try:
+        adjacency = intersection_graph(matchings, counter.deadline)
         _expand(adjacency, [v0], adjacency[v0], best, counter)
     except _BudgetExceeded:
         status = STATUS_BUDGET

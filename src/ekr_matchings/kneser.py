@@ -96,6 +96,11 @@ def ham_power_certificate(n: int, sigma: Permutation | None = None) -> HamPowerC
 def verify_ham_power(graph: KneserGraph, certificate: HamPowerCertificate) -> bool:
     """True iff all order positions at cyclic distance <= k are adjacent.
 
+    One pass over the order keeps the bitmask of the next k positions and
+    tests it against each vertex's adjacency row; moving on to the next
+    vertex drops one bit from the mask and adds one.  The order lists every
+    vertex once, so those two bits are distinct and an XOR moves each.
+
     Raises ValueError for malformed certificates: a vertex-count mismatch,
     duplicated or missing vertices, or a nonpositive k.
     """
@@ -110,11 +115,15 @@ def verify_ham_power(graph: KneserGraph, certificate: HamPowerCertificate) -> bo
     adjacency = graph.adjacency
     total = len(sequence)
     depth = min(certificate.k, total - 1)
+    ahead = 0
+    for d in range(1, depth + 1):
+        ahead |= 1 << sequence[d]
     for i in range(total):
-        row = adjacency[sequence[i]]
-        for d in range(1, depth + 1):
-            if not row >> sequence[(i + d) % total] & 1:
-                return False
+        if adjacency[sequence[i]] & ahead != ahead:
+            return False
+        # masks are made on the fly: a list of every 1 << index would hold about total^2/16 bytes
+        ahead ^= 1 << sequence[(i + 1) % total]
+        ahead ^= 1 << sequence[(i + depth + 1) % total]
     return True
 
 

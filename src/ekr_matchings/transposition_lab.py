@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .core import Edge, MatchingFamily, Parameters, make_edge, phi
-from .baranyai import Permutation, baranyai_edge, half_order, rotation_classes
+from .baranyai import Permutation, half_order, position_pairs, rotation_classes
 from .katona import compatible_member_keys
 
 __all__ = [
@@ -33,10 +33,12 @@ __all__ = [
 ]
 
 
-def _swap_positions(sigma: Permutation, a: int, b: int) -> Permutation:
-    values = list(sigma.images)
-    values[a - 1], values[b - 1] = values[b - 1], values[a - 1]
-    return Permutation(tuple(values))
+def _swap(images: tuple[int, ...], *transpositions: tuple[int, int]) -> tuple[int, ...]:
+    """The image tuple with each pair of 1-based positions exchanged, in order."""
+    values = list(images)
+    for a, b in transpositions:
+        values[a - 1], values[b - 1] = values[b - 1], values[a - 1]
+    return tuple(values)
 
 
 def transpose_adjacent(sigma: Permutation, j: int) -> Permutation:
@@ -44,7 +46,7 @@ def transpose_adjacent(sigma: Permutation, j: int) -> Permutation:
     n = half_order(sigma)
     if not 1 <= j <= 2 * n - 1:
         raise ValueError(f"adjacent swap index must be in 1..{2 * n - 1}, got {j}")
-    return _swap_positions(sigma, j, j + 1)
+    return Permutation(_swap(sigma.images, (j, j + 1)))
 
 
 def reflect_swap(sigma: Permutation, j: int) -> Permutation:
@@ -56,7 +58,7 @@ def reflect_swap(sigma: Permutation, j: int) -> Permutation:
     n = half_order(sigma)
     if not 1 <= j <= n - 1:
         raise ValueError(f"reflection swap index must be in 1..{n - 1}, got {j}")
-    return _swap_positions(sigma, j, 2 * n - 1 - j)
+    return Permutation(_swap(sigma.images, (j, 2 * n - 1 - j)))
 
 
 def composition_identity(sigma: Permutation, j: int) -> bool:
@@ -69,13 +71,10 @@ def composition_identity(sigma: Permutation, j: int) -> bool:
     if not n + 1 <= j <= 2 * n - 3:
         raise ValueError(f"composition index must be in {n + 1}..{2 * n - 3}, got {j}")
     jp = 2 * n - 2 - j
-    lhs = transpose_adjacent(sigma, j)
-    rhs = reflect_swap(sigma, jp + 1)
-    rhs = reflect_swap(rhs, jp)
-    rhs = transpose_adjacent(rhs, jp)
-    rhs = reflect_swap(rhs, jp + 1)
-    rhs = reflect_swap(rhs, jp)
-    return lhs == rhs
+    m = 2 * n - 1
+    reflect_jp, reflect_next = (jp, m - jp), (jp + 1, m - jp - 1)
+    rhs = _swap(sigma.images, reflect_next, reflect_jp, (jp, jp + 1), reflect_next, reflect_jp)
+    return _swap(sigma.images, (j, j + 1)) == rhs
 
 
 SWAP_IDENTITIES = (
@@ -93,19 +92,24 @@ def swap_identities(sigma: Permutation, j: int | None = None) -> Iterator[tuple[
     The index ranges are 1..2n-1, 1..n-1, n-1, 1..n-1 and n+1..2n-3; with
     j given, only the checks at index j run.  A swap composes sigma with a
     fixed position permutation, so the outcomes do not depend on sigma.
+    The swaps act on sigma's image tuple; the last part is read off
+    position_pairs, its n edges being the last n positions of the order.
     """
     n = half_order(sigma)
     if n < 2:
         raise ValueError("swap identities need n >= 2")
+    images = sigma.images
+    m = 2 * n - 1
+    last_part = position_pairs(n)[-n:]
 
     def keeps_last_part(k: int) -> bool:
-        swapped = reflect_swap(sigma, k)
-        return all(baranyai_edge(swapped, 2 * n - 1, e) == baranyai_edge(sigma, 2 * n - 1, e) for e in range(n))
+        swapped = _swap(images, (k, m - k))
+        return all({swapped[p], swapped[q]} == {images[p], images[q]} for p, q in last_part)
 
     checks = (
-        (range(1, 2 * n), lambda k: transpose_adjacent(transpose_adjacent(sigma, k), k) == sigma),
-        (range(1, n), lambda k: reflect_swap(reflect_swap(sigma, k), k) == sigma),
-        (range(n - 1, n), lambda k: transpose_adjacent(sigma, k) == reflect_swap(sigma, k)),
+        (range(1, 2 * n), lambda k: _swap(images, (k, k + 1), (k, k + 1)) == images),
+        (range(1, n), lambda k: _swap(images, (k, m - k), (k, m - k)) == images),
+        (range(n - 1, n), lambda k: _swap(images, (k, k + 1)) == _swap(images, (k, m - k))),
         (range(1, n), keeps_last_part),
         (range(n + 1, 2 * n - 2), lambda k: composition_identity(sigma, k)),
     )

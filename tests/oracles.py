@@ -88,3 +88,15 @@ def naive_power_valid(
             if set(order[idx]) & set(order[(idx + d) % total]):
                 return False
     return True
+
+
+def naive_goodness_failures(images: Sequence[int], n: int, r: int) -> list[int]:
+    """1-based starts of the length-r windows of the cyclic order that are not matchings."""
+    seq = naive_cyclic_sequence(images, n)
+    total = len(seq)
+    failures = []
+    for start in range(total):
+        vertices = [x for t in range(r) for x in seq[(start + t) % total]]
+        if len(set(vertices)) != len(vertices):
+            failures.append(start + 1)
+    return failures

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ekr_matchings.baranyai import (
+    GoodnessReport,
     Permutation,
     all_permutations,
     baranyai_edge,
@@ -23,7 +24,7 @@ from ekr_matchings.baranyai import (
 )
 from ekr_matchings.core import all_edges
 
-from oracles import naive_cyclic_sequence
+from oracles import naive_cyclic_sequence, naive_goodness_failures
 
 
 def permutations_of(two_n):
@@ -210,6 +211,28 @@ def test_goodness_fails_for_full_part_length():
     report = verify_goodness(3, [Permutation.identity(6)], r=3)
     assert not report.passed
     assert (tuple(range(1, 7)), 2) in report.counterexamples
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_verify_goodness_matches_window_oracle(n):
+    # the one-pass scan against every window rebuilt from the definition,
+    # including the order of the counterexamples and where the cap cuts
+    total = n * (2 * n - 1)
+    sigmas = [Permutation.identity(2 * n)] + sample_permutations(2 * n, 50, seed=n)
+    cut_inside_a_permutation = False
+    for r in sorted({1, n - 1, n, n + 1, 2 * n, total} & set(range(1, total + 1))):
+        failures = [(sigma.images, start) for sigma in sigmas for start in naive_goodness_failures(sigma.images, n, r)]
+        report = verify_goodness(n, sigmas, r=r)
+        assert report == GoodnessReport(
+            n=n,
+            r=r,
+            permutations_checked=len(sigmas),
+            intervals_checked=len(sigmas) * total,
+            counterexamples=tuple(failures[:20]),
+        )
+        if len(failures) > 20 and failures[19][0] == failures[20][0]:
+            cut_inside_a_permutation = True
+    assert cut_inside_a_permutation == (n >= 2)
 
 
 def test_verify_goodness_rejects_size_mismatch():

@@ -155,6 +155,15 @@ def test_deadline_binds_enumeration():
     assert report.max_size == phi(Parameters(6, 3))
 
 
+def test_deadline_binds_graph_build():
+    # building the (6,4) intersection graph on 51 975 matchings takes about a second
+    start = time.monotonic()
+    report = max_intersecting(Parameters(6, 4), SearchBudget(max_seconds=0.5))
+    assert report.status == STATUS_BUDGET
+    assert time.monotonic() - start < 1.0
+    assert report.max_size == phi(Parameters(6, 4))
+
+
 def test_budget_validation():
     with pytest.raises(ValueError):
         SearchBudget(max_nodes=0)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import random
 
 import pytest
 
@@ -93,6 +94,21 @@ def test_verifier_agrees_with_naive_check():
             assert verify_ham_power(graph, certificate) == naive_power_valid(
                 k, certificate.order
             )
+    # shuffled orders, mostly invalid, and the cyclic order with two entries
+    # exchanged, which can fail deep into the pass, at every claimed power
+    rng = random.Random(11)
+    for n in (3, 4, 5):
+        graph = kneser_graph(2 * n)
+        base = ham_power_certificate(n).order
+        orders = [base]
+        for _ in range(4):
+            orders.append(tuple(rng.sample(base, len(base))))
+            a, b = sorted(rng.sample(range(len(base)), 2))
+            orders.append(base[:a] + (base[b],) + base[a + 1 : b] + (base[a],) + base[b + 1 :])
+        for order in orders:
+            for k in range(1, len(order) + 1):
+                certificate = HamPowerCertificate(m=2 * n, k=k, order=order)
+                assert verify_ham_power(graph, certificate) == naive_power_valid(k, order)
 
 
 def test_power_k_equivalent_to_interval_matchings():

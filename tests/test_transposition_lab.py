@@ -12,6 +12,7 @@ from ekr_matchings.baranyai import (
     baranyai_edge,
     cyclic_order,
     interval,
+    rotation_classes,
     sample_permutations,
 )
 from ekr_matchings.core import Matching, MatchingFamily, Parameters, star_family
@@ -267,6 +268,39 @@ def test_swap_identities_order_and_restriction():
     ]
     with pytest.raises(ValueError):
         list(swap_identities(Permutation.identity(2)))
+
+
+def _swap_identities_on_permutations(sigma):
+    """The swap suite written with the validated Permutation-level swaps only."""
+    n = sigma.size // 2
+    last = 2 * n - 1
+
+    def composition(j):
+        jp = 2 * n - 2 - j
+        rhs = reflect_swap(reflect_swap(sigma, jp + 1), jp)
+        rhs = reflect_swap(reflect_swap(transpose_adjacent(rhs, jp), jp + 1), jp)
+        return transpose_adjacent(sigma, j) == rhs
+
+    for j in range(1, 2 * n):
+        yield "adjacent_involution", j, transpose_adjacent(transpose_adjacent(sigma, j), j) == sigma
+    for j in range(1, n):
+        yield "reflection_involution", j, reflect_swap(reflect_swap(sigma, j), j) == sigma
+    yield "boundary_coincidence", n - 1, transpose_adjacent(sigma, n - 1) == reflect_swap(sigma, n - 1)
+    for j in range(1, n):
+        swapped = reflect_swap(sigma, j)
+        yield "last_part_preserved", j, all(
+            baranyai_edge(swapped, last, e) == baranyai_edge(sigma, last, e) for e in range(n)
+        )
+    for j in range(n + 1, 2 * n - 2):
+        yield "composition", j, composition(j)
+
+
+def test_swap_identities_match_permutation_level_swaps():
+    sigmas = itertools.chain(
+        map(Permutation, rotation_classes(8)), sample_permutations(12, 200, seed=12)
+    )
+    for sigma in sigmas:
+        assert list(swap_identities(sigma)) == list(_swap_identities_on_permutations(sigma))
 
 
 def test_swap_identities_report_a_failure(monkeypatch):
