@@ -343,15 +343,15 @@ def _search_instance(n: int, r: int, budget: SearchBudget) -> CommandResult:
         checks["no_family_beats_star_bound"] = False
     if report.proven:
         checks["max_equals_phi"] = report.max_size == report.phi_value
-    if report.maximum_family_count is not None:
+    if report.all_maximum_are_stars is not None:
         centers = [is_star(fam) for fam in report.witnesses]
         row["centers"] = sorted(_edge_json(c) for c in centers if c is not None)
-        checks["all_maximum_are_stars"] = bool(report.all_maximum_are_stars)
-        if r <= n - 1:
-            # for r = n distinct edges can span the same star, e.g. {1,2} and {3,4} at n = 2
-            checks["one_maximum_family_per_edge"] = (
-                report.maximum_family_count == report.expected_maximum_count
-            )
+        checks["all_maximum_are_stars"] = report.all_maximum_are_stars
+    if report.maximum_family_count is not None and r <= n - 1:
+        # for r = n distinct edges can span the same star, e.g. {1,2} and {3,4} at n = 2
+        checks["one_maximum_family_per_edge"] = (
+            report.maximum_family_count == report.expected_maximum_count
+        )
     return CommandResult(row, checks, budget_exhausted=report.status != STATUS_PROVEN)
 
 

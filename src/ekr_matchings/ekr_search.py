@@ -8,16 +8,21 @@ at every node and a star provides the initial incumbent.
 
 S_{2n} acts transitively on the r-matchings and preserves intersection,
 so every maximum clique has an image through the first matching v0.  The
-search therefore only looks inside N(v0): the optimum is 1 + omega(N(v0)).
-A second pass can enumerate the c0 maximum cliques through v0; double
-counting the pairs (maximum clique, member) gives the number of maximum
-families, M = c0 * chi / omega.  Stars go to stars under S_{2n}, so every
-maximum family is a star exactly when the c0 cliques through v0 are, and
-then the maximum families are the stars themselves; this is how star
-uniqueness gets checked.  Budgets (node count and wall clock, checked at
-every node against one deadline for all phases) are first-class: blowing
-one yields status "budget_exhausted" with the best witness found so far,
-never a silently weaker answer.
+search therefore only looks inside N(v0): the optimum is omega =
+1 + omega(N(v0)).  Star uniqueness asks one more question: is there a
+clique of size omega through v0 whose members share no edge?  A second
+search looks for one.  While the family S built so far has a common edge
+e, the clique needs a member avoiding e, so it branches on that member;
+each level loses a common edge, so it nests at most r + 1 levels, and the
+color bound cuts it short, because non-star intersecting families are much
+smaller than stars (Hilton and Milner).  At the first level it branches on
+one member per orbit of the stabiliser of v0 and its least edge.  If there
+is no such clique, stars go to stars under S_{2n}, so every maximum family
+is a star, and the maximum families are the distinct stars of size omega.
+Budgets (node count and wall clock, checked at every node against one
+deadline for all phases) are first-class: blowing one yields status
+"budget_exhausted" with the best witness found so far, never a silently
+weaker answer.
 """
 
 from __future__ import annotations
@@ -119,6 +124,8 @@ class EkrReport:
 
     @property
     def uniqueness_confirmed(self) -> bool | None:
+        if self.all_maximum_are_stars is False:
+            return False
         if self.maximum_family_count is None:
             return None
         return (
@@ -136,22 +143,41 @@ def _stars(matchings: Sequence[Matching]) -> dict[Edge, list[int]]:
     return buckets
 
 
-def intersection_graph(matchings: Sequence[Matching], deadline: float = math.inf) -> list[int]:
-    """Bitset adjacency rows: i and j are adjacent iff the matchings share an edge.
-
-    The build checks time.monotonic() against the deadline once per star.
-    """
-    rows = [0] * len(matchings)
-    for indices in _stars(matchings).values():
+def _edge_masks(stars: dict[Edge, list[int]], deadline: float = math.inf) -> dict[Edge, int]:
+    """The bitmask of the matchings through each edge; the deadline is checked once per edge."""
+    masks: dict[Edge, int] = {}
+    for edge, indices in stars.items():
         if time.monotonic() > deadline:
             raise _BudgetExceeded
         mask = 0
         for i in indices:
             mask |= 1 << i
-        for i in indices:
-            rows[i] |= mask
-    for i in range(len(rows)):
-        rows[i] &= ~(1 << i)
+        masks[edge] = mask
+    return masks
+
+
+def intersection_graph(
+    matchings: Sequence[Matching],
+    deadline: float = math.inf,
+    masks: dict[Edge, int] | None = None,
+) -> list[int]:
+    """Bitset adjacency rows: i and j are adjacent iff the matchings share an edge.
+
+    Row i is the union of the masks of the edges of matching i, less bit i;
+    `masks` comes from _edge_masks when the caller already has it.  The
+    build checks time.monotonic() against the deadline once per edge and
+    once per row.
+    """
+    if masks is None:
+        masks = _edge_masks(_stars(matchings), deadline)
+    rows: list[int] = []
+    for i, matching in enumerate(matchings):
+        if time.monotonic() > deadline:
+            raise _BudgetExceeded
+        row = 0
+        for edge in matching.edges:
+            row |= masks[edge]
+        rows.append(row ^ (1 << i))
     return rows
 
 
@@ -198,16 +224,9 @@ def _expand(
 
 
 def _enumerate_cliques_of_size(
-    adjacency: list[int],
-    size: int,
-    counter: _Counter,
-    through: int | None = None,
+    adjacency: list[int], size: int, counter: _Counter
 ) -> list[tuple[int, ...]]:
-    """All cliques with exactly `size` vertices, each found once.
-
-    Members after the first come in ascending order.  With `through`, only
-    the cliques containing that vertex are listed, and it comes first.
-    """
+    """All cliques with exactly `size` vertices, each found once, members ascending."""
     found: list[tuple[int, ...]] = []
     stack: list[int] = []
     vertex_count = len(adjacency)
@@ -232,12 +251,159 @@ def _enumerate_cliques_of_size(
             recurse(candidates & adjacency[v] & above[v])
             stack.pop()
 
-    if through is None:
-        recurse((1 << vertex_count) - 1)
-    else:
-        stack.append(through)
-        recurse(adjacency[through])
+    recurse((1 << vertex_count) - 1)
     return found
+
+
+def _first_level_orbits(
+    matchings: Sequence[Matching], candidates: int, two_n: int, deadline: float
+) -> list[tuple[int, int]]:
+    """The orbits of Stab(v0, e1) on `candidates`, as (least member, member mask).
+
+    v0 = matchings[0] = {(1, 2), (3, 4), ..., (2r-1, 2r)} and e1 = (1, 2).
+    The stabiliser is generated by swapping the two ends of an edge of v0,
+    swapping two consecutive edges of v0 other than e1, and swapping two
+    consecutive vertices outside v0; `candidates` must be closed under it.
+    Orbits come in ascending order of their least member.  The deadline is
+    checked once per member.
+    """
+    r = len(matchings[0])
+    identity = list(range(two_n + 1))
+
+    def swap(*pairs: tuple[int, int]) -> list[int]:
+        images = identity.copy()
+        for a, b in pairs:
+            images[a], images[b] = b, a
+        return images
+
+    generators = (
+        [swap((2 * i - 1, 2 * i)) for i in range(1, r + 1)]
+        + [swap((2 * i - 1, 2 * i + 1), (2 * i, 2 * i + 2)) for i in range(2, r)]
+        + [swap((x, x + 1)) for x in range(2 * r + 1, two_n)]
+    )
+    members = []
+    while candidates:
+        bit = candidates & -candidates
+        members.append(bit.bit_length() - 1)
+        candidates ^= bit
+    index_of = {matchings[w].edges: w for w in members}
+    orbits: list[tuple[int, int]] = []
+    seen: set[int] = set()
+    for w in members:
+        if w in seen:
+            continue
+        orbit = {w}
+        frontier = [w]
+        while frontier:
+            if time.monotonic() > deadline:
+                raise _BudgetExceeded
+            edges = matchings[frontier.pop()].edges
+            for g in generators:
+                image = index_of[
+                    tuple(sorted((g[u], g[v]) if g[u] < g[v] else (g[v], g[u]) for u, v in edges))
+                ]
+                if image not in orbit:
+                    orbit.add(image)
+                    frontier.append(image)
+        seen |= orbit
+        orbits.append((w, sum(1 << x for x in orbit)))
+    return orbits
+
+
+def _non_star_clique(
+    adjacency: list[int],
+    edge_masks: list[int],
+    edge_bits: list[int],
+    family: list[int],
+    candidates: int,
+    common: int,
+    size: int,
+    counter: _Counter,
+    branches: list[tuple[int, int]] | None = None,
+) -> list[int] | None:
+    """A clique of `size` vertices whose members share no edge, or None.
+
+    The clique extends `family`, whose members share exactly the edges in
+    the bitmask `common`, by vertices of `candidates`.  While an edge e is
+    common, such a clique has a member avoiding e, so the search branches
+    on each candidate w that avoids the least common edge and drops w from
+    the candidates before the next branch.  Every branch removes an edge
+    from `common`, so the search nests at most r + 1 levels.  `branches`
+    replaces the default branching with (vertex, mask of vertices to drop
+    after its branch) pairs.  Once no edge is common, _expand looks for the
+    rest of the clique inside the candidates.
+    """
+    need = size - len(family)
+    if not common:
+        if need == 0:
+            return family
+        best = [[0] * (need - 1)]  # sentinel: any clique of `need` vertices beats it
+        _expand(adjacency, [], candidates, best, counter)
+        return family + best[0][:need] if len(best[0]) >= need else None
+    counter.tick()
+    if need == 0:
+        return None
+    _, bounds = _color_order(candidates, adjacency)
+    if not bounds or bounds[-1] < need:
+        return None
+    if branches is None:
+        e = (common & -common).bit_length() - 1
+        avoiding = candidates & ~edge_masks[e]
+        branches = []
+        while avoiding:
+            bit = avoiding & -avoiding
+            branches.append((bit.bit_length() - 1, bit))
+            avoiding ^= bit
+    for w, dropped in branches:
+        found = _non_star_clique(
+            adjacency,
+            edge_masks,
+            edge_bits,
+            family + [w],
+            candidates & adjacency[w],
+            common & edge_bits[w],
+            size,
+            counter,
+        )
+        if found is not None:
+            return found
+        candidates &= ~dropped
+    return None
+
+
+def _non_star_through_v0(
+    matchings: Sequence[Matching],
+    masks: dict[Edge, int],
+    adjacency: list[int],
+    size: int,
+    counter: _Counter,
+) -> list[int] | None:
+    """An intersecting family of `size` matchings with v0 = matchings[0] and no common edge.
+
+    Only edges of v0 can be common, so bit j of a common-edge mask stands
+    for the j-th edge of v0, and e1 = (1, 2) is bit 0.  A non-star family
+    through v0 has a member avoiding e1; at the first level the search
+    branches on one member per orbit of Stab(v0, e1) and drops the whole
+    orbit after its branch.  This is orbital branching: if i is the least
+    orbit holding a member of the family that avoids e1, an element of the
+    stabiliser moves that member to the orbit's representative, and the
+    image family, still through v0, meets no earlier orbit.
+    """
+    own = matchings[0].edges
+    edge_bits = [sum(1 << j for j, e in enumerate(own) if e in m.edges) for m in matchings]
+    two_n = max(masks)[1]  # (2n - 1, 2n) is the last edge
+    orbits = _first_level_orbits(matchings, adjacency[0] & ~masks[own[0]], two_n, counter.deadline)
+    return _non_star_clique(
+        adjacency,
+        [masks[e] for e in own],
+        edge_bits,
+        [0],
+        adjacency[0],
+        edge_bits[0],
+        size,
+        counter,
+        orbits,
+    )
 
 
 def max_intersecting(params: Parameters, budget: SearchBudget | None = None) -> EkrReport:
@@ -246,13 +412,13 @@ def max_intersecting(params: Parameters, budget: SearchBudget | None = None) -> 
     S_{2n} acts transitively on the matchings, so some maximum family
     contains v0 = matchings[0]; the branch and bound proves optimality
     inside N(v0) only, with the star at the edge (1, 2), which contains v0,
-    as the incumbent.  When the budget asks for it, the c0 maximum families
-    through v0 are enumerated and the maximum families counted by double
-    counting the pairs (family, member): M = c0 * chi / omega.  If the c0
-    families are all stars, every maximum family is a star, and the report
-    lists the distinct stars of the optimum size, which must number M;
-    otherwise it lists the families through v0, with all_maximum_are_stars
-    False.  Every reported witness is re-verified intersecting.
+    as the incumbent.  When the budget asks for every maximum family, a
+    second search looks for a maximum family through v0 with no common
+    edge.  If there is none, every maximum family is a star, and the report
+    lists the distinct stars of the optimum size and counts them.  If there
+    is one, the report gives it as the only witness, with
+    all_maximum_are_stars False and no count.  Every reported witness is
+    re-verified intersecting.
     """
     if budget is None:
         budget = SearchBudget()
@@ -268,7 +434,8 @@ def max_intersecting(params: Parameters, budget: SearchBudget | None = None) -> 
     best = [seed]
     status = STATUS_PROVEN
     try:
-        adjacency = intersection_graph(matchings, counter.deadline)
+        masks = _edge_masks(stars, counter.deadline)
+        adjacency = intersection_graph(matchings, counter.deadline, masks)
         _expand(adjacency, [v0], adjacency[v0], best, counter)
     except _BudgetExceeded:
         status = STATUS_BUDGET
@@ -289,21 +456,20 @@ def max_intersecting(params: Parameters, budget: SearchBudget | None = None) -> 
     all_stars: bool | None = None
     if budget.enumerate_all_maximum and status == STATUS_PROVEN:
         try:
-            through_v0 = _enumerate_cliques_of_size(adjacency, max_size, counter, through=v0)
+            non_star = _non_star_through_v0(matchings, masks, adjacency, max_size, counter)
         except _BudgetExceeded:
             status = STATUS_BUDGET
         else:
-            maximum_family_count, remainder = divmod(len(through_v0) * len(matchings), max_size)
-            if remainder:
-                raise ArithmeticError("maximum families through v0 do not double count")
-            families = [to_family(c) for c in through_v0]
-            all_stars = all(is_star(fam) is not None for fam in families)
-            if all_stars:
+            all_stars = non_star is None
+            if non_star is None:
                 # S_{2n} maps stars to stars, so no maximum family elsewhere is a non-star
                 distinct = {tuple(indices) for indices in stars.values() if len(indices) == max_size}
                 families = [to_family(indices) for indices in distinct]
-                if len(families) != maximum_family_count:
-                    raise ArithmeticError("star count differs from the double count")
+                maximum_family_count = len(families)
+            else:
+                families = [to_family(non_star)]
+                if len(families[0]) != max_size or is_star(families[0]) is not None:
+                    raise ArithmeticError("non-star witness is a star or has the wrong size")
             witnesses = tuple(
                 sorted(families, key=lambda fam: tuple(m.edges for m in fam.members))
             )
@@ -337,9 +503,10 @@ def is_star(family: MatchingFamily) -> Edge | None:
 def verify_theorem(params: Parameters, budget: SearchBudget | None = None) -> EkrReport:
     """Check that stars are the unique maximum intersecting families.
 
-    Requires r <= n-1.  Runs the exact search (enumerating all maximum
-    families unless the caller's budget says otherwise) and returns the
-    report; bound_confirmed and uniqueness_confirmed summarize the claims.
+    Requires r <= n-1.  Runs the exact search (with the search for a
+    non-star maximum family unless the caller's budget says otherwise) and
+    returns the report; bound_confirmed and uniqueness_confirmed summarize
+    the claims.
     """
     if params.r > params.n - 1:
         raise ValueError(f"the uniqueness statement needs r <= n-1, got r={params.r}, n={params.n}")

@@ -9,7 +9,7 @@ enough to sweep.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 def naive_edges(two_n: int) -> list[tuple[int, int]]:
@@ -100,3 +100,49 @@ def naive_goodness_failures(images: Sequence[int], n: int, r: int) -> list[int]:
         if len(set(vertices)) != len(vertices):
             failures.append(start + 1)
     return failures
+
+
+def naive_cliques_through(
+    matchings: Sequence[frozenset[tuple[int, int]]], size: int
+) -> Iterator[tuple[frozenset[tuple[int, int]], ...]]:
+    """Every intersecting family of `size` matchings containing matchings[0], each once.
+
+    The families are built on bitsets over the matchings that share an edge
+    with matchings[0]; a branch stops when a greedy colouring of its
+    candidates, which bounds any family among them, has too few colours.
+    """
+    v0 = matchings[0]
+    near = [m for m in matchings[1:] if m & v0]
+    rows = [
+        sum(1 << j for j, b in enumerate(near) if j != i and a & b)
+        for i, a in enumerate(near)
+    ]
+
+    def colours(candidates: int) -> int:
+        count = 0
+        while candidates:
+            count += 1
+            group = candidates
+            while group:
+                bit = group & -group
+                candidates ^= bit
+                group = (group ^ bit) & ~rows[bit.bit_length() - 1]
+        return count
+
+    stack = [v0]
+
+    def extend(candidates: int, need: int) -> Iterator[tuple[frozenset[tuple[int, int]], ...]]:
+        if need == 0:
+            yield tuple(stack)
+            return
+        if candidates.bit_count() < need or colours(candidates) < need:
+            return
+        while candidates:
+            bit = candidates & -candidates
+            i = bit.bit_length() - 1
+            candidates ^= bit
+            stack.append(near[i])
+            yield from extend(candidates & rows[i], need - 1)
+            stack.pop()
+
+    yield from extend((1 << len(near)) - 1, size - 1)

@@ -6,7 +6,6 @@ import json
 
 import pytest
 
-from ekr_matchings import ekr_search
 from ekr_matchings.baranyai import all_permutations, verify_goodness
 from ekr_matchings.cli import main
 from ekr_matchings.transposition_lab import SWAP_IDENTITIES, swap_identities
@@ -177,15 +176,15 @@ def test_ekr_search_budget_exit(capsys):
     assert payload["status"] == "budget_exhausted"
 
 
-def test_ekr_search_non_star_maxima_exit(capsys, monkeypatch):
-    monkeypatch.setattr(ekr_search, "is_star", lambda family: None)
+def test_ekr_search_non_star_maxima_exit(capsys, planted_non_star):
     code, payload = run_json(
         capsys, "ekr-search", "--n", "3", "--r", "2", "--enumerate-max"
     )
     assert code == 1
     assert payload["all_stars"] is False
-    assert payload["maximum_families"] == 15
+    assert payload["maximum_families"] is None  # nothing was counted
     assert payload["checks"]["all_maximum_are_stars"] is False
+    assert payload["checks"]["max_equals_phi"] is True
 
 
 def test_center_map_cli(capsys):

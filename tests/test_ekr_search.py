@@ -1,5 +1,6 @@
-"""Exact maximum-family search, uniqueness enumeration, and the bridge."""
+"""Exact maximum-family search, the non-star search, and the bridge."""
 
+import itertools
 import math
 import time
 
@@ -19,14 +20,19 @@ from ekr_matchings.ekr_search import (
     STATUS_PROVEN,
     SearchBudget,
     _Counter,
+    _edge_masks,
     _enumerate_cliques_of_size,
     _expand,
+    _first_level_orbits,
+    _non_star_through_v0,
+    _stars,
     intersection_graph,
     is_star,
     kneser_complement_bridge,
     max_intersecting,
     verify_theorem,
 )
+from oracles import naive_cliques_through, naive_matchings
 
 
 @pytest.mark.parametrize(
@@ -48,6 +54,7 @@ def test_intersection_graph_degrees():
         for j, b in enumerate(matchings):
             expected = i != j and intersects(a, b)
             assert bool(adjacency[i] >> j & 1) == expected
+    assert intersection_graph(matchings, masks=_edge_masks(_stars(matchings))) == adjacency
 
 
 @pytest.mark.parametrize("n,r", [(2, 1), (3, 1), (3, 2), (4, 1)])
@@ -63,7 +70,7 @@ def test_max_is_phi_small(n, r):
 
 @pytest.mark.parametrize(
     "n,r,bound_nodes,enum_nodes",
-    [(3, 2, 2, 33), (4, 2, 1, 212), (4, 3, 2, 2993), (4, 4, 3, 433)],
+    [(3, 2, 2, 5), (4, 2, 1, 4), (4, 3, 2, 12), (4, 4, 3, 20)],
 )
 def test_search_nodes_pinned(n, r, bound_nodes, enum_nodes):
     params = Parameters(n, r)
@@ -93,19 +100,134 @@ def test_reduced_search_matches_unreduced(n, r):
     assert {frozenset(m.key for m in fam.members) for fam in report.witnesses} == expected
 
 
-def test_non_star_maxima_are_reported(monkeypatch):
-    # no instance has non-star maxima, so make the star test fail instead
-    monkeypatch.setattr(ekr_search, "is_star", lambda family: None)
+def test_non_star_maxima_are_reported(planted_non_star):
+    # the planted instance's maximum families are the star at (1, 2) and a triangle
     params = Parameters(3, 2)
     report = max_intersecting(params, SearchBudget(enumerate_all_maximum=True))
     assert report.status == STATUS_PROVEN
     assert report.all_maximum_are_stars is False
-    assert report.maximum_family_count == 15  # still the double count
-    assert not report.uniqueness_confirmed
-    # the witnesses are the maximum families through v0, one per edge of v0
+    assert report.maximum_family_count is None  # nothing was counted
+    assert report.uniqueness_confirmed is False
+    # the witness is the non-star family through v0 that the search found
     v0 = enumerate_matchings(params)[0]
-    assert len(report.witnesses) == params.r
-    assert all(v0 in fam.members and len(fam) == 6 for fam in report.witnesses)
+    assert len(report.witnesses) == 1
+    assert all(v0 in fam.members and len(fam) == report.max_size == 3 for fam in report.witnesses)
+    assert is_star(report.witnesses[0]) is None
+
+
+def _graph(params):
+    matchings = enumerate_matchings(params)
+    masks = _edge_masks(_stars(matchings))
+    return matchings, masks, intersection_graph(matchings, masks=masks)
+
+
+@pytest.mark.parametrize(
+    "n,r", [(n, r) for n in range(1, 5) for r in range(1, n + 1)] + [(5, 2), (5, 3)]
+)
+def test_non_star_search_matches_oracle(n, r):
+    # the oracle lists every maximum family through v0; all of them are stars
+    params = Parameters(n, r)
+    report = max_intersecting(params, SearchBudget(enumerate_all_maximum=True))
+    naive = naive_matchings(2 * n, r)
+    v0 = enumerate_matchings(params)[0]
+    assert naive[0] == v0.key
+    families = {frozenset(f) for f in naive_cliques_through(naive, report.max_size)}
+    assert report.all_maximum_are_stars is all(frozenset.intersection(*f) for f in families)
+    assert report.all_maximum_are_stars
+    through_v0 = {frozenset(fam.member_keys) for fam in report.witnesses if v0 in fam}
+    assert through_v0 == families
+
+
+@pytest.mark.parametrize(
+    "n,r,top", [(3, 2, 6), (4, 2, 15), (4, 3, 10), (4, 4, 15), (5, 2, 6), (5, 3, 3)]
+)
+def test_non_star_search_at_lowered_targets(n, r, top):
+    params = Parameters(n, r)
+    matchings, masks, adjacency = _graph(params)
+    naive = naive_matchings(2 * n, r)
+    for target in range(1, top + 1):
+        expected = any(
+            not frozenset.intersection(*f) for f in naive_cliques_through(naive, target)
+        )
+        found = _non_star_through_v0(matchings, masks, adjacency, target, _Counter(SearchBudget()))
+        assert (found is not None) == expected, target
+        if found is not None:
+            family = MatchingFamily(matchings[v] for v in found)
+            assert len(family) == target
+            assert matchings[0] in family
+            assert family.is_intersecting
+            assert is_star(family) is None
+
+
+@pytest.mark.parametrize("n,r,target", [(5, 3, 40), (5, 4, 100)])
+def test_non_star_search_finds_large_lowered_targets(n, r, target):
+    matchings, masks, adjacency = _graph(Parameters(n, r))
+    found = _non_star_through_v0(matchings, masks, adjacency, target, _Counter(SearchBudget()))
+    family = MatchingFamily(matchings[v] for v in found)
+    assert len(family) == target and matchings[0] in family
+    assert family.is_intersecting
+    assert is_star(family) is None
+
+
+@pytest.mark.parametrize("n,r", [(2, 1), (2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4)])
+def test_first_level_orbits_are_stabiliser_orbits(n, r):
+    # the stabiliser of v0 and e1 = (1, 2), by brute force over S_{2n}
+    matchings, masks, adjacency = _graph(Parameters(n, r))
+    first = adjacency[0] & ~masks[(1, 2)]
+    orbits = _first_level_orbits(matchings, first, 2 * n, math.inf)
+    covered = 0
+    for rep, mask in orbits:
+        assert mask & covered == 0
+        assert mask & -mask == 1 << rep
+        covered |= mask
+    assert covered == first
+    assert [rep for rep, _ in orbits] == sorted(rep for rep, _ in orbits)
+
+    index_of = {m.key: i for i, m in enumerate(matchings)}
+    v0 = matchings[0].key
+    stabiliser = []
+    for images in itertools.permutations(range(1, 2 * n + 1)):
+        g = dict(zip(range(1, 2 * n + 1), images))
+        if {g[1], g[2]} == {1, 2} and {frozenset((g[u], g[v])) for u, v in v0} == {
+            frozenset(e) for e in v0
+        }:
+            stabiliser.append(g)
+    for rep, mask in orbits:
+        image_mask = 0
+        for g in stabiliser:
+            key = frozenset(
+                (min(g[u], g[v]), max(g[u], g[v])) for u, v in matchings[rep].edges
+            )
+            image_mask |= 1 << index_of[key]
+        assert image_mask == mask
+
+
+def test_non_star_search_nests_at_most_r_plus_one_levels(monkeypatch):
+    inner = ekr_search._non_star_clique
+    depth = deepest = 0
+
+    def tracked(*args, **kwargs):
+        nonlocal depth, deepest
+        depth += 1
+        deepest = max(deepest, depth)
+        try:
+            return inner(*args, **kwargs)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(ekr_search, "_non_star_clique", tracked)
+    for n, r, target in [(3, 2, 3), (4, 3, 10), (4, 4, 7), (5, 4, None)]:
+        deepest = 0
+        if target is None:
+            report = max_intersecting(Parameters(n, r), SearchBudget(enumerate_all_maximum=True))
+            assert report.all_maximum_are_stars
+        else:
+            matchings, masks, adjacency = _graph(Parameters(n, r))
+            counter = _Counter(SearchBudget())
+            assert _non_star_through_v0(matchings, masks, adjacency, target, counter)
+        assert 2 <= deepest <= r + 1
+        if target == 3:
+            assert deepest == r + 1  # the triangle {12 34, 34 56, 12 56} needs every level
 
 
 def test_max_perfect_matchings_single():
@@ -145,14 +267,14 @@ def test_budget_exhaustion_reports_partial():
 
 
 def test_deadline_binds_enumeration():
-    # enumerating every maximum family at (6,3) takes tens of seconds
+    # at (6,4) the graph and the bound take about a second, the non-star search over a minute
     start = time.monotonic()
     report = max_intersecting(
-        Parameters(6, 3), SearchBudget(max_seconds=1.0, enumerate_all_maximum=True)
+        Parameters(6, 4), SearchBudget(max_seconds=3.0, enumerate_all_maximum=True)
     )
     assert report.status == STATUS_BUDGET
-    assert time.monotonic() - start < 1.5
-    assert report.max_size == phi(Parameters(6, 3))
+    assert time.monotonic() - start < 3.5
+    assert report.max_size == phi(Parameters(6, 4))
 
 
 def test_deadline_binds_graph_build():
@@ -162,6 +284,14 @@ def test_deadline_binds_graph_build():
     assert report.status == STATUS_BUDGET
     assert time.monotonic() - start < 1.0
     assert report.max_size == phi(Parameters(6, 4))
+
+
+def test_graph_rows_check_the_deadline():
+    # with the edge masks built, the rows and their diagonal clear still look at the clock
+    matchings = enumerate_matchings(Parameters(3, 2))
+    masks = _edge_masks(_stars(matchings))
+    with pytest.raises(ekr_search._BudgetExceeded):
+        intersection_graph(matchings, time.monotonic() - 1.0, masks)
 
 
 def test_budget_validation():
@@ -214,7 +344,7 @@ def test_bridge_r1():
 
 
 def test_bridge_budget_exhaustion():
-    # the theorem at (3,2) takes 33 nodes, the bridge enumeration 61
+    # the theorem at (3,2) takes 5 nodes, the bridge enumeration 61
     params = Parameters(3, 2)
     budget = SearchBudget(max_nodes=40, enumerate_all_maximum=True)
     assert verify_theorem(params, budget).proven
