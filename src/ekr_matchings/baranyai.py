@@ -37,6 +37,7 @@ __all__ = [
     "rooted_order",
     "cyclic_order",
     "position_pairs",
+    "slot_positions",
     "cyclic_edges",
     "edge_position",
     "interval",
@@ -173,6 +174,22 @@ def position_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
+@lru_cache(maxsize=None)
+def slot_positions(n: int) -> tuple[tuple[int, ...], ...]:
+    """0-based cyclic position of the edge joining image-tuple slots p and q.
+
+    The inverse of position_pairs: entry [p][q] == [q][p] is k exactly when
+    position_pairs(n)[k] is (p, q) or (q, p); the diagonal holds -1.  The
+    edge {u, v} of a permutation sits at position [slot of u][slot of v],
+    whatever the permutation, so this is the one table that locates edges.
+    """
+    two_n = 2 * n
+    table = [[-1] * two_n for _ in range(two_n)]
+    for k, (p, q) in enumerate(position_pairs(n)):
+        table[p][q] = table[q][p] = k
+    return tuple(map(tuple, table))
+
+
 def cyclic_edges(images: tuple[int, ...], n: int) -> list[Edge]:
     """Canonical edge at each cyclic position for a raw image tuple of length 2n.
 
@@ -198,10 +215,12 @@ def cyclic_order(sigma: Permutation) -> CyclicOrder:
 def edge_position(sigma: Permutation, edge: tuple[int, int]) -> int:
     """1-based position of an edge in the cyclic order for sigma.
 
-    Every edge of K_{2n} occurs exactly once, so the position is unique.
+    Every edge of K_{2n} occurs exactly once, so the position is unique; it
+    is read from slot_positions at the slots sigma gives the two ends.
     """
     n = half_order(sigma)
-    return cyclic_order(sigma).sequence.index(make_edge(edge[0], edge[1], 2 * n)) + 1
+    u, v = make_edge(edge[0], edge[1], 2 * n)
+    return slot_positions(n)[sigma.images.index(u)][sigma.images.index(v)] + 1
 
 
 @dataclass(frozen=True)

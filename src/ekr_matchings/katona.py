@@ -5,7 +5,10 @@ An r-matching A is compatible with a permutation sigma when A occurs as a
 run of r consecutive edges in the cyclic order for sigma.  Because every
 edge occurs exactly once in the cyclic order, A occupies a fixed set of r
 positions and is compatible iff those positions are consecutive, so each
-matching matches at most one interval.
+matching matches at most one interval.  The position of an edge depends
+only on the slots sigma gives its two ends (baranyai.slot_positions), so
+compatibility is read off a bitmask of A's positions and a table of the
+n(2n-1) window masks.
 
 The number of compatible permutations is the same for every r-matching:
 
@@ -16,15 +19,24 @@ matching strictly inside one part and q2 = r(2n-1) r! 2^r (2n-2r)! for
 those where it straddles a spoke.  Summing compatibility two ways gives
 q * |F| <= r * (2n)! for every intersecting family F, which is the bound
 the rest of the package is built around.
+
+The exhaustive oracle q_bruteforce checks q without walking S_{2n}.  It
+visits the injective placements of A's 2r vertices on the 2n slots, one
+per shift orbit, so (2n)!/((2n-1)(2n-2r)!) of them.  Each placement stands
+for the (2n-2r)! permutations that fill the other slots, and each orbit
+for its 2n-1 rotations, so q is (2n-1)(2n-2r)! times the number of
+compatible placements visited.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from .core import Edge, Matching, MatchingFamily, Parameters
-from .baranyai import Permutation, cyclic_edges, half_order, rotation_classes
+from .baranyai import Permutation, cyclic_edges, half_order, rotation_classes, slot_positions
 
 __all__ = [
     "TraceResult",
@@ -39,49 +51,18 @@ __all__ = [
 ]
 
 
-def _interval_run_start(
-    edges: tuple[Edge, ...], images: tuple[int, ...], n: int
-) -> int | None:
-    """1-based cyclic position where the edges form a run, or None.
+@lru_cache(maxsize=None)
+def _window_starts(n: int, r: int) -> dict[int, int]:
+    """1-based start of each length-r window of the cyclic order, keyed by its position mask.
 
-    images is a raw permutation tuple of length 2n; no validation happens
-    here because the permutation sweeps call this millions of times.
+    Bit k of a mask stands for 0-based cyclic position k, so a set of r
+    positions is a run exactly when its mask is a key here.  Shared by
+    every caller; it must not be mutated.
     """
-    two_n = 2 * n
-    m = two_n - 1
-    total = n * m
-    inv = [0] * (two_n + 1)
-    position = 1
-    for value in images:
-        inv[value] = position
-        position += 1
-    positions = []
-    for u, v in edges:
-        p = inv[u]
-        q = inv[v]
-        if p == two_n:
-            positions.append(q * n)
-        elif q == two_n:
-            positions.append(p * n)
-        else:
-            i = (n * (p + q) - 1) % m + 1
-            d = (p - i) % m
-            j = d if d < n else m - d
-            positions.append((i - 1) * n + n - j)
-    if len(positions) == 1:
-        return positions[0]
-    positions.sort()
-    gaps = 0
-    wrapped_start = positions[0]
-    for t in range(len(positions) - 1):
-        if positions[t + 1] - positions[t] != 1:
-            gaps += 1
-            wrapped_start = positions[t + 1]
-    if positions[0] + total - positions[-1] != 1:
-        if gaps:
-            return None
-        return positions[0]
-    return wrapped_start if gaps == 1 else None
+    total = n * (2 * n - 1)
+    run = (1 << r) - 1
+    full = (1 << total) - 1
+    return {((run << start) | (run >> (total - start))) & full: start + 1 for start in range(total)}
 
 
 def is_compatible(a: Matching, sigma: Permutation) -> int | None:
@@ -94,7 +75,12 @@ def is_compatible(a: Matching, sigma: Permutation) -> int | None:
         raise ValueError(f"matching size must be in 1..{n - 1}, got {len(a)}")
     if a.support and max(a.support) > 2 * n:
         raise ValueError(f"matching uses vertices outside 1..{2 * n}")
-    return _interval_run_start(a.edges, sigma.images, n)
+    table = slot_positions(n)
+    slot = {vertex: s for s, vertex in enumerate(sigma.images)}
+    mask = 0
+    for u, v in a.edges:
+        mask |= 1 << table[slot[u]][slot[v]]
+    return _window_starts(n, len(a)).get(mask)
 
 
 def compatible_member_keys(
@@ -207,17 +193,41 @@ def q_formula(params: Parameters) -> CompatibilityCount:
     return CompatibilityCount(formula_value=interior + straddling, split=(interior, straddling))
 
 
-def _count_block(n: int, edges: tuple[Edge, ...], root: int | None) -> int:
-    run_start = _interval_run_start
-    return sum(1 for images in rotation_classes(2 * n, root) if run_start(edges, images, n) is not None)
+def _count_placements(n: int, r: int, first: tuple[int, int]) -> int:
+    """Placements of an r-matching's 2r vertices that form a run, with (u1, v1) on the slots first.
+
+    The other 2r-2 vertices (u2, v2, ..., ur, vr) take every injective
+    placement on the remaining slots.
+    """
+    bits = [[1 << k if k >= 0 else 0 for k in row] for row in slot_positions(n)]
+    windows = _window_starts(n, r)
+    base = bits[first[0]][first[1]]
+    free = [s for s in range(2 * n) if s not in first]
+    pairs = range(0, 2 * r - 2, 2)
+    count = 0
+    for slots in itertools.permutations(free, 2 * r - 2):
+        mask = base
+        for t in pairs:
+            mask |= bits[slots[t]][slots[t + 1]]
+        if mask in windows:
+            count += 1
+    return count
 
 
 def q_bruteforce(a: Matching, params: Parameters, limit: int = 10, jobs: int = 1) -> int:
-    """Count compatible permutations for a by exhausting S_{2n}.
+    """Count compatible permutations for a, exhaustively, without listing S_{2n}.
 
-    Refuses to run when 2n exceeds limit (default 10, so at most 10!
-    permutations).  One permutation per rotation class is tested and counted
-    2n-1 times.  With jobs > 1 the classes are split by root vertex and the
+    Refuses to run when 2n exceeds limit (default 10, the size of the
+    largest S_{2n} it stands for).  Whether a is a run of sigma's cyclic
+    order depends only on the slots sigma gives a's 2r vertices, and each
+    of those injective placements is shared by the (2n-2r)! permutations
+    that fill the other slots.  Shifting the 2n-1 corners rotates the
+    cyclic order by whole parts, so the verdict is constant on each shift
+    orbit of placements, and every orbit has 2n-1 members because a
+    placement puts a vertex on a corner.  So q = (2n-1) * (2n-2r)! times
+    the number of compatible orbit representatives, which are read off
+    slot_positions and tested against the window masks.  With jobs > 1 the
+    representatives are split by the slots of a's first edge and the
     partial counts are summed in a fixed order.
     """
     n = params.n
@@ -230,14 +240,19 @@ def q_bruteforce(a: Matching, params: Parameters, limit: int = 10, jobs: int = 1
         raise ValueError(f"compatibility needs r <= n-1, got r={params.r}, n={n}")
     if a.support and max(a.support) > two_n:
         raise ValueError(f"matching uses vertices outside 1..{two_n}")
+    # one placement per shift orbit: a corner u1 is rotated to slot 0, and
+    # u1 on the root slot leaves v1 a corner, rotated to slot 0
+    root = two_n - 1
+    firsts = [(0, s) for s in range(1, root + 1)] + [(root, 0)]
+    tasks = [(n, params.r, first) for first in firsts]
     if jobs <= 1:
-        return (two_n - 1) * _count_block(n, a.edges, None)
-    import multiprocessing
+        partial = list(itertools.starmap(_count_placements, tasks))
+    else:
+        import multiprocessing
 
-    tasks = [(n, a.edges, root) for root in range(1, two_n + 1)]
-    with multiprocessing.get_context("fork").Pool(processes=jobs) as pool:
-        partial = pool.starmap(_count_block, tasks)
-    return (two_n - 1) * sum(partial)
+        with multiprocessing.get_context("fork").Pool(processes=jobs) as pool:
+            partial = pool.starmap(_count_placements, tasks)
+    return (two_n - 1) * math.factorial(two_n - 2 * params.r) * sum(partial)
 
 
 @dataclass(frozen=True)

@@ -47,29 +47,41 @@ def naive_cyclic_sequence(images: Sequence[int], n: int) -> list[tuple[int, int]
     return seq
 
 
-def naive_compatible(
-    edges: Iterable[tuple[int, int]], images: Sequence[int], n: int
-) -> bool:
-    """Window scan from the definition: does the set occur as an interval."""
-    seq = naive_cyclic_sequence(images, n)
+def naive_occurs(target: set[tuple[int, int]], seq: Sequence[tuple[int, int]]) -> bool:
+    """Window scan from the definition: does the edge set occur as an interval of seq."""
     total = len(seq)
-    target = set(edges)
     width = len(target)
     for start in range(total):
+        if seq[start] not in target:
+            continue
         window = {seq[(start + t) % total] for t in range(width)}
         if window == target:
             return True
     return False
 
 
+def naive_compatible(
+    edges: Iterable[tuple[int, int]], images: Sequence[int], n: int
+) -> bool:
+    """Does the edge set occur as an interval of the cyclic order for images."""
+    return naive_occurs(set(edges), naive_cyclic_sequence(images, n))
+
+
+def naive_q_counts(targets: Sequence[Iterable[tuple[int, int]]], n: int) -> list[int]:
+    """Compatible permutations of each target, from one scan of all of S_{2n}."""
+    sets = [set(edges) for edges in targets]
+    counts = [0] * len(sets)
+    for images in itertools.permutations(range(1, 2 * n + 1)):
+        seq = naive_cyclic_sequence(images, n)
+        for i, target in enumerate(sets):
+            if naive_occurs(target, seq):
+                counts[i] += 1
+    return counts
+
+
 def naive_q(edges: Iterable[tuple[int, int]], n: int) -> int:
     """Count compatible permutations by scanning all of S_{2n}."""
-    target = tuple(edges)
-    count = 0
-    for images in itertools.permutations(range(1, 2 * n + 1)):
-        if naive_compatible(target, images, n):
-            count += 1
-    return count
+    return naive_q_counts([tuple(edges)], n)[0]
 
 
 def naive_trace(

@@ -15,10 +15,12 @@ from ekr_matchings.baranyai import (
     edge_position,
     half_order,
     interval,
+    position_pairs,
     rooted_order,
     rotation_classes,
     sample_permutations,
     shift,
+    slot_positions,
     verify_goodness,
     wrap_index,
 )
@@ -130,6 +132,15 @@ def test_edge_position_inverts_cyclic_order(sigma):
     psi = cyclic_order(sigma)
     for position, edge in enumerate(psi.sequence, start=1):
         assert edge_position(sigma, edge) == position
+
+
+def test_slot_positions_inverts_position_pairs():
+    for n in range(1, 7):
+        table = slot_positions(n)
+        pairs = position_pairs(n)
+        assert [table[p][q] for p, q in pairs] == list(range(n * (2 * n - 1)))
+        assert [table[q][p] for p, q in pairs] == list(range(n * (2 * n - 1)))
+        assert [table[s][s] for s in range(2 * n)] == [-1] * (2 * n)
 
 
 def test_edge_position_worked_example():

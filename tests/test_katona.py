@@ -31,7 +31,7 @@ from ekr_matchings.katona import (
     verify_double_count,
 )
 
-from oracles import naive_compatible, naive_q, naive_trace
+from oracles import naive_compatible, naive_q, naive_q_counts, naive_trace
 
 
 def permutations_of(two_n):
@@ -93,12 +93,25 @@ def test_every_extracted_interval_is_compatible():
                 assert interval(psi, position, r).key == a.key
 
 
+def assert_compatibility_matches_naive(sigma, n, r):
+    psi = cyclic_order(sigma)
+    for a in enumerate_matchings(Parameters(n, r)):
+        position = is_compatible(a, sigma)
+        assert (position is not None) == naive_compatible(a.edges, sigma.images, n)
+        if position is not None:
+            assert interval(psi, position, r).key == a.key
+
+
 @settings(max_examples=30)
 @given(permutations_of(6), st.integers(1, 2))
 def test_is_compatible_matches_naive_scan(sigma, r):
-    for a in enumerate_matchings(Parameters(3, r)):
-        ours = is_compatible(a, sigma) is not None
-        assert ours == naive_compatible(a.edges, sigma.images, 3)
+    assert_compatibility_matches_naive(sigma, 3, r)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_is_compatible_matches_naive_scan_n4(r):
+    for sigma in (Permutation.identity(8), *sample_permutations(8, 12, seed=31)):
+        assert_compatibility_matches_naive(sigma, 4, r)
 
 
 def test_compatible_member_keys_matches_naive():
@@ -157,6 +170,25 @@ def test_q_bruteforce_matches_naive_oracle():
     assert q_bruteforce(a, Parameters(2, 1)) == naive_q(a.edges, 2) == 24
     b = Matching.from_edges([(2, 5), (3, 6)])
     assert q_bruteforce(b, Parameters(3, 2)) == naive_q(b.edges, 3) == 240
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_q_bruteforce_matches_naive_sweep(n):
+    # for each r, the first matching and one through vertex 2n, the root of the identity
+    matchings = []
+    for r in range(1, n):
+        matchings.append(Matching.from_edges((2 * t + 1, 2 * t + 2) for t in range(r)))
+        matchings.append(Matching.from_edges([(1, 2 * n), *((2 * t, 2 * t + 1) for t in range(1, r))]))
+    expected = naive_q_counts([a.edges for a in matchings], n)
+    assert [q_bruteforce(a, Parameters(n, len(a))) for a in matchings] == expected
+
+
+@pytest.mark.parametrize("r", [3, 4])
+def test_q_bruteforce_parallel_agrees_at_n5(r):
+    params = Parameters(5, r)
+    a = Matching.from_edges([(1, 10), *((2 * t, 2 * t + 1) for t in range(1, r))])
+    serial = q_bruteforce(a, params)
+    assert q_bruteforce(a, params, jobs=2) == serial == q_formula(params).formula_value
 
 
 def test_q_bruteforce_exhaustive_over_matchings_n3():
