@@ -193,11 +193,10 @@ def slot_positions(n: int) -> tuple[tuple[int, ...], ...]:
 def cyclic_edges(images: tuple[int, ...], n: int) -> list[Edge]:
     """Canonical edge at each cyclic position for a raw image tuple of length 2n.
 
-    The one builder of the cyclic order as edges: parts, intervals,
-    compatibility windows and edge positions are all read off this list
-    (verify_goodness needs only vertices and reads position_pairs itself).
-    No validation happens here because the permutation sweeps call it once
-    per permutation.
+    The one builder of the cyclic order as edges, for cyclic_order and
+    rooted_order.  The sweeps read position_pairs themselves:
+    verify_goodness needs only vertices, and katona.compatible_member_keys
+    turns each position's two ends straight into an edge bit.
     """
     edges = []
     for p, q in position_pairs(n):

@@ -3,6 +3,10 @@
 Every subcommand emits a machine-readable report (json, csv, or text) and
 exits 0 when all claims checked out, 1 when a claim was falsified, 2 on
 usage or input errors, and 3 when a search budget ran out before a proof.
+Exit code 4 is an internal error: an internal consistency check failed
+(ArithmeticError) or a search recursed too deep (RecursionError).  Neither
+says anything about the claims, so neither is reported as falsified; one
+"internal error: ..." line goes to stderr and no report is written.
 Reports never contain wall-clock data, so identical invocations produce
 byte-identical output.
 """
@@ -60,6 +64,7 @@ EXIT_PASS = 0
 EXIT_FALSIFIED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 DEFAULT_SEED = 1729
 DEFAULT_LIMIT = 10
@@ -692,4 +697,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (ArithmeticError, RecursionError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     return code

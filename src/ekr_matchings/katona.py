@@ -10,6 +10,13 @@ only on the slots sigma gives its two ends (baranyai.slot_positions), so
 compatibility is read off a bitmask of A's positions and a table of the
 n(2n-1) window masks.
 
+A trace, the set of members of a family compatible with sigma, is read the
+other way round, with masks over edges instead of positions.  Each edge of
+K_{2n} has one bit, and a table built once per sweep (member_windows) maps
+each member's edge mask to the member.  Each of the n(2n-1) windows of
+sigma's order is the OR of r consecutive edge bits, and the trace is the
+windows found in the table (compatible_member_keys).
+
 The number of compatible permutations is the same for every r-matching:
 
     q = n(2n-1) * r! * 2^r * (2n-2r)!
@@ -32,11 +39,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import Iterable
 
 from .core import Edge, Matching, MatchingFamily, Parameters
-from .baranyai import Permutation, cyclic_edges, half_order, rotation_classes, slot_positions
+from .baranyai import Permutation, half_order, position_pairs, rotation_classes, slot_positions
 
 __all__ = [
     "TraceResult",
@@ -47,6 +56,7 @@ __all__ = [
     "q_formula",
     "q_bruteforce",
     "verify_double_count",
+    "member_windows",
     "compatible_member_keys",
 ]
 
@@ -83,30 +93,71 @@ def is_compatible(a: Matching, sigma: Permutation) -> int | None:
     return _window_starts(n, len(a)).get(mask)
 
 
+@lru_cache(maxsize=None)
+def _edge_bits(two_n: int) -> tuple[tuple[int, ...], ...]:
+    """One bit per edge of K_{two_n}: entry [u][v] == [v][u] is the bit of {u, v}.
+
+    Row and column 0 and the diagonal hold 0.  An edge set is then the OR of
+    its bits, whatever the order of its edges.  Shared by every caller; the
+    bits are numbered in lexicographic edge order.
+    """
+    rows = [[0] * (two_n + 1) for _ in range(two_n + 1)]
+    for k, (u, v) in enumerate(itertools.combinations(range(1, two_n + 1), 2)):
+        rows[u][v] = rows[v][u] = 1 << k
+    return tuple(map(tuple, rows))
+
+
+def member_windows(
+    n: int, r: int, member_keys: Iterable[frozenset[Edge]]
+) -> dict[int, frozenset[Edge]]:
+    """Each member's edge mask mapped to its key: the table compatible_member_keys reads.
+
+    Built once per sweep, with one entry per member.
+    """
+    bits = _edge_bits(2 * n)
+    windows: dict[int, frozenset[Edge]] = {}
+    for key in member_keys:
+        if len(key) != r:
+            raise ValueError(f"member has {len(key)} edges, expected r = {r}")
+        mask = 0
+        for u, v in key:
+            if max(u, v) > 2 * n:
+                raise ValueError(f"member uses vertices outside 1..{2 * n}")
+            mask |= bits[u][v]
+        windows[mask] = key
+    return windows
+
+
+@lru_cache(maxsize=None)
+def _window_ends(n: int, r: int) -> tuple[operator.itemgetter, operator.itemgetter]:
+    """Readers of the two end slots of each cyclic position, then of the first r-1 again."""
+    pairs = position_pairs(n)
+    wrapped = pairs + pairs[: r - 1]
+    return operator.itemgetter(*(p for p, _ in wrapped)), operator.itemgetter(*(q for _, q in wrapped))
+
+
 def compatible_member_keys(
     images: tuple[int, ...],
     n: int,
     r: int,
-    member_keys: frozenset[frozenset[Edge]] | set[frozenset[Edge]],
+    windows: dict[int, frozenset[Edge]],
 ) -> set[frozenset[Edge]]:
-    """Member edge sets occurring as length-r intervals of the cyclic order.
+    """Keys of the members occurring as length-r windows of the cyclic order for images.
 
     Shared hot path for traces and exhaustive sweeps; images is a raw
-    permutation tuple.
+    permutation tuple and windows comes from member_windows(n, r, ...).
+    The edge at each position, plus r-1 wrapped positions, becomes its bit;
+    r shifted copies of that list ORed together are the n(2n-1) window
+    masks, each looked up in windows.
     """
-    edges_at = cyclic_edges(images, n)
-    found: set[frozenset[Edge]] = set()
-    if r == 1:
-        for e in edges_at:
-            key = frozenset((e,))
-            if key in member_keys:
-                found.add(key)
-        return found
-    extended = edges_at + edges_at[: r - 1]
-    for start in range(len(edges_at)):
-        key = frozenset(extended[start : start + r])
-        if key in member_keys:
-            found.add(key)
+    first, second = _window_ends(n, r)
+    rows = _edge_bits(2 * n)
+    bits = list(map(operator.getitem, first(list(map(rows.__getitem__, images))), second(images)))
+    masks = bits
+    for offset in range(1, r):
+        masks = map(operator.or_, masks, bits[offset:])
+    found = set(map(windows.get, masks))
+    found.discard(None)
     return found
 
 
@@ -145,7 +196,7 @@ def trace(family: MatchingFamily, sigma: Permutation) -> TraceResult:
     if not 1 <= r <= n - 1:
         raise ValueError(f"family members must have size in 1..{n - 1}, got {r}")
     by_key = {m.key: m for m in family}
-    found = compatible_member_keys(sigma.images, n, r, family.member_keys)
+    found = compatible_member_keys(sigma.images, n, r, member_windows(n, r, family.member_keys))
     members = tuple(sorted((by_key[k] for k in found), key=lambda m: m.edges))
     center: Edge | None = None
     violation = False
@@ -334,12 +385,12 @@ def verify_double_count(
     if 2 * n > limit:
         return report
     weight = 2 * n - 1
-    member_keys = family.member_keys
-    per_member: dict[frozenset[Edge], int] = {key: 0 for key in member_keys}
+    windows = member_windows(n, r, family.member_keys)
+    per_member: dict[frozenset[Edge], int] = dict.fromkeys(family.member_keys, 0)
     total = 0
     max_trace = 0
     for images in rotation_classes(2 * n):
-        found = compatible_member_keys(images, n, r, member_keys)
+        found = compatible_member_keys(images, n, r, windows)
         size = len(found)
         total += size * weight
         if size > max_trace:

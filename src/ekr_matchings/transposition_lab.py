@@ -18,7 +18,7 @@ from typing import Iterator
 
 from .core import Edge, MatchingFamily, Parameters, make_edge, phi
 from .baranyai import Permutation, half_order, position_pairs, rotation_classes
-from .katona import compatible_member_keys
+from .katona import compatible_member_keys, member_windows
 
 __all__ = [
     "CenterMap",
@@ -227,13 +227,13 @@ def center_map(
     if not family.is_intersecting:
         raise ValueError("family is not intersecting")
     weight = two_n - 1
-    member_keys = family.member_keys
+    windows = member_windows(n, r, family.member_keys)
     saturated = 0
     centers: set[Edge] = set()
     violations: list[CenterViolation] = []
     violation_count = 0
     for images in rotation_classes(two_n):
-        found = compatible_member_keys(images, n, r, member_keys)
+        found = compatible_member_keys(images, n, r, windows)
         if len(found) != r:
             reason = "unsaturated"
         else:

@@ -87,7 +87,18 @@ def naive_q(edges: Iterable[tuple[int, int]], n: int) -> int:
 def naive_trace(
     family: Iterable[frozenset[tuple[int, int]]], images: Sequence[int], n: int
 ) -> list[frozenset[tuple[int, int]]]:
-    return [member for member in family if naive_compatible(member, images, n)]
+    seq = naive_cyclic_sequence(images, n)
+    return [member for member in family if naive_occurs(set(member), seq)]
+
+
+def frozenset_window_scan(
+    images: Sequence[int], n: int, r: int, member_keys: frozenset[frozenset[tuple[int, int]]]
+) -> set[frozenset[tuple[int, int]]]:
+    """Member keys among the n(2n-1) windows, one frozenset built per window."""
+    seq = naive_cyclic_sequence(images, n)
+    extended = seq + seq[: r - 1]
+    windows = (frozenset(extended[start : start + r]) for start in range(len(seq)))
+    return {key for key in windows if key in member_keys}
 
 
 def naive_power_valid(

@@ -6,8 +6,9 @@ import json
 
 import pytest
 
+from ekr_matchings import cli
 from ekr_matchings.baranyai import all_permutations, verify_goodness
-from ekr_matchings.cli import main
+from ekr_matchings.cli import EXIT_INTERNAL, main
 from ekr_matchings.transposition_lab import SWAP_IDENTITIES, swap_identities
 
 
@@ -255,6 +256,20 @@ def test_usage_errors_exit_2(capsys):
 
     code, out, err = run(capsys, "verify-goodness", "--n", "6", "--samples", "0")
     assert code == 2  # exhaustive sweep beyond the permutation limit
+
+
+@pytest.mark.parametrize(
+    "error", [ArithmeticError("witness family is not intersecting"), RecursionError("too deep")]
+)
+def test_internal_errors_exit_4(capsys, monkeypatch, error):
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(cli, "max_intersecting", fail)
+    code, out, err = run(capsys, "ekr-search", "--n", "3", "--r", "2")
+    assert code == EXIT_INTERNAL == 4
+    assert out == ""
+    assert err == f"internal error: {type(error).__name__}: {error}\n"
 
 
 def test_argparse_rejects_unknown(capsys):

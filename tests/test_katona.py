@@ -11,6 +11,7 @@ from ekr_matchings.baranyai import (
     all_permutations,
     cyclic_order,
     interval,
+    rotation_classes,
     sample_permutations,
 )
 from ekr_matchings.core import (
@@ -25,13 +26,20 @@ from ekr_matchings.core import (
 from ekr_matchings.katona import (
     compatible_member_keys,
     is_compatible,
+    member_windows,
     q_bruteforce,
     q_formula,
     trace,
     verify_double_count,
 )
 
-from oracles import naive_compatible, naive_q, naive_q_counts, naive_trace
+from oracles import (
+    frozenset_window_scan,
+    naive_compatible,
+    naive_q,
+    naive_q_counts,
+    naive_trace,
+)
 
 
 def permutations_of(two_n):
@@ -117,13 +125,88 @@ def test_is_compatible_matches_naive_scan_n4(r):
 def test_compatible_member_keys_matches_naive():
     params = Parameters(3, 2)
     family = MatchingFamily(enumerate_matchings(params))
+    windows = member_windows(3, 2, family.member_keys)
     for sigma in sample_permutations(6, 25, seed=11):
-        found = compatible_member_keys(sigma.images, 3, 2, family.member_keys)
+        found = compatible_member_keys(sigma.images, 3, 2, windows)
         reference = {
             frozenset(member)
             for member in naive_trace(family.member_keys, sigma.images, 3)
         }
         assert found == reference
+
+
+def two_of_triangle(params):
+    """The r-matchings holding two of 12, 34, 56: intersecting, with no common edge.
+
+    At r = 2 this is triangle_family().
+    """
+    triangle = {(1, 2), (3, 4), (5, 6)}
+    members = [m for m in enumerate_matchings(params) if len(triangle & m.key) >= 2]
+    return MatchingFamily(members, r=params.r)
+
+
+def test_two_of_triangle_is_a_non_star_intersecting_family():
+    assert two_of_triangle(Parameters(3, 2)) == triangle_family()
+    family = two_of_triangle(Parameters(4, 3))
+    assert family.is_intersecting
+    assert not frozenset.intersection(*family.member_keys)
+
+
+def trace_families(params):
+    """A star, every r-matching, a non-star intersecting family (r >= 2), and the empty family."""
+    n, r = params.n, params.r
+    families = [
+        star_family(params, (2, 2 * n)),
+        MatchingFamily(enumerate_matchings(params)),
+        MatchingFamily([], r=r),
+    ]
+    if r >= 2:
+        families.append(two_of_triangle(params))
+    return families
+
+
+@pytest.mark.parametrize("n,r", [(n, r) for n in (2, 3, 4) for r in range(1, n)])
+def test_window_reader_matches_oracles_on_every_rotation_class(n, r):
+    families = trace_families(Parameters(n, r))
+    everything = families[1]
+    tables = [(family, member_windows(n, r, family.member_keys)) for family in families]
+    assert [len(windows) for _, windows in tables] == [len(family) for family in families]
+    for count, images in enumerate(rotation_classes(2 * n)):
+        # every window is an r-matching, so scanning every r-matching finds every
+        # window, the r-1 that wrap past position n(2n-1) included
+        every_window = frozenset_window_scan(images, n, r, everything.member_keys)
+        assert len(every_window) == n * (2 * n - 1)
+        for family, windows in tables:
+            found = compatible_member_keys(images, n, r, windows)
+            assert found == every_window & family.member_keys
+            if family is not everything or count % 97 == 0:
+                assert found == set(naive_trace(family.member_keys, images, n))
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_window_reader_matches_oracles_on_sampled_permutations(n):
+    sigmas = sample_permutations(2 * n, 6, seed=n)
+    for r in (1, n - 1):
+        seen = MatchingFamily(
+            interval(cyclic_order(sigma), start, r).as_matching()
+            for sigma in sigmas[:2]
+            for start in range(1, n * (2 * n - 1) + 1)
+        )
+        substar = MatchingFamily((m for m in seen if (1, 2) in m), r=r)
+        assert len(substar) >= r
+        for family in (seen, substar, MatchingFamily([], r=r)):
+            windows = member_windows(n, r, family.member_keys)
+            for sigma in sigmas:
+                found = compatible_member_keys(sigma.images, n, r, windows)
+                assert found == frozenset_window_scan(sigma.images, n, r, family.member_keys)
+                assert found == set(naive_trace(family.member_keys, sigma.images, n))
+
+
+def test_member_windows_rejects_foreign_members():
+    with pytest.raises(ValueError):
+        member_windows(3, 2, [frozenset([(1, 2)])])
+    with pytest.raises(ValueError):
+        member_windows(3, 2, [frozenset([(1, 2), (3, 8)])])
 
 
 def test_q_formula_frozen_values():
@@ -308,9 +391,10 @@ def test_double_count_substars(indices):
 def full_sweep_counts(family, n, r):
     """Trace total, largest trace and per-member counts over every permutation."""
     per_member = dict.fromkeys(family.member_keys, 0)
+    windows = member_windows(n, r, family.member_keys)
     total = largest = 0
     for images in itertools.permutations(range(1, 2 * n + 1)):
-        found = compatible_member_keys(images, n, r, family.member_keys)
+        found = compatible_member_keys(images, n, r, windows)
         total += len(found)
         largest = max(largest, len(found))
         for key in found:

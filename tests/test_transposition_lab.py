@@ -17,7 +17,7 @@ from ekr_matchings.baranyai import (
 )
 from ekr_matchings.core import Matching, MatchingFamily, Parameters, star_family
 from ekr_matchings import transposition_lab
-from ekr_matchings.katona import compatible_member_keys, is_compatible, trace
+from ekr_matchings.katona import compatible_member_keys, is_compatible, member_windows, trace
 from ekr_matchings.transposition_lab import (
     SWAP_IDENTITIES,
     center_map,
@@ -218,10 +218,11 @@ def test_center_map_respects_limit():
 def test_center_map_quotient_matches_full_sweep(n, r):
     params = Parameters(n, r)
     family = star_family(params, (2, 2 * n - 1))
+    windows = member_windows(n, r, family.member_keys)
     saturated = 0
     centers = set()
     for images in itertools.permutations(range(1, 2 * n + 1)):
-        found = compatible_member_keys(images, n, r, family.member_keys)
+        found = compatible_member_keys(images, n, r, windows)
         common = frozenset.intersection(*found) if len(found) == r else frozenset()
         if len(common) == 1:
             saturated += 1
