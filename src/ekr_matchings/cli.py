@@ -24,8 +24,8 @@ from typing import Any, Callable, Iterable
 from .core import (
     Matching,
     Parameters,
-    all_edges,
     chi,
+    dumps_indented,
     make_edge,
     phi,
     star_family,
@@ -33,7 +33,6 @@ from .core import (
 from .baranyai import (
     Permutation,
     cyclic_order,
-    rooted_order,
     rotation_classes,
     sample_permutations,
     shift,
@@ -55,7 +54,7 @@ from .kneser import (
 )
 from .transposition_lab import SWAP_IDENTITIES, center_map, swap_identities
 # looked up only by the benchmark tracer, see ENTRY_POINTS in bench/spans.py
-from .baranyai import all_permutations, baranyai_edge  # noqa: F401
+from .baranyai import all_permutations, baranyai_edge, rooted_order  # noqa: F401
 from .transposition_lab import composition_identity, reflect_swap, transpose_adjacent  # noqa: F401
 
 __all__ = ["RunConfig", "dispatch", "emit_report", "main"]
@@ -233,17 +232,18 @@ def _cmd_construct(config: RunConfig) -> CommandResult:
     sigma = _sigma_or_identity(config, 2 * n)
     if config.c is not None:
         sigma = shift(sigma, config.c)
-    order = rooted_order(sigma)
-    psi = cyclic_order(sigma)
-    covered = [e for part in order.parts for e in part]
-    partitioned = len(set(covered)) == len(covered) == len(all_edges(n))
+    edges = cyclic_order(sigma).sequence
+    # part i is the i-th run of n edges of the cyclic order, as in rooted_order
+    parts = [edges[start : start + n] for start in range(0, len(edges), n)]
+    partitioned = len(set(edges)) == len(edges) == n * (2 * n - 1)
     payload = {
         "command": "construct",
         "n": n,
         "sigma": list(sigma.images),
-        "root": order.root,
-        "parts": [[_edge_json(e) for e in part] for part in order.parts],
-        "cyclic_order": [_edge_json(e) for e in psi.sequence],
+        "root": sigma(2 * n),
+        "parts": parts,
+        # a list, not a tuple: the csv and text formats flatten only lists and dicts
+        "cyclic_order": list(edges),
     }
     return CommandResult(payload, {"parts_partition_edge_set": partitioned})
 
@@ -443,7 +443,7 @@ def _cmd_kneser_cert(config: RunConfig) -> CommandResult:
     payload = {
         "m": certificate.m,
         "k": certificate.k,
-        "order": [_edge_json(v) for v in certificate.order],
+        "order": list(certificate.order),
     }
     return CommandResult(payload, {}, bare_payload=True)
 
@@ -542,7 +542,7 @@ def _text_lines(payload: dict[str, Any]) -> list[str]:
 def emit_report(payload: dict[str, Any], fmt: str, out: str | None) -> None:
     """Serialize a report deterministically and write it to out or stdout."""
     if fmt == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        text = dumps_indented(payload) + "\n"
     elif fmt == "csv":
         text = _csv_text(payload)
     elif fmt == "text":

@@ -7,10 +7,12 @@ edges, and every count in this module is an exact Python integer.
 
 from __future__ import annotations
 
+import itertools
+import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 Edge = tuple[int, int]
 
@@ -26,6 +28,7 @@ __all__ = [
     "chi",
     "phi",
     "star_family",
+    "dumps_indented",
 ]
 
 
@@ -234,3 +237,59 @@ def star_family(params: Parameters, e: tuple[int, int]) -> MatchingFamily:
     edge = make_edge(e[0], e[1], params.vertex_count)
     members = [m for m in enumerate_matchings(params) if edge in m.key]
     return MatchingFamily(members, r=params.r)
+
+
+def dumps_indented(value: Any) -> str:
+    """Exactly json.dumps(value, indent=2), for reports of many small int rows.
+
+    json uses its C encoder only when indent is None, so an indented dump of
+    a long list of edges goes through the pure-Python encoder one value at a
+    time.  Here dicts, lists and tuples are walked in the same layout, ints
+    (not bools) are written with int.__repr__, and a list whose items are
+    all lists or tuples of ints is written with one %-template per row
+    length.  Every other scalar, and every key, goes through json.dumps.
+    """
+    return _indented(value, "\n")
+
+
+def _indented(value: Any, newline: str) -> str:
+    if type(value) is int:
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = _int_rows(value, inner)
+        if items is None:
+            items = [_indented(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [f"{_key_json(key)}: {_indented(item, inner)}" for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(value)
+
+
+def _int_rows(rows: list | tuple, newline: str) -> list[str] | None:
+    """Each row rendered at the given indent, or None unless every row holds ints only."""
+    if not {*map(type, rows)} <= {list, tuple}:
+        return None
+    if not {*map(type, itertools.chain.from_iterable(rows))} <= {int}:
+        return None
+    inner = newline + "  "
+    templates = {
+        length: "[" + inner + ("," + inner).join(["%d"] * length) + newline + "]" if length else "[]"
+        for length in {*map(len, rows)}
+    }
+    return [templates[len(row)] % tuple(row) for row in rows]
+
+
+def _key_json(key: Any) -> str:
+    """A dict key as json writes it: str, int, float, bool and None keys become strings."""
+    if isinstance(key, str):
+        return json.dumps(key)
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")

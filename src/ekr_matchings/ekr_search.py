@@ -418,7 +418,9 @@ def max_intersecting(params: Parameters, budget: SearchBudget | None = None) -> 
     lists the distinct stars of the optimum size and counts them.  If there
     is one, the report gives it as the only witness, with
     all_maximum_are_stars False and no count.  Every reported witness is
-    re-verified intersecting.
+    re-verified intersecting.  The deadline is checked before each star is
+    re-verified; if it passes there, the report is budget_exhausted with the
+    best witness only and no count.
     """
     if budget is None:
         budget = SearchBudget()
@@ -460,19 +462,26 @@ def max_intersecting(params: Parameters, budget: SearchBudget | None = None) -> 
         except _BudgetExceeded:
             status = STATUS_BUDGET
         else:
-            all_stars = non_star is None
             if non_star is None:
                 # S_{2n} maps stars to stars, so no maximum family elsewhere is a non-star
                 distinct = {tuple(indices) for indices in stars.values() if len(indices) == max_size}
-                families = [to_family(indices) for indices in distinct]
-                maximum_family_count = len(families)
+                families = []
+                for indices in distinct:
+                    if time.monotonic() > counter.deadline:
+                        status = STATUS_BUDGET
+                        break
+                    families.append(to_family(indices))
             else:
                 families = [to_family(non_star)]
                 if len(families[0]) != max_size or is_star(families[0]) is not None:
                     raise ArithmeticError("non-star witness is a star or has the wrong size")
-            witnesses = tuple(
-                sorted(families, key=lambda fam: tuple(m.edges for m in fam.members))
-            )
+            if status == STATUS_PROVEN:
+                all_stars = non_star is None
+                if all_stars:
+                    maximum_family_count = len(families)
+                witnesses = tuple(
+                    sorted(families, key=lambda fam: tuple(m.edges for m in fam.members))
+                )
 
     return EkrReport(
         n=params.n,

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .baranyai import Permutation, cyclic_order
+from .core import dumps_indented
 
 __all__ = [
     "KneserGraph",
@@ -129,12 +130,8 @@ def verify_ham_power(graph: KneserGraph, certificate: HamPowerCertificate) -> bo
 
 def certificate_to_json(certificate: HamPowerCertificate) -> str:
     """Serialize to the interchange schema {"m", "k", "order"} (1-based)."""
-    payload = {
-        "m": certificate.m,
-        "k": certificate.k,
-        "order": [[a, b] for a, b in certificate.order],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    payload = {"m": certificate.m, "k": certificate.k, "order": certificate.order}
+    return dumps_indented(payload) + "\n"
 
 
 def certificate_from_json(text: str) -> HamPowerCertificate:

@@ -235,6 +235,37 @@ def test_kneser_cert_schema_and_verify(tmp_path, capsys):
     assert verdict["valid"] is True
 
 
+JSON_REPORTS = [
+    ("construct", "--n", "4", "--c", "3"),
+    ("construct", "--n", "2", "--sigma", "2,1,4,3"),
+    ("verify-goodness", "--n", "4", "--r", "4"),
+    ("verify-goodness", "--n", "5", "--samples", "3"),
+    ("count", "--pairs", "2:1,3:2,4:4"),
+    ("double-count", "--n", "3", "--r", "2", "--edge", "2,5"),
+    ("ekr-search", "--n", "4", "--r", "2", "--enumerate-max"),
+    ("ekr-search", "--pairs", "3:2,3:3"),
+    ("center-map", "--n", "3", "--r", "2"),
+    ("lemma-identities", "--n", "3", "--j", "2"),
+    ("kneser-cert", "--n", "4", "--sigma", "8,7,6,5,4,3,2,1"),
+    ("kneser-verify", "--n", "4", "--k", "3"),
+]
+
+
+def test_json_reports_cover_every_subcommand():
+    assert {argv[0] for argv in JSON_REPORTS} == set(cli.HANDLERS)
+
+
+@pytest.mark.parametrize("argv", JSON_REPORTS, ids=" ".join)
+def test_json_report_equals_json_dumps(tmp_path, capsys, argv):
+    config = cli.RunConfig.from_namespace(cli.build_parser().parse_args(argv))
+    expected = json.dumps(cli.dispatch(config)[1], indent=2) + "\n"
+    code, out, err = run(capsys, *argv)
+    assert out == expected
+    target = tmp_path / "report.json"
+    run(capsys, *argv, "--out", str(target))
+    assert target.read_text(encoding="utf-8") == expected
+
+
 def test_kneser_verify_falsified_exits_1(capsys):
     code, out, err = run(capsys, "kneser-verify", "--n", "4", "--k", "3")
     assert code == 1

@@ -1,10 +1,11 @@
 """Counting and canonical-form tests for edges, matchings, and families."""
 
 import itertools
+import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ekr_matchings.core import (
     Matching,
@@ -12,6 +13,7 @@ from ekr_matchings.core import (
     Parameters,
     all_edges,
     chi,
+    dumps_indented,
     enumerate_matchings,
     intersects,
     make_edge,
@@ -208,3 +210,50 @@ def test_from_edges_idempotent(edges):
         m = Matching.from_edges(edges)
         assert Matching.from_edges(m.edges) == m
         assert m.edges == tuple(sorted(edges))
+
+
+_special_floats = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, -2.5])
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**60), max_value=10**60),
+    st.floats(),
+    _special_floats,
+    st.text(),
+)
+# rows of ints, sometimes with a bool, a float or a nested list among them
+_row_items = st.one_of(st.integers(min_value=-(10**40), max_value=10**40), st.booleans(), _special_floats)
+_rows = st.one_of(
+    st.lists(st.lists(st.integers(), max_size=4), max_size=6),
+    st.lists(st.tuples(st.integers(), st.integers()), max_size=6),
+    st.lists(st.lists(_row_items, max_size=3) | st.tuples(_row_items, _row_items), max_size=6),
+)
+_keys = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+_json_trees = st.recursive(
+    _scalars | _rows,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(_keys, children, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200)
+@given(_json_trees)
+@example([[True, 1], [2, 3]])
+@example([[1, 2], [3], [], (4, 5, 6)])
+@example({"tab\t": ["quote\"", "back\\slash", "\u00e9t\u00e9 \u2713 \U0001f600", "\x00\x1f"]})
+@example([[], ()])
+@example({1: [[-(10**50), 10**50]], 2.5: {}, True: [], None: ()})
+def test_dumps_indented_matches_json(value):
+    assert dumps_indented(value) == json.dumps(value, indent=2)
+
+
+def test_dumps_indented_rejects_keys_json_rejects():
+    with pytest.raises(TypeError):
+        json.dumps({(1, 2): 0}, indent=2)
+    with pytest.raises(TypeError):
+        dumps_indented({(1, 2): 0})

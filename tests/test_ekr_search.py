@@ -3,6 +3,7 @@
 import itertools
 import math
 import time
+import types
 
 import pytest
 
@@ -14,6 +15,7 @@ from ekr_matchings.core import (
     enumerate_matchings,
     intersects,
     phi,
+    star_family,
 )
 from ekr_matchings.ekr_search import (
     STATUS_BUDGET,
@@ -284,6 +286,34 @@ def test_deadline_binds_graph_build():
     assert report.status == STATUS_BUDGET
     assert time.monotonic() - start < 1.0
     assert report.max_size == phi(Parameters(6, 4))
+
+
+def test_deadline_binds_witness_rechecks(monkeypatch):
+    # the clock runs out once the non-star search has ended, before any star is re-checked
+    now = [0.0]
+    monkeypatch.setattr(ekr_search, "time", types.SimpleNamespace(monotonic=lambda: now[0]))
+    search = ekr_search._non_star_through_v0
+
+    def search_then_time_out(*args):
+        result = search(*args)
+        now[0] = math.inf
+        return result
+
+    rechecks = []
+
+    def counted_family(members):
+        rechecks.append(1)
+        return MatchingFamily(members)
+
+    monkeypatch.setattr(ekr_search, "_non_star_through_v0", search_then_time_out)
+    monkeypatch.setattr(ekr_search, "MatchingFamily", counted_family)
+    params = Parameters(4, 2)
+    report = max_intersecting(params, SearchBudget(enumerate_all_maximum=True))
+    assert report.status == STATUS_BUDGET
+    assert report.maximum_family_count is None
+    assert report.all_maximum_are_stars is None
+    assert report.witnesses == (star_family(params, (1, 2)),)
+    assert len(rechecks) == 1  # the best witness only
 
 
 def test_graph_rows_check_the_deadline():

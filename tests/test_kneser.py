@@ -150,6 +150,16 @@ def test_json_roundtrip():
     payload = json.loads(text)
     assert set(payload) == {"m", "k", "order"}
     assert payload["order"][0] == [4, 5]
+    assert text == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_json_roundtrip_of_shuffled_orders(seed):
+    sigma = sample_permutations(12, 1, seed)[0]
+    certificate = ham_power_certificate(6, sigma)
+    text = certificate_to_json(certificate)
+    assert certificate_from_json(text) == certificate
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 def test_json_parse_rejects_malformed():
