@@ -4,8 +4,10 @@ K(m, 2) has the 2-subsets of {1..m} as vertices, adjacent when disjoint.
 A cyclic edge order of K_{2n} is exactly a cyclic vertex order of
 K(2n, 2), and because every run of up to n-1 consecutive edges is a
 matching, that order witnesses the (n-2)-nd power of a Hamiltonian cycle
-inside K(2n, 2).  Certificates are just (m, k, order) triples that any
-third party can re-verify against the graph.
+inside K(2n, 2).  Certificates are just (m, k, order) triples.  Any third
+party can re-verify one from the order alone: it is a k-th power exactly
+when every k+1 consecutive pairs are pairwise disjoint, which one scan of
+the order checks without building the graph.
 """
 
 from __future__ import annotations
@@ -94,37 +96,52 @@ def ham_power_certificate(n: int, sigma: Permutation | None = None) -> HamPowerC
     return HamPowerCertificate(m=2 * n, k=n - 2, order=psi.sequence)
 
 
-def verify_ham_power(graph: KneserGraph, certificate: HamPowerCertificate) -> bool:
-    """True iff all order positions at cyclic distance <= k are adjacent.
+def verify_ham_power(m: int, certificate: HamPowerCertificate) -> bool:
+    """True iff all order positions at cyclic distance <= k hold disjoint pairs.
 
-    One pass over the order keeps the bitmask of the next k positions and
-    tests it against each vertex's adjacency row; moving on to the next
-    vertex drops one bit from the mask and adds one.  The order lists every
-    vertex once, so those two bits are distinct and an XOR moves each.
+    Distances are clamped to total - 1, since the order is a cycle of total
+    positions.  One pass reads the total + depth positions, wrapping, and
+    keeps the last position at which each of 1..m was seen; the claim fails
+    as soon as a vertex comes back within depth positions.  No adjacency of
+    K(m, 2) is built.
 
-    Raises ValueError for malformed certificates: a vertex-count mismatch,
-    duplicated or missing vertices, or a nonpositive k.
+    Raises ValueError for malformed certificates: m below 2 or unlike the
+    certificate's, a nonpositive k, or an order that is not every canonical
+    pair (a, b) of ints with 1 <= a < b <= m, each once, as a tuple.
     """
-    if certificate.m != graph.m:
-        raise ValueError(f"certificate is for m={certificate.m}, graph has m={graph.m}")
+    if m < 2:
+        raise ValueError(f"m must be at least 2, got {m}")
+    if certificate.m != m:
+        raise ValueError(f"certificate is for m={certificate.m}, expected m={m}")
     if certificate.k < 1:
         raise ValueError(f"claimed power must be at least 1, got {certificate.k}")
-    if sorted(certificate.order) != sorted(graph.vertices):
+    order = certificate.order
+    total = m * (m - 1) // 2
+    if len(order) != total or not _lists_each_pair_once(m, order):
         raise ValueError("certificate order must list every vertex exactly once")
-    index = graph.index
-    sequence = [index[v] for v in certificate.order]
-    adjacency = graph.adjacency
-    total = len(sequence)
     depth = min(certificate.k, total - 1)
-    ahead = 0
-    for d in range(1, depth + 1):
-        ahead |= 1 << sequence[d]
-    for i in range(total):
-        if adjacency[sequence[i]] & ahead != ahead:
+    last = [-depth - 1] * (m + 1)
+    for position, (a, b) in enumerate(itertools.chain(order, order[:depth])):
+        if position - last[a] <= depth or position - last[b] <= depth:
             return False
-        # masks are made on the fly: a list of every 1 << index would hold about total^2/16 bytes
-        ahead ^= 1 << sequence[(i + 1) % total]
-        ahead ^= 1 << sequence[(i + depth + 1) % total]
+        last[a] = last[b] = position
+    return True
+
+
+def _lists_each_pair_once(m: int, order: tuple[Vertex, ...]) -> bool:
+    """True iff every entry is a canonical pair of 1..m and none repeats."""
+    # (a, b) with 1 <= a < b <= m has its own slot a * m + b
+    seen = bytearray(m * m + 1)
+    for pair in order:
+        if not (isinstance(pair, tuple) and len(pair) == 2):
+            return False
+        a, b = pair
+        if not (isinstance(a, int) and isinstance(b, int) and 1 <= a < b <= m):
+            return False
+        slot = a * m + b
+        if seen[slot]:
+            return False
+        seen[slot] = 1
     return True
 
 
@@ -149,11 +166,14 @@ def certificate_from_json(text: str) -> HamPowerCertificate:
     if not isinstance(m, int) or not isinstance(k, int) or not isinstance(order, list):
         raise ValueError("certificate fields have the wrong types")
     vertices = []
+    append = vertices.append
     for item in order:
-        if not (isinstance(item, list) and len(item) == 2 and all(isinstance(x, int) for x in item)):
-            raise ValueError(f"order entries must be integer pairs, got {item!r}")
-        a, b = item
-        if not 1 <= a < b <= m:
-            raise ValueError(f"order entry {item!r} is not a canonical 2-subset of 1..{m}")
-        vertices.append((a, b))
+        if isinstance(item, list) and len(item) == 2:
+            a, b = item
+            if isinstance(a, int) and isinstance(b, int):
+                if not 1 <= a < b <= m:
+                    raise ValueError(f"order entry {item!r} is not a canonical 2-subset of 1..{m}")
+                append((a, b))
+                continue
+        raise ValueError(f"order entries must be integer pairs, got {item!r}")
     return HamPowerCertificate(m=m, k=k, order=tuple(vertices))

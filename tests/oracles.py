@@ -113,6 +113,28 @@ def naive_power_valid(
     return True
 
 
+def rows_ham_power(graph, certificate) -> bool:
+    """The adjacency-row verifier of K(m, 2): every position against the next k.
+
+    One pass keeps the bitmask of the next k positions and tests it against
+    each vertex's row.  It reads a KneserGraph and expects a certificate
+    that lists every vertex of the graph once.
+    """
+    index = graph.index
+    sequence = [index[v] for v in certificate.order]
+    total = len(sequence)
+    depth = min(certificate.k, total - 1)
+    ahead = 0
+    for d in range(1, depth + 1):
+        ahead |= 1 << sequence[d]
+    for i in range(total):
+        if graph.adjacency[sequence[i]] & ahead != ahead:
+            return False
+        ahead ^= 1 << sequence[(i + 1) % total]
+        ahead ^= 1 << sequence[(i + depth + 1) % total]
+    return True
+
+
 def naive_goodness_failures(images: Sequence[int], n: int, r: int) -> list[int]:
     """1-based starts of the length-r windows of the cyclic order that are not matchings."""
     seq = naive_cyclic_sequence(images, n)

@@ -22,7 +22,7 @@ from ekr_matchings.kneser import (
     verify_ham_power,
 )
 
-from oracles import naive_power_valid
+from oracles import naive_power_valid, rows_ham_power
 
 
 def test_kneser_graph_small_sizes():
@@ -65,50 +65,68 @@ def test_certificate_needs_n_at_least_3():
 def test_power_verifies_up_to_n_minus_2(n, k):
     base = ham_power_certificate(n)
     certificate = HamPowerCertificate(m=base.m, k=k, order=base.order)
-    graph = kneser_graph(2 * n)
-    assert verify_ham_power(graph, certificate)
+    assert verify_ham_power(2 * n, certificate)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_power_fails_at_n_minus_1(n):
     base = ham_power_certificate(n)
     certificate = HamPowerCertificate(m=base.m, k=n - 1, order=base.order)
-    graph = kneser_graph(2 * n)
-    assert not verify_ham_power(graph, certificate)
+    assert not verify_ham_power(2 * n, certificate)
 
 
 def test_random_permutations_also_certify():
     for n in (3, 4):
-        graph = kneser_graph(2 * n)
         for sigma in sample_permutations(2 * n, 10, seed=41):
             certificate = ham_power_certificate(n, sigma)
-            assert verify_ham_power(graph, certificate)
+            assert verify_ham_power(2 * n, certificate)
+
+
+def _test_orders(n, rng):
+    """The cyclic order, and shuffled and two-entry-exchanged copies of it."""
+    base = ham_power_certificate(n).order
+    orders = [base]
+    for _ in range(4):
+        orders.append(tuple(rng.sample(base, len(base))))
+        a, b = sorted(rng.sample(range(len(base)), 2))
+        orders.append(base[:a] + (base[b],) + base[a + 1 : b] + (base[a],) + base[b + 1 :])
+    return orders
 
 
 def test_verifier_agrees_with_naive_check():
     for n in (3, 4):
-        graph = kneser_graph(2 * n)
         base = ham_power_certificate(n)
         for k in range(1, n):
             certificate = HamPowerCertificate(m=base.m, k=k, order=base.order)
-            assert verify_ham_power(graph, certificate) == naive_power_valid(
+            assert verify_ham_power(2 * n, certificate) == naive_power_valid(
                 k, certificate.order
             )
     # shuffled orders, mostly invalid, and the cyclic order with two entries
-    # exchanged, which can fail deep into the pass, at every claimed power
+    # exchanged, which can fail deep into the pass, at every claimed power;
+    # the adjacency rows of K(2n, 2) give the same verdicts
     rng = random.Random(11)
     for n in (3, 4, 5):
         graph = kneser_graph(2 * n)
-        base = ham_power_certificate(n).order
-        orders = [base]
-        for _ in range(4):
-            orders.append(tuple(rng.sample(base, len(base))))
-            a, b = sorted(rng.sample(range(len(base)), 2))
-            orders.append(base[:a] + (base[b],) + base[a + 1 : b] + (base[a],) + base[b + 1 :])
-        for order in orders:
+        for order in _test_orders(n, rng):
             for k in range(1, len(order) + 1):
                 certificate = HamPowerCertificate(m=2 * n, k=k, order=order)
-                assert verify_ham_power(graph, certificate) == naive_power_valid(k, order)
+                valid = verify_ham_power(2 * n, certificate)
+                assert valid == naive_power_valid(k, order)
+                assert valid == rows_ham_power(graph, certificate)
+
+
+def test_verdict_does_not_depend_on_where_the_cycle_is_cut():
+    # every rotation moves some position pair across the end of the order,
+    # where the scan wraps around
+    rng = random.Random(11)
+    for n in (3, 4, 5):
+        for order in _test_orders(n, rng):
+            for k in range(1, len(order) + 1):
+                verdicts = {
+                    verify_ham_power(2 * n, HamPowerCertificate(m=2 * n, k=k, order=order[s:] + order[:s]))
+                    for s in range(len(order))
+                }
+                assert verdicts == {naive_power_valid(k, order)}
 
 
 def test_power_k_equivalent_to_interval_matchings():
@@ -116,7 +134,6 @@ def test_power_k_equivalent_to_interval_matchings():
     # k+1 consecutive edges is a matching.
     for n in (3, 4):
         psi = cyclic_order(Permutation.identity(2 * n))
-        graph = kneser_graph(2 * n)
         base = ham_power_certificate(n)
         total = len(base.order)
         for k in range(1, n):
@@ -125,22 +142,70 @@ def test_power_k_equivalent_to_interval_matchings():
                 interval(psi, start, k + 1).is_matching()
                 for start in range(1, total + 1)
             )
-            assert verify_ham_power(graph, certificate) == windows_ok
+            assert verify_ham_power(2 * n, certificate) == windows_ok
 
 
 def test_verifier_rejects_malformed():
-    graph = kneser_graph(8)
     good = ham_power_certificate(4)
     with pytest.raises(ValueError):
-        verify_ham_power(kneser_graph(6), good)
+        verify_ham_power(6, good)
     with pytest.raises(ValueError):
-        verify_ham_power(graph, HamPowerCertificate(m=8, k=0, order=good.order))
+        verify_ham_power(8, HamPowerCertificate(m=8, k=0, order=good.order))
     truncated = HamPowerCertificate(m=8, k=2, order=good.order[:-1])
     with pytest.raises(ValueError):
-        verify_ham_power(graph, truncated)
+        verify_ham_power(8, truncated)
     doubled = HamPowerCertificate(m=8, k=2, order=good.order[:-1] + (good.order[0],))
     with pytest.raises(ValueError):
-        verify_ham_power(graph, doubled)
+        verify_ham_power(8, doubled)
+
+
+CYCLIC_8 = ham_power_certificate(4).order
+
+
+def _with_entry(entry):
+    return CYCLIC_8[:5] + (entry,) + CYCLIC_8[6:]
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        pytest.param(_with_entry((7, 2)), id="reversed"),
+        pytest.param(_with_entry((0, 1)), id="below-range"),
+        pytest.param(_with_entry((3, 9)), id="above-range"),
+        pytest.param(_with_entry((3, 3)), id="loop"),
+        pytest.param(_with_entry((1, 2, 3)), id="triple"),
+        pytest.param(_with_entry((1.0, 2.0)), id="floats"),
+        pytest.param(tuple(list(pair) for pair in CYCLIC_8), id="lists"),
+        pytest.param(_with_entry(CYCLIC_8[9]), id="duplicate-and-missing"),
+    ],
+)
+def test_verifier_rejects_orders_that_are_not_each_pair_once(order):
+    assert len(order) == math.comb(8, 2)
+    for k in (1, 2, 3):
+        with pytest.raises(ValueError, match="every vertex exactly once"):
+            verify_ham_power(8, HamPowerCertificate(m=8, k=k, order=order))
+
+
+def test_verifier_rejects_m_below_2():
+    with pytest.raises(ValueError, match="m must be at least 2"):
+        verify_ham_power(1, HamPowerCertificate(m=1, k=1, order=()))
+
+
+def test_verifier_degenerate_sizes():
+    # m = 2: one pair, so every claimed power clamps to distance 0 and holds
+    for k in (1, 2, 5):
+        certificate = HamPowerCertificate(m=2, k=k, order=((1, 2),))
+        assert verify_ham_power(2, certificate)
+        assert rows_ham_power(kneser_graph(2), certificate)
+        assert naive_power_valid(k, certificate.order)
+    # m = 3: the three pairs meet pairwise, so no power k >= 1 holds
+    graph = kneser_graph(3)
+    for order in itertools.permutations(graph.vertices):
+        for k in (1, 2, 3, 10):
+            certificate = HamPowerCertificate(m=3, k=k, order=order)
+            assert not verify_ham_power(3, certificate)
+            assert not rows_ham_power(graph, certificate)
+            assert not naive_power_valid(k, order)
 
 
 def test_json_roundtrip():
@@ -175,3 +240,19 @@ def test_json_parse_rejects_malformed():
         certificate_from_json(json.dumps({"m": 8, "k": 2, "order": [[2, 1]]}))
     with pytest.raises(ValueError):
         certificate_from_json(json.dumps({"m": 8, "k": "2", "order": []}))
+
+
+def test_json_parse_keeps_bools_and_reports_the_first_bad_entry():
+    # isinstance(True, int) holds, so JSON true parses as a vertex label 1
+    certificate = ham_power_certificate(4)
+    payload = json.loads(certificate_to_json(certificate))
+    payload["order"] = [[True if x == 1 else x for x in pair] for pair in payload["order"]]
+    parsed = certificate_from_json(json.dumps(payload))
+    assert parsed == certificate
+    assert verify_ham_power(8, parsed)
+    with pytest.raises(ValueError, match=r"^order entry \[2, 1\] is not a canonical 2-subset of 1\.\.8$"):
+        certificate_from_json(json.dumps({"m": 8, "k": 2, "order": [[1, 2], [2, 1], [1]]}))
+    for item in ([1], [1, 2.0], [1, "2"], [1, 2, 3], 5, None, [[1], 2], {"a": 1}):
+        text = json.dumps({"m": 8, "k": 2, "order": [[1, 2], item, [2, 1]]})
+        with pytest.raises(ValueError, match=r"^order entries must be integer pairs, got "):
+            certificate_from_json(text)
