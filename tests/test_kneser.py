@@ -157,6 +157,8 @@ def test_verifier_rejects_malformed():
     doubled = HamPowerCertificate(m=8, k=2, order=good.order[:-1] + (good.order[0],))
     with pytest.raises(ValueError):
         verify_ham_power(8, doubled)
+    with pytest.raises(ValueError, match="m must be at least 2"):
+        verify_ham_power(1, HamPowerCertificate(m=1, k=1, order=()))
 
 
 CYCLIC_8 = ham_power_certificate(4).order
@@ -184,11 +186,6 @@ def test_verifier_rejects_orders_that_are_not_each_pair_once(order):
     for k in (1, 2, 3):
         with pytest.raises(ValueError, match="every vertex exactly once"):
             verify_ham_power(8, HamPowerCertificate(m=8, k=k, order=order))
-
-
-def test_verifier_rejects_m_below_2():
-    with pytest.raises(ValueError, match="m must be at least 2"):
-        verify_ham_power(1, HamPowerCertificate(m=1, k=1, order=()))
 
 
 def test_verifier_degenerate_sizes():
