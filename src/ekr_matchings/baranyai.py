@@ -17,7 +17,6 @@ order are always matchings; runs of length n can fail at part boundaries.
 from __future__ import annotations
 
 import itertools
-import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -291,15 +290,16 @@ def verify_goodness(
     """Check every length-r interval of the cyclic order of each sigma.
 
     r defaults to n-1, the longest length for which every interval is a
-    matching.  Counterexamples are recorded as (images, start position)
-    pairs in ascending start order, capped at max_counterexamples.
+    matching.  Counterexamples are (images, start position) pairs, sigma
+    by sigma and by ascending start within one, capped at max_counterexamples.
 
-    One pass per sigma reads the n(2n-1)+r-1 positions of the cyclic
-    order, wrapping, and keeps the last position at which each vertex was
-    seen.  An interval fails exactly when it holds two occurrences of one
-    vertex, so a repeat at positions prev < k with k - prev < r makes every
-    start in k-r+1..prev fail.  Those left ends only grow with k, so the
-    failing starts come out in ascending order.
+    A bijection puts distinct vertices in distinct slots of the image tuple,
+    so a window repeats a vertex exactly when it repeats a slot of
+    position_pairs, and fails the same way for every sigma.  One pass over
+    the n(2n-1)+r-1 positions, wrapping, keeps the last position of each
+    slot; a repeat at positions prev < k with k - prev < r makes every start
+    in k-r+1..prev fail.  The left ends only grow with k, so the failing
+    starts come out ascending; each sigma is then only size-checked and counted.
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
@@ -309,33 +309,31 @@ def verify_goodness(
     if not 1 <= r <= total:
         raise ValueError(f"interval length must be in 1..{total}, got {r}")
     pairs = position_pairs(n)
-    # slot 2k and 2k+1 hold the two ends of the edge at position k
-    read_slots = operator.itemgetter(*itertools.chain.from_iterable(pairs + pairs[: r - 1]))
     width = 2 * r
-    unseen = [-width - 2] * (2 * n + 1)
+    last = [-width - 2] * (2 * n)
+    failing: list[int] = []
+    recorded = -1
+    # ends 2k and 2k+1 are the two slots of the edge at position k
+    for end, slot in enumerate(itertools.chain.from_iterable(pairs + pairs[: r - 1])):
+        prev = last[slot]
+        last[slot] = end
+        if end - prev < width:
+            # positions prev >> 1 and end >> 1 share this slot; when they
+            # are r apart the range of failing starts below is empty
+            first = max((end >> 1) - r + 1, recorded + 1)
+            recorded = max(recorded, min(prev >> 1, total - 1))
+            failing.extend(range(first + 1, recorded + 2))
+            if len(failing) >= max_counterexamples:
+                break  # no sigma can use more
     counterexamples: list[tuple[tuple[int, ...], int]] = []
     permutations_checked = 0
     for sigma in sigmas:
         if sigma.size != 2 * n:
             raise ValueError(f"permutation size {sigma.size} does not match 2n = {2 * n}")
         permutations_checked += 1
-        if len(counterexamples) >= max_counterexamples:
-            continue
-        images = sigma.images
-        last = unseen.copy()
-        recorded = -1
-        for slot, vertex in enumerate(read_slots(images)):
-            prev = last[vertex]
-            last[vertex] = slot
-            if slot - prev < width:
-                # positions prev >> 1 and slot >> 1 share this vertex; when they
-                # are r apart the range of failing starts below is empty
-                first = max((slot >> 1) - r + 1, recorded + 1)
-                recorded = max(recorded, min(prev >> 1, total - 1))
-                counterexamples.extend((images, start + 1) for start in range(first, recorded + 1))
-                if len(counterexamples) >= max_counterexamples:
-                    del counterexamples[max_counterexamples:]
-                    break
+        room = max_counterexamples - len(counterexamples)
+        if room > 0 and failing:
+            counterexamples.extend((sigma.images, start) for start in failing[:room])
     return GoodnessReport(
         n=n,
         r=r,

@@ -8,7 +8,8 @@ Both are involutions, they coincide at j = n-1, and reflection swaps
 preserve the last part of the rotational partition edge by edge.  For
 n+1 <= j <= 2n-3 the adjacent swap factors as a five-fold composition of
 swaps with small indices, which is how traces at distant positions get
-compared.
+compared.  The identities compare position maps only, so callers
+evaluate the suite once per n and apply it to every permutation.
 """
 
 from __future__ import annotations
@@ -91,9 +92,9 @@ def swap_identities(sigma: Permutation, j: int | None = None) -> Iterator[tuple[
 
     The index ranges are 1..2n-1, 1..n-1, n-1, 1..n-1 and n+1..2n-3; with
     j given, only the checks at index j run.  A swap composes sigma with a
-    fixed position permutation, so the outcomes do not depend on sigma.
-    The swaps act on sigma's image tuple; the last part is read off
-    position_pairs, its n edges being the last n positions of the order.
+    fixed position permutation, so the outcomes do not depend on sigma and
+    a sweep over S_{2n} runs the suite once.  The swaps act on sigma's
+    image tuple, and the last part is the last n entries of position_pairs.
     """
     n = half_order(sigma)
     if n < 2:

@@ -246,9 +246,39 @@ def test_verify_goodness_matches_window_oracle(n):
     assert cut_inside_a_permutation == (n >= 2)
 
 
+@pytest.mark.parametrize("cap", [0, 1, 7, 1000])
+@pytest.mark.parametrize("n", range(2, 6))
+def test_verify_goodness_cap_matches_window_oracle(n, cap):
+    # the failing starts are found once for all sigmas; the cap must still
+    # cut the oracle's sigma-by-sigma list at the same entry
+    total = n * (2 * n - 1)
+    sigmas = [Permutation.identity(2 * n)] + sample_permutations(2 * n, 20, seed=100 + n)
+    for r in (n - 1, n, n + 1, 2 * n):
+        failures = [(sigma.images, start) for sigma in sigmas for start in naive_goodness_failures(sigma.images, n, r)]
+        report = verify_goodness(n, sigmas, r=r, max_counterexamples=cap)
+        assert report == GoodnessReport(
+            n=n,
+            r=r,
+            permutations_checked=len(sigmas),
+            intervals_checked=len(sigmas) * total,
+            counterexamples=tuple(failures[:cap]),
+        )
+
+
 def test_verify_goodness_rejects_size_mismatch():
     with pytest.raises(ValueError):
         verify_goodness(3, [Permutation.identity(8)])
+    # every sigma is still checked once the counterexample cap is full
+    sigmas = [Permutation.identity(6)] * 3 + [Permutation.identity(8)]
+    with pytest.raises(ValueError, match="does not match 2n = 6"):
+        verify_goodness(3, sigmas, r=3, max_counterexamples=1)
+
+
+def test_verify_goodness_of_no_permutations():
+    for r in (2, 3):
+        assert verify_goodness(3, [], r=r) == GoodnessReport(
+            n=3, r=r, permutations_checked=0, intervals_checked=0, counterexamples=()
+        )
 
 
 def test_sample_permutations_deterministic():

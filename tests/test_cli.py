@@ -6,8 +6,8 @@ import json
 
 import pytest
 
-from ekr_matchings import cli
-from ekr_matchings.baranyai import all_permutations, verify_goodness
+from ekr_matchings import cli, transposition_lab
+from ekr_matchings.baranyai import all_permutations, sample_permutations, verify_goodness
 from ekr_matchings.cli import EXIT_INTERNAL, main
 from ekr_matchings.transposition_lab import SWAP_IDENTITIES, swap_identities
 
@@ -204,6 +204,46 @@ def test_lemma_identities_restricted(capsys):
     assert payload["checks_run"]["composition"] == 50
     assert payload["checks_run"]["reflection_involution"] == 0
     assert payload["passed"] is True
+
+
+def _per_sigma_lemma_sweep(sigmas, j=None):
+    """checks_run and failures of lemma-identities, with the suite run at every sigma."""
+    counts = dict.fromkeys(SWAP_IDENTITIES, 0)
+    failures = []
+    for sigma in sigmas:
+        for name, k, holds in swap_identities(sigma, j):
+            counts[name] += 1
+            if not holds and len(failures) < 10:
+                failures.append({"identity": name, "sigma": list(sigma.images), "j": k})
+    return counts, failures
+
+
+@pytest.mark.parametrize("j", [None, 5])
+def test_lemma_identities_match_per_sigma_sweep(capsys, j):
+    argv = ["lemma-identities", "--n", "5", "--samples", "30"] + (["--j", str(j)] if j else [])
+    code, payload = run_json(capsys, *argv)
+    assert code == 0
+    counts, failures = _per_sigma_lemma_sweep(sample_permutations(10, 30, cli.DEFAULT_SEED), j)
+    assert payload["permutations_checked"] == 30
+    assert payload["checks_run"] == counts
+    assert payload["failures"] == failures == []
+
+
+def test_lemma_identities_report_failures_per_sigma(capsys, monkeypatch):
+    monkeypatch.setattr(transposition_lab, "composition_identity", lambda sigma, j: False)
+    code, payload = run_json(capsys, "lemma-identities", "--n", "5", "--samples", "30")
+    assert code == 1
+    assert payload["checks"]["composition"] is False
+    assert all(payload["checks"][name] for name in SWAP_IDENTITIES if name != "composition")
+    sigmas = sample_permutations(10, 30, cli.DEFAULT_SEED)
+    # composition runs at j = 6 and 7, so the first ten failures span five sigmas
+    expected = [
+        {"identity": "composition", "sigma": list(sigma.images), "j": j}
+        for sigma in sigmas[:5]
+        for j in (6, 7)
+    ]
+    assert payload["failures"] == expected
+    assert (payload["checks_run"], payload["failures"]) == _per_sigma_lemma_sweep(sigmas)
 
 
 def test_lemma_identities_rejects_bad_index(capsys):

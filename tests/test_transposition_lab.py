@@ -304,6 +304,16 @@ def test_swap_identities_match_permutation_level_swaps():
         assert list(swap_identities(sigma)) == list(_swap_identities_on_permutations(sigma))
 
 
+def test_swap_identities_do_not_depend_on_sigma():
+    # lemma-identities evaluates the suite once, at the identity, for every sigma
+    sigmas = itertools.chain(
+        map(Permutation, rotation_classes(8)), sample_permutations(12, 200, seed=13)
+    )
+    expected = {size: list(swap_identities(Permutation.identity(size))) for size in (8, 12)}
+    for sigma in sigmas:
+        assert list(swap_identities(sigma)) == expected[sigma.size]
+
+
 def test_swap_identities_report_a_failure(monkeypatch):
     monkeypatch.setattr(transposition_lab, "composition_identity", lambda sigma, j: False)
     outcomes = list(swap_identities(Permutation.identity(8)))
