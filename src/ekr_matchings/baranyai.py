@@ -283,13 +283,14 @@ class GoodnessReport:
 
 def verify_goodness(
     n: int,
-    sigmas: Iterable[Permutation],
+    sigmas: Iterable[tuple[int, ...]],
     r: int | None = None,
     max_counterexamples: int = 20,
 ) -> GoodnessReport:
     """Check every length-r interval of the cyclic order of each sigma.
 
-    r defaults to n-1, the longest length for which every interval is a
+    Each sigma is given by its image tuple, such as Permutation.images or
+    a tuple from rotation_classes, and must have 2n images.  r defaults to n-1, the longest length for which every interval is a
     matching.  Counterexamples are (images, start position) pairs, sigma
     by sigma and by ascending start within one, capped at max_counterexamples.
 
@@ -327,13 +328,13 @@ def verify_goodness(
                 break  # no sigma can use more
     counterexamples: list[tuple[tuple[int, ...], int]] = []
     permutations_checked = 0
-    for sigma in sigmas:
-        if sigma.size != 2 * n:
-            raise ValueError(f"permutation size {sigma.size} does not match 2n = {2 * n}")
+    for images in sigmas:
+        if len(images) != 2 * n:
+            raise ValueError(f"permutation size {len(images)} does not match 2n = {2 * n}")
         permutations_checked += 1
         room = max_counterexamples - len(counterexamples)
         if room > 0 and failing:
-            counterexamples.extend((sigma.images, start) for start in failing[:room])
+            counterexamples.extend((images, start) for start in failing[:room])
     return GoodnessReport(
         n=n,
         r=r,

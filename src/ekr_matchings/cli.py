@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from .core import (
-    Matching,
     Parameters,
     chi,
     dumps_indented,
+    first_matching,
     make_edge,
     phi,
     star_family,
@@ -197,10 +197,10 @@ def _over_instances(
 
 def _sigma_sample(
     config: RunConfig, two_n: int, auto_samples: int
-) -> tuple[Iterable[Permutation], str, int]:
-    """Permutations to sweep, a label, and how many permutations each one stands for."""
+) -> tuple[Iterable[tuple[int, ...]], str, int]:
+    """Image tuples of the permutations to sweep, a label, and how many permutations each stands for."""
     if config.sigma is not None:
-        return [_parse_sigma(config.sigma, two_n)], "given", 1
+        return [_parse_sigma(config.sigma, two_n).images], "given", 1
     samples = config.samples
     if samples is None:
         samples = 0 if two_n <= EXHAUSTIVE_CUTOFF else auto_samples
@@ -210,10 +210,10 @@ def _sigma_sample(
                 f"exhaustive sweep with 2n = {two_n} exceeds --limit-perms {config.limit_perms}; "
                 "pass --samples to sample instead"
             )
-        return map(Permutation, rotation_classes(two_n)), "exhaustive", two_n - 1
+        return rotation_classes(two_n), "exhaustive", two_n - 1
     if samples < 0:
         raise ValueError(f"--samples must be nonnegative, got {samples}")
-    return sample_permutations(two_n, samples, config.seed), "sampled", 1
+    return (sigma.images for sigma in sample_permutations(two_n, samples, config.seed)), "sampled", 1
 
 
 def _cmd_construct(config: RunConfig) -> CommandResult:
@@ -256,10 +256,6 @@ def _cmd_verify_goodness(config: RunConfig) -> CommandResult:
     return CommandResult(payload, {"all_intervals_are_matchings": report.passed})
 
 
-def _first_matching(r: int) -> Matching:
-    return Matching.from_edges((2 * t + 1, 2 * t + 2) for t in range(r))
-
-
 def _count_instance(n: int, r: int, config: RunConfig) -> CommandResult:
     params = Parameters(n, r)
     chi_value = chi(params)
@@ -271,7 +267,7 @@ def _count_instance(n: int, r: int, config: RunConfig) -> CommandResult:
         row["q_formula"] = count.formula_value
         row["q_split"] = list(count.split)
         if 2 * n <= config.limit_perms:
-            oracle = q_bruteforce(_first_matching(r), params, limit=config.limit_perms, jobs=config.jobs)
+            oracle = q_bruteforce(first_matching(r), params, limit=config.limit_perms, jobs=config.jobs)
             row["q_oracle"] = oracle
             checks["q_formula_matches_oracle"] = oracle == count.formula_value
         else:
@@ -399,10 +395,10 @@ def _cmd_lemma_identities(config: RunConfig) -> CommandResult:
     failing = [(name, j) for name, j, holds in outcomes if not holds]
     failures: list[dict[str, Any]] = []
     permutations_checked = 0
-    for sigma in sigmas:
+    for images in sigmas:
         permutations_checked += weight
         for name, j in failing[: 10 - len(failures)]:
-            failures.append({"identity": name, "sigma": list(sigma.images), "j": j})
+            failures.append({"identity": name, "sigma": list(images), "j": j})
     counts = dict.fromkeys(SWAP_IDENTITIES, 0)
     for name, _, _ in outcomes:
         counts[name] += permutations_checked

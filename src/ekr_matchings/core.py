@@ -24,7 +24,9 @@ __all__ = [
     "make_edge",
     "all_edges",
     "intersects",
+    "iter_matchings",
     "enumerate_matchings",
+    "first_matching",
     "chi",
     "phi",
     "star_family",
@@ -177,36 +179,53 @@ class MatchingFamily:
         return f"MatchingFamily(r={self.r}, size={len(self.members)})"
 
 
-def enumerate_matchings(params: Parameters) -> list[Matching]:
-    """All r-matchings of K_{2n}, in lexicographic order of their edge tuples.
+def iter_matchings(params: Parameters, meeting: Matching | None = None) -> Iterator[Matching]:
+    """The r-matchings of K_{2n}, streamed in lexicographic order of their edge tuples.
 
-    The order is deterministic: each matching is emitted as its canonical
-    sorted edge tuple, and the list is sorted by those tuples.
+    With `meeting`, only those that share an edge with it.  While a branch
+    has none of its edges yet, it goes no further than the last of them
+    that is still free, and its last edge must be one of them.
     """
     edges = all_edges(params.n)
     r = params.r
-    out: list[Matching] = []
+    position = {e: i for i, e in enumerate(edges)}
+    wanted = [] if meeting is None else [position[e] for e in meeting.edges if e in position]
     chosen: list[Edge] = []
     used: set[int] = set()
 
-    def extend(start: int) -> None:
+    def extend(start: int, missing: bool) -> Iterator[Matching]:
         if len(chosen) == r:
-            out.append(Matching(tuple(chosen)))
+            yield Matching(tuple(chosen))
             return
-        for idx in range(start, len(edges)):
+        picks: Iterable[int] = range(start, len(edges))
+        if missing:
+            free = [k for k in wanted if k >= start and used.isdisjoint(edges[k])]
+            if not free:
+                return
+            picks = free if len(chosen) == r - 1 else range(start, free[-1] + 1)
+        for idx in picks:
             u, v = edges[idx]
             if u in used or v in used:
                 continue
             chosen.append(edges[idx])
             used.add(u)
             used.add(v)
-            extend(idx + 1)
+            yield from extend(idx + 1, missing and idx not in wanted)
             used.discard(u)
             used.discard(v)
             chosen.pop()
 
-    extend(0)
-    return out
+    return extend(0, meeting is not None)
+
+
+def enumerate_matchings(params: Parameters) -> list[Matching]:
+    """All r-matchings of K_{2n}, in lexicographic order of their edge tuples."""
+    return list(iter_matchings(params))
+
+
+def first_matching(r: int) -> Matching:
+    """v0 = {(1, 2), (3, 4), ..., (2r-1, 2r)}, the lexicographically least r-matching."""
+    return Matching(tuple((2 * t + 1, 2 * t + 2) for t in range(r)))
 
 
 def chi(params: Parameters) -> int:

@@ -7,31 +7,38 @@ solver over bitset adjacency rows: greedy coloring gives the upper bound
 at every node and a star provides the initial incumbent.
 
 S_{2n} acts transitively on the r-matchings and preserves intersection,
-so every maximum clique has an image through the first matching v0.  The
-search therefore only looks inside N(v0): the optimum is omega =
-1 + omega(N(v0)).  Star uniqueness asks one more question: is there a
-clique of size omega through v0 whose members share no edge?  A second
-search looks for one.  While the family S built so far has a common edge
+so every maximum clique has an image through the first matching
+v0 = {(1, 2), (3, 4), ..., (2r-1, 2r)}.  The search therefore only looks
+inside N(v0): the optimum is omega = 1 + omega(N(v0)).  The graph is
+built on the closed neighbourhood N[v0] alone, the matchings that share
+an edge with v0, enumerated directly and counted against inclusion-
+exclusion over the edges of v0; its rows take |N[v0]|^2/8 bytes instead
+of chi^2/8, so (7,4) needs 320 MiB of rows instead of 11.6 GiB.  Star
+uniqueness asks one more question: is there a clique of size omega
+through v0 whose members share no edge?  A second search looks for one.
+While the family S built so far has a common edge
 e, the clique needs a member avoiding e, so it branches on that member;
 each level loses a common edge, so it nests at most r + 1 levels, and the
 color bound cuts it short, because non-star intersecting families are much
 smaller than stars (Hilton and Milner).  At the first level it branches on
 one member per orbit of the stabiliser of v0 and its least edge.  If there
 is no such clique, stars go to stars under S_{2n}, so every maximum family
-is a star, and the maximum families are the distinct stars of size omega.
+is a star, and the maximum families are the distinct stars of size omega;
+only listing them needs every matching, and no adjacency is built for them.
 Budgets (node count and wall clock, checked at every node against one
-deadline for all phases) are first-class: blowing one yields status
-"budget_exhausted" with the best witness found so far, never a silently
-weaker answer.
+deadline for all phases, both enumerations included) are first-class:
+blowing one yields status "budget_exhausted" with the best witness found
+so far, never a silently weaker answer.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     Edge,
@@ -40,6 +47,8 @@ from .core import (
     Parameters,
     chi,
     enumerate_matchings,
+    first_matching,
+    iter_matchings,
     phi,
 )
 from .kneser import KneserGraph, kneser_graph
@@ -132,6 +141,29 @@ class EkrReport:
             bool(self.all_maximum_are_stars)
             and self.maximum_family_count == self.expected_maximum_count
         )
+
+
+def _clocked(matchings: Iterable[Matching], deadline: float) -> Iterator[Matching]:
+    """The matchings as they come, with the deadline checked once per matching."""
+    for matching in matchings:
+        if time.monotonic() > deadline:
+            raise _BudgetExceeded
+        yield matching
+
+
+def _neighbourhood_size(params: Parameters) -> int:
+    """|N[v0]|, by inclusion-exclusion over the r edges of v0.
+
+    The matchings through j given edges of v0 are the (r-j)-matchings of
+    the other 2n-2j vertices, and K_v has m(v, k) = v!/(2^k k! (v-2k)!)
+    k-matchings.
+    """
+    n, r = params.n, params.r
+
+    def m(v: int, k: int) -> int:
+        return math.factorial(v) // (2**k * math.factorial(k) * math.factorial(v - 2 * k))
+
+    return sum((-1) ** (j + 1) * math.comb(r, j) * m(2 * n - 2 * j, r - j) for j in range(1, r + 1))
 
 
 def _stars(matchings: Sequence[Matching]) -> dict[Edge, list[int]]:
@@ -373,6 +405,7 @@ def _non_star_clique(
 
 def _non_star_through_v0(
     matchings: Sequence[Matching],
+    two_n: int,
     masks: dict[Edge, int],
     adjacency: list[int],
     size: int,
@@ -391,7 +424,6 @@ def _non_star_through_v0(
     """
     own = matchings[0].edges
     edge_bits = [sum(1 << j for j, e in enumerate(own) if e in m.edges) for m in matchings]
-    two_n = max(masks)[1]  # (2n - 1, 2n) is the last edge
     orbits = _first_level_orbits(matchings, adjacency[0] & ~masks[own[0]], two_n, counter.deadline)
     return _non_star_clique(
         adjacency,
@@ -410,45 +442,54 @@ def max_intersecting(params: Parameters, budget: SearchBudget | None = None) -> 
     """Exact maximum intersecting family of r-matchings of K_{2n}.
 
     S_{2n} acts transitively on the matchings, so some maximum family
-    contains v0 = matchings[0]; the branch and bound proves optimality
-    inside N(v0) only, with the star at the edge (1, 2), which contains v0,
-    as the incumbent.  When the budget asks for every maximum family, a
+    contains v0 = {(1, 2), ..., (2r-1, 2r)}; the branch and bound proves
+    optimality inside N(v0) only, with the star at the edge (1, 2), which
+    contains v0, as the incumbent.  Only the closed neighbourhood N[v0] is
+    enumerated and indexed, in lexicographic order, so v0 is index 0 and
+    the star at (1, 2) is its first phi members; the adjacency rows take
+    |N[v0]|^2/8 bytes.  When the budget asks for every maximum family, a
     second search looks for a maximum family through v0 with no common
     edge.  If there is none, every maximum family is a star, and the report
-    lists the distinct stars of the optimum size and counts them.  If there
-    is one, the report gives it as the only witness, with
+    lists the distinct stars of the optimum size and counts them; only
+    these need every matching, which are enumerated after that search.  If
+    there is one, the report gives it as the only witness, with
     all_maximum_are_stars False and no count.  Every reported witness is
-    re-verified intersecting.  The deadline is checked before each star is
-    re-verified; if it passes there, the report is budget_exhausted with the
-    best witness only and no count.
+    re-verified intersecting.  The seed star is listed before the clock is
+    first read; after it, the deadline is checked once per enumerated
+    matching and before each star is re-verified.  If it passes in the
+    search for every maximum family, the report is budget_exhausted with
+    the best witness only and no count.
     """
     if budget is None:
         budget = SearchBudget()
     counter = _Counter(budget)
-    matchings = enumerate_matchings(params)
     phi_value = phi(params)
-    stars = _stars(matchings)
-
-    v0 = 0
-    seed = stars[(1, 2)]
-    if len(seed) != phi_value:
-        raise ArithmeticError("star seed size does not match phi")
-    best = [seed]
+    near = iter_matchings(params, first_matching(params.r))
+    # the star at (1, 2) comes first in lexicographic order; it seeds the search and is
+    # listed before the clock is read, so that every report has a witness
+    matchings = list(itertools.islice(near, phi_value))
+    best = [list(range(phi_value))]
     status = STATUS_PROVEN
     try:
+        matchings.extend(_clocked(near, counter.deadline))
+        if len(matchings) != _neighbourhood_size(params):
+            raise ArithmeticError("closed neighbourhood of v0 does not match inclusion-exclusion")
+        stars = _stars(matchings)
+        if stars[(1, 2)] != best[0]:
+            raise ArithmeticError("star seed size does not match phi")
         masks = _edge_masks(stars, counter.deadline)
         adjacency = intersection_graph(matchings, counter.deadline, masks)
-        _expand(adjacency, [v0], adjacency[v0], best, counter)
+        _expand(adjacency, [0], adjacency[0], best, counter)
     except _BudgetExceeded:
         status = STATUS_BUDGET
 
-    def to_family(indices: Sequence[int]) -> MatchingFamily:
-        family = MatchingFamily(matchings[v] for v in indices)
+    def to_family(pool: Sequence[Matching], indices: Sequence[int]) -> MatchingFamily:
+        family = MatchingFamily(pool[v] for v in indices)
         if not family.is_intersecting:
             raise ArithmeticError("witness family is not intersecting")
         return family
 
-    best_family = to_family(best[0])
+    best_family = to_family(matchings, best[0])
     max_size = len(best_family)
     if max_size < phi_value:
         raise ArithmeticError("maximum smaller than the star lower bound")
@@ -458,30 +499,32 @@ def max_intersecting(params: Parameters, budget: SearchBudget | None = None) -> 
     all_stars: bool | None = None
     if budget.enumerate_all_maximum and status == STATUS_PROVEN:
         try:
-            non_star = _non_star_through_v0(matchings, masks, adjacency, max_size, counter)
-        except _BudgetExceeded:
-            status = STATUS_BUDGET
-        else:
+            non_star = _non_star_through_v0(
+                matchings, 2 * params.n, masks, adjacency, max_size, counter
+            )
             if non_star is None:
                 # S_{2n} maps stars to stars, so no maximum family elsewhere is a non-star
-                distinct = {tuple(indices) for indices in stars.values() if len(indices) == max_size}
+                del adjacency, masks
+                everything = list(_clocked(iter_matchings(params), counter.deadline))
+                distinct = {
+                    tuple(indices) for indices in _stars(everything).values() if len(indices) == max_size
+                }
                 families = []
                 for indices in distinct:
                     if time.monotonic() > counter.deadline:
-                        status = STATUS_BUDGET
-                        break
-                    families.append(to_family(indices))
+                        raise _BudgetExceeded
+                    families.append(to_family(everything, indices))
             else:
-                families = [to_family(non_star)]
+                families = [to_family(matchings, non_star)]
                 if len(families[0]) != max_size or is_star(families[0]) is not None:
                     raise ArithmeticError("non-star witness is a star or has the wrong size")
-            if status == STATUS_PROVEN:
-                all_stars = non_star is None
-                if all_stars:
-                    maximum_family_count = len(families)
-                witnesses = tuple(
-                    sorted(families, key=lambda fam: tuple(m.edges for m in fam.members))
-                )
+        except _BudgetExceeded:
+            status = STATUS_BUDGET
+        else:
+            all_stars = non_star is None
+            if all_stars:
+                maximum_family_count = len(families)
+            witnesses = tuple(sorted(families, key=lambda fam: tuple(m.edges for m in fam.members)))
 
     return EkrReport(
         n=params.n,

@@ -1,15 +1,30 @@
 """Slow reference implementations used to freeze expected values.
 
 Everything here recomputes results straight from definitions with
-itertools and sets, sharing no logic with the package internals.  The
-real implementations must agree with these on every instance small
-enough to sweep.
+itertools and sets, sharing no logic with the package internals, except
+full_graph_search: it runs the package's own search routines on the
+graph of every matching, so that it pins exactly what narrowing the
+graph to N[v0] may change.  The real implementations must agree with
+these on every instance small enough to sweep.
 """
 
 from __future__ import annotations
 
 import itertools
 from typing import Iterable, Iterator, Sequence
+
+from ekr_matchings.core import MatchingFamily, Parameters, enumerate_matchings, phi
+from ekr_matchings.ekr_search import (
+    STATUS_PROVEN,
+    EkrReport,
+    SearchBudget,
+    _Counter,
+    _edge_masks,
+    _expand,
+    _non_star_through_v0,
+    _stars,
+    intersection_graph,
+)
 
 
 def naive_edges(two_n: int) -> list[tuple[int, int]]:
@@ -191,3 +206,49 @@ def naive_cliques_through(
             stack.pop()
 
     yield from extend((1 << len(near)) - 1, size - 1)
+
+
+def full_graph_search(params: Parameters, budget: SearchBudget | None = None) -> EkrReport:
+    """max_intersecting on the intersection graph of all chi matchings.
+
+    The same searches from the same seed, with rows of chi bits instead of
+    |N[v0]| bits: the bound search inside N(v0), then, if the budget asks,
+    the non-star search through v0 and the distinct stars of the optimum
+    size.  The budget must be large enough for both searches to finish.
+    """
+    budget = budget or SearchBudget()
+    counter = _Counter(budget)
+    matchings = enumerate_matchings(params)
+    stars = _stars(matchings)
+    masks = _edge_masks(stars)
+    adjacency = intersection_graph(matchings, masks=masks)
+    best = [stars[(1, 2)]]
+    _expand(adjacency, [0], adjacency[0], best, counter)
+
+    def family(indices: Sequence[int]) -> MatchingFamily:
+        return MatchingFamily(matchings[v] for v in indices)
+
+    max_size = len(best[0])
+    witnesses = (family(best[0]),)
+    count = all_stars = None
+    if budget.enumerate_all_maximum:
+        two_n = 2 * params.n
+        non_star = _non_star_through_v0(matchings, two_n, masks, adjacency, max_size, counter)
+        all_stars = non_star is None
+        if all_stars:
+            distinct = {tuple(indices) for indices in stars.values() if len(indices) == max_size}
+            witnesses = tuple(sorted((family(indices) for indices in distinct), key=lambda f: [m.edges for m in f]))
+            count = len(witnesses)
+        else:
+            witnesses = (family(non_star),)
+    return EkrReport(
+        n=params.n,
+        r=params.r,
+        max_size=max_size,
+        phi_value=phi(params),
+        status=STATUS_PROVEN,
+        witnesses=witnesses,
+        maximum_family_count=count,
+        all_maximum_are_stars=all_stars,
+        search_nodes=counter.nodes,
+    )

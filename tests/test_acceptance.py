@@ -96,12 +96,12 @@ def test_criterion_02_q_oracle_equality():
 def test_criterion_03_interval_goodness():
     start = time.perf_counter()
     problems = []
-    report = verify_goodness(3, all_permutations(6))
+    report = verify_goodness(3, (sigma.images for sigma in all_permutations(6)))
     if not report.passed or report.permutations_checked != 720:
         problems.append("exhaustive n=3 sweep failed")
     for n in range(4, 9):
         sample = sample_permutations(2 * n, 1000, seed=1729 + n)
-        report = verify_goodness(n, sample)
+        report = verify_goodness(n, (sigma.images for sigma in sample))
         if not report.passed:
             problems.append(f"counterexample at n={n}: {report.counterexamples[:1]}")
     _verdict(3, "interval goodness", problems, time.perf_counter() - start)

@@ -202,7 +202,7 @@ def test_shift_full_turn_is_identity_map():
 
 
 def test_verify_goodness_exhaustive_n3():
-    report = verify_goodness(3, all_permutations(6))
+    report = verify_goodness(3, (sigma.images for sigma in all_permutations(6)))
     assert report.passed
     assert report.r == 2
     assert report.permutations_checked == 720
@@ -211,7 +211,7 @@ def test_verify_goodness_exhaustive_n3():
 
 def test_verify_goodness_sampled_n5():
     sigmas = sample_permutations(10, 50, seed=7)
-    report = verify_goodness(5, sigmas)
+    report = verify_goodness(5, (sigma.images for sigma in sigmas))
     assert report.passed
     assert report.r == 4
     assert report.permutations_checked == 50
@@ -219,7 +219,7 @@ def test_verify_goodness_sampled_n5():
 
 def test_goodness_fails_for_full_part_length():
     # length-n windows straddling part boundaries are not matchings
-    report = verify_goodness(3, [Permutation.identity(6)], r=3)
+    report = verify_goodness(3, [Permutation.identity(6).images], r=3)
     assert not report.passed
     assert (tuple(range(1, 7)), 2) in report.counterexamples
 
@@ -233,7 +233,7 @@ def test_verify_goodness_matches_window_oracle(n):
     cut_inside_a_permutation = False
     for r in sorted({1, n - 1, n, n + 1, 2 * n, total} & set(range(1, total + 1))):
         failures = [(sigma.images, start) for sigma in sigmas for start in naive_goodness_failures(sigma.images, n, r)]
-        report = verify_goodness(n, sigmas, r=r)
+        report = verify_goodness(n, [sigma.images for sigma in sigmas], r=r)
         assert report == GoodnessReport(
             n=n,
             r=r,
@@ -255,7 +255,7 @@ def test_verify_goodness_cap_matches_window_oracle(n, cap):
     sigmas = [Permutation.identity(2 * n)] + sample_permutations(2 * n, 20, seed=100 + n)
     for r in (n - 1, n, n + 1, 2 * n):
         failures = [(sigma.images, start) for sigma in sigmas for start in naive_goodness_failures(sigma.images, n, r)]
-        report = verify_goodness(n, sigmas, r=r, max_counterexamples=cap)
+        report = verify_goodness(n, [sigma.images for sigma in sigmas], r=r, max_counterexamples=cap)
         assert report == GoodnessReport(
             n=n,
             r=r,
@@ -267,11 +267,11 @@ def test_verify_goodness_cap_matches_window_oracle(n, cap):
 
 def test_verify_goodness_rejects_size_mismatch():
     with pytest.raises(ValueError):
-        verify_goodness(3, [Permutation.identity(8)])
+        verify_goodness(3, [Permutation.identity(8).images])
     # every sigma is still checked once the counterexample cap is full
     sigmas = [Permutation.identity(6)] * 3 + [Permutation.identity(8)]
     with pytest.raises(ValueError, match="does not match 2n = 6"):
-        verify_goodness(3, sigmas, r=3, max_counterexamples=1)
+        verify_goodness(3, [sigma.images for sigma in sigmas], r=3, max_counterexamples=1)
 
 
 def test_verify_goodness_of_no_permutations():

@@ -100,7 +100,7 @@ def test_exhaustive_goodness_matches_full_sweep(capsys):
     code, payload = run_json(capsys, "verify-goodness", "--n", "3")
     assert code == 0
     assert payload["mode"] == "exhaustive"
-    report = verify_goodness(3, all_permutations(6))
+    report = verify_goodness(3, (sigma.images for sigma in all_permutations(6)))
     assert payload["permutations_checked"] == report.permutations_checked == 720
     assert payload["intervals_checked"] == report.intervals_checked
     assert payload["counterexamples"] == list(report.counterexamples) == []

@@ -7,13 +7,15 @@ import types
 
 import pytest
 
-from ekr_matchings import ekr_search
+from ekr_matchings import cli, ekr_search
 from ekr_matchings.core import (
     Matching,
     MatchingFamily,
     Parameters,
     enumerate_matchings,
+    first_matching,
     intersects,
+    iter_matchings,
     phi,
     star_family,
 )
@@ -26,6 +28,7 @@ from ekr_matchings.ekr_search import (
     _enumerate_cliques_of_size,
     _expand,
     _first_level_orbits,
+    _neighbourhood_size,
     _non_star_through_v0,
     _stars,
     intersection_graph,
@@ -34,7 +37,7 @@ from ekr_matchings.ekr_search import (
     max_intersecting,
     verify_theorem,
 )
-from oracles import naive_cliques_through, naive_matchings
+from oracles import full_graph_search, naive_cliques_through, naive_matchings
 
 
 @pytest.mark.parametrize(
@@ -102,6 +105,32 @@ def test_reduced_search_matches_unreduced(n, r):
     assert {frozenset(m.key for m in fam.members) for fam in report.witnesses} == expected
 
 
+@pytest.mark.parametrize("n,r", [(n, r) for n in range(1, 7) for r in range(1, n + 1)])
+def test_closed_neighbourhood_enumeration(n, r):
+    # N[v0] is the filtered enumeration, in its order, and inclusion-exclusion counts it
+    params = Parameters(n, r)
+    everything = enumerate_matchings(params)
+    for meeting in (first_matching(r), everything[-1]):
+        expected = [m for m in everything if not m.key.isdisjoint(meeting.key)]
+        assert list(iter_matchings(params, meeting)) == expected
+    assert len(list(iter_matchings(params, first_matching(r)))) == _neighbourhood_size(params)
+
+
+@pytest.mark.parametrize("n,r", [(n, r) for n in range(1, 6) for r in range(1, n + 1)])
+def test_search_on_closed_neighbourhood_matches_full_graph(n, r, capsys, monkeypatch):
+    params = Parameters(n, r)
+    flags = ([], ["--enumerate-max"])
+    for enumerate_all, flag in zip((False, True), flags):
+        budget = SearchBudget(enumerate_all_maximum=enumerate_all)
+        assert max_intersecting(params, budget) == full_graph_search(params, budget)
+    argv = ["ekr-search", "--n", str(n), "--r", str(r)]
+    reports = [cli.main(argv + flag) for flag in flags]
+    outputs = capsys.readouterr().out
+    monkeypatch.setattr(cli, "max_intersecting", full_graph_search)
+    assert [cli.main(argv + flag) for flag in flags] == reports
+    assert capsys.readouterr().out == outputs
+
+
 def test_non_star_maxima_are_reported(planted_non_star):
     # the planted instance's maximum families are the star at (1, 2) and a triangle
     params = Parameters(3, 2)
@@ -118,7 +147,8 @@ def test_non_star_maxima_are_reported(planted_non_star):
 
 
 def _graph(params):
-    matchings = enumerate_matchings(params)
+    # the graph the search runs on: the closed neighbourhood N[v0]
+    matchings = list(iter_matchings(params, first_matching(params.r)))
     masks = _edge_masks(_stars(matchings))
     return matchings, masks, intersection_graph(matchings, masks=masks)
 
@@ -151,7 +181,9 @@ def test_non_star_search_at_lowered_targets(n, r, top):
         expected = any(
             not frozenset.intersection(*f) for f in naive_cliques_through(naive, target)
         )
-        found = _non_star_through_v0(matchings, masks, adjacency, target, _Counter(SearchBudget()))
+        found = _non_star_through_v0(
+            matchings, 2 * n, masks, adjacency, target, _Counter(SearchBudget())
+        )
         assert (found is not None) == expected, target
         if found is not None:
             family = MatchingFamily(matchings[v] for v in found)
@@ -164,7 +196,7 @@ def test_non_star_search_at_lowered_targets(n, r, top):
 @pytest.mark.parametrize("n,r,target", [(5, 3, 40), (5, 4, 100)])
 def test_non_star_search_finds_large_lowered_targets(n, r, target):
     matchings, masks, adjacency = _graph(Parameters(n, r))
-    found = _non_star_through_v0(matchings, masks, adjacency, target, _Counter(SearchBudget()))
+    found = _non_star_through_v0(matchings, 2 * n, masks, adjacency, target, _Counter(SearchBudget()))
     family = MatchingFamily(matchings[v] for v in found)
     assert len(family) == target and matchings[0] in family
     assert family.is_intersecting
@@ -226,7 +258,7 @@ def test_non_star_search_nests_at_most_r_plus_one_levels(monkeypatch):
         else:
             matchings, masks, adjacency = _graph(Parameters(n, r))
             counter = _Counter(SearchBudget())
-            assert _non_star_through_v0(matchings, masks, adjacency, target, counter)
+            assert _non_star_through_v0(matchings, 2 * n, masks, adjacency, target, counter)
         assert 2 <= deepest <= r + 1
         if target == 3:
             assert deepest == r + 1  # the triangle {12 34, 34 56, 12 56} needs every level
@@ -269,7 +301,7 @@ def test_budget_exhaustion_reports_partial():
 
 
 def test_deadline_binds_enumeration():
-    # at (6,4) the graph and the bound take about a second, the non-star search over a minute
+    # at (6,4) the graph and the bound take about 0.3 s, the non-star search about 17 s
     start = time.monotonic()
     report = max_intersecting(
         Parameters(6, 4), SearchBudget(max_seconds=3.0, enumerate_all_maximum=True)
@@ -280,12 +312,13 @@ def test_deadline_binds_enumeration():
 
 
 def test_deadline_binds_graph_build():
-    # building the (6,4) intersection graph on 51 975 matchings takes about a second
+    # at (7,4) listing N[v0] takes about 0.3 s and building its graph on 51 771 matchings
+    # about 0.6 s more, so the deadline passes during the build
     start = time.monotonic()
-    report = max_intersecting(Parameters(6, 4), SearchBudget(max_seconds=0.5))
+    report = max_intersecting(Parameters(7, 4), SearchBudget(max_seconds=0.5))
     assert report.status == STATUS_BUDGET
     assert time.monotonic() - start < 1.0
-    assert report.max_size == phi(Parameters(6, 4))
+    assert report.max_size == phi(Parameters(7, 4))
 
 
 def test_deadline_binds_witness_rechecks(monkeypatch):
@@ -314,6 +347,42 @@ def test_deadline_binds_witness_rechecks(monkeypatch):
     assert report.all_maximum_are_stars is None
     assert report.witnesses == (star_family(params, (1, 2)),)
     assert len(rechecks) == 1  # the best witness only
+
+
+def test_deadline_binds_witness_enumeration(monkeypatch):
+    # at (9,3) listing all 278 460 matchings for the witness stars takes about a second;
+    # once the non-star search has ended, the clock is moved so that 0.3 s of budget remain
+    offset = [0.0]
+    clock = time.monotonic
+    monkeypatch.setattr(ekr_search, "time", types.SimpleNamespace(monotonic=lambda: clock() + offset[0]))
+    search = ekr_search._non_star_through_v0
+    shortened = []
+
+    def search_then_shorten(*args):
+        result = search(*args)
+        counter = args[-1]
+        offset[0] = counter.deadline - 0.3 - clock()
+        shortened.append(clock())
+        return result
+
+    indexed = []
+    stars = ekr_search._stars
+
+    def counted_stars(matchings):
+        indexed.append(len(matchings))
+        return stars(matchings)
+
+    monkeypatch.setattr(ekr_search, "_non_star_through_v0", search_then_shorten)
+    monkeypatch.setattr(ekr_search, "_stars", counted_stars)
+    params = Parameters(9, 3)
+    report = max_intersecting(params, SearchBudget(enumerate_all_maximum=True))
+    assert clock() - shortened[0] < 0.8
+    assert indexed == [_neighbourhood_size(params)]  # the full list was never indexed
+    assert report.status == STATUS_BUDGET
+    assert report.maximum_family_count is None
+    assert report.all_maximum_are_stars is None
+    (witness,) = report.witnesses  # the star at (1, 2), which seeded the search
+    assert is_star(witness) == (1, 2) and len(witness) == phi(params)
 
 
 def test_graph_rows_check_the_deadline():
