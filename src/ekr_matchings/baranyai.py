@@ -290,8 +290,9 @@ def verify_goodness(
     """Check every length-r interval of the cyclic order of each sigma.
 
     Each sigma is given by its image tuple, such as Permutation.images or
-    a tuple from rotation_classes, and must have 2n images.  r defaults to n-1, the longest length for which every interval is a
-    matching.  Counterexamples are (images, start position) pairs, sigma
+    a tuple from rotation_classes, and must have 2n images.  r defaults
+    to n-1, the longest length for which every interval is a matching.
+    Counterexamples are (images, start position) pairs, sigma
     by sigma and by ascending start within one, capped at max_counterexamples.
 
     A bijection puts distinct vertices in distinct slots of the image tuple,

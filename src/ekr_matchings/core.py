@@ -188,8 +188,7 @@ def iter_matchings(params: Parameters, meeting: Matching | None = None) -> Itera
     """
     edges = all_edges(params.n)
     r = params.r
-    position = {e: i for i, e in enumerate(edges)}
-    wanted = [] if meeting is None else [position[e] for e in meeting.edges if e in position]
+    wanted = [] if meeting is None else [i for i, e in enumerate(edges) if e in meeting.key]
     chosen: list[Edge] = []
     used: set[int] = set()
 

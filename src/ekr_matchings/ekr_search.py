@@ -506,9 +506,8 @@ def max_intersecting(params: Parameters, budget: SearchBudget | None = None) -> 
                 # S_{2n} maps stars to stars, so no maximum family elsewhere is a non-star
                 del adjacency, masks
                 everything = list(_clocked(iter_matchings(params), counter.deadline))
-                distinct = {
-                    tuple(indices) for indices in _stars(everything).values() if len(indices) == max_size
-                }
+                buckets = _stars(everything).values()
+                distinct = {tuple(indices) for indices in buckets if len(indices) == max_size}
                 families = []
                 for indices in distinct:
                     if time.monotonic() > counter.deadline:

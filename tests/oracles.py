@@ -237,7 +237,8 @@ def full_graph_search(params: Parameters, budget: SearchBudget | None = None) ->
         all_stars = non_star is None
         if all_stars:
             distinct = {tuple(indices) for indices in stars.values() if len(indices) == max_size}
-            witnesses = tuple(sorted((family(indices) for indices in distinct), key=lambda f: [m.edges for m in f]))
+            families = (family(indices) for indices in distinct)
+            witnesses = tuple(sorted(families, key=lambda f: [m.edges for m in f]))
             count = len(witnesses)
         else:
             witnesses = (family(non_star),)

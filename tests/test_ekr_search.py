@@ -124,10 +124,10 @@ def test_search_on_closed_neighbourhood_matches_full_graph(n, r, capsys, monkeyp
         budget = SearchBudget(enumerate_all_maximum=enumerate_all)
         assert max_intersecting(params, budget) == full_graph_search(params, budget)
     argv = ["ekr-search", "--n", str(n), "--r", str(r)]
-    reports = [cli.main(argv + flag) for flag in flags]
+    codes = [cli.main(argv + flag) for flag in flags]
     outputs = capsys.readouterr().out
     monkeypatch.setattr(cli, "max_intersecting", full_graph_search)
-    assert [cli.main(argv + flag) for flag in flags] == reports
+    assert [cli.main(argv + flag) for flag in flags] == codes
     assert capsys.readouterr().out == outputs
 
 
