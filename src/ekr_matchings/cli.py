@@ -97,7 +97,6 @@ class RunConfig:
     enumerate_max: bool = False
     format: str = "json"
     out: str | None = None
-    jobs: int = 1
     seed: int = DEFAULT_SEED
 
     @classmethod
@@ -267,7 +266,7 @@ def _count_instance(n: int, r: int, config: RunConfig) -> CommandResult:
         row["q_formula"] = count.formula_value
         row["q_split"] = list(count.split)
         if 2 * n <= config.limit_perms:
-            oracle = q_bruteforce(first_matching(r), params, limit=config.limit_perms, jobs=config.jobs)
+            oracle = q_bruteforce(first_matching(r), params, limit=config.limit_perms)
             row["q_oracle"] = oracle
             checks["q_formula_matches_oracle"] = oracle == count.formula_value
         else:
@@ -606,7 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--pairs", default=None, help="sweep instances, e.g. '2:1,3:1,3:2'")
     sub.add_argument("--limit-perms", type=int, default=DEFAULT_LIMIT, dest="limit_perms",
                      help="largest 2n for the brute-force oracle")
-    sub.add_argument("--jobs", type=int, default=1, help="worker processes for the oracle sweep")
     add_output(sub)
 
     sub = subparsers.add_parser(

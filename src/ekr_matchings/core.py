@@ -253,8 +253,7 @@ def star_family(params: Parameters, e: tuple[int, int]) -> MatchingFamily:
     The result is intersecting by construction and has phi(n, r) members.
     """
     edge = make_edge(e[0], e[1], params.vertex_count)
-    members = [m for m in enumerate_matchings(params) if edge in m.key]
-    return MatchingFamily(members, r=params.r)
+    return MatchingFamily(iter_matchings(params, Matching((edge,))), r=params.r)
 
 
 def dumps_indented(value: Any) -> str:

@@ -51,7 +51,7 @@ from .core import (
     iter_matchings,
     phi,
 )
-from .kneser import KneserGraph, kneser_graph
+from .kneser import kneser_graph
 
 __all__ = [
     "SearchBudget",
@@ -253,38 +253,6 @@ def _expand(
             best[0] = stack.copy()
         stack.pop()
         candidates &= ~(1 << v)
-
-
-def _enumerate_cliques_of_size(
-    adjacency: list[int], size: int, counter: _Counter
-) -> list[tuple[int, ...]]:
-    """All cliques with exactly `size` vertices, each found once, members ascending."""
-    found: list[tuple[int, ...]] = []
-    stack: list[int] = []
-    vertex_count = len(adjacency)
-    above = [~((1 << (v + 1)) - 1) for v in range(vertex_count)]
-
-    def recurse(candidates: int) -> None:
-        counter.tick()
-        if len(stack) == size:
-            found.append(tuple(stack))
-            return
-        if len(stack) + candidates.bit_count() < size:
-            return
-        _, bounds = _color_order(candidates, adjacency)
-        if len(stack) + bounds[-1] < size:
-            return
-        remaining = candidates
-        while remaining:
-            bit = remaining & -remaining
-            v = bit.bit_length() - 1
-            remaining ^= bit
-            stack.append(v)
-            recurse(candidates & adjacency[v] & above[v])
-            stack.pop()
-
-    recurse((1 << vertex_count) - 1)
-    return found
 
 
 def _first_level_orbits(
@@ -599,43 +567,47 @@ def kneser_complement_bridge(
     """Check the dictionary between r-matchings and the complement of K(2n, 2).
 
     Independent r-sets of the complement Kneser graph are r-cliques of
-    K(2n, 2), which are exactly the r-matchings of K_{2n}: the enumeration
-    must be in bijection with the matching enumeration, every vertex star
-    must have phi(n, r) sets, and the maximum-family theorem then reads as
-    the strict EKR property of the complement graph.  The clique enumeration
-    runs under the caller's budget; if it runs out, the dictionary checks
-    fail and theorem.status is "budget_exhausted".
+    K(2n, 2), the r-sets of pairwise disjoint pairs, which are exactly the
+    r-matchings of K_{2n}.  One pass over the matchings checks the
+    dictionary without enumerating cliques: the edges of each matching are
+    pairwise adjacent in K(2n, 2), the matchings are distinct and there are
+    chi(n, r) of them, and every vertex of K(2n, 2) lies in phi(n, r) of
+    them.  The maximum-family theorem then reads as the strict EKR property
+    of the complement graph.  The pass has its own deadline from the
+    caller's budget, checked once per matching; if it passes, the
+    dictionary checks fail and theorem.status is "budget_exhausted".
     """
     if params.r > params.n - 1:
         raise ValueError(f"the bridge needs r <= n-1, got r={params.r}, n={params.n}")
     theorem = verify_theorem(params, budget)
-    graph: KneserGraph = kneser_graph(2 * params.n)
-    adjacency = list(graph.adjacency)
-    counter = _Counter(budget or SearchBudget())
+    graph = kneser_graph(2 * params.n)
+    deadline = time.monotonic() + (budget or SearchBudget()).max_seconds
+    matchings: list[Matching] = []
+    cliques_ok = True
     try:
-        cliques = _enumerate_cliques_of_size(adjacency, params.r, counter)
+        for matching in _clocked(enumerate_matchings(params), deadline):
+            pairs = itertools.combinations(matching.edges, 2)
+            cliques_ok &= all(graph.adjacent(a, b) for a, b in pairs)
+            matchings.append(matching)
     except _BudgetExceeded:
-        cliques = []
+        matchings = []
         theorem = replace(theorem, status=STATUS_BUDGET)
 
-    matchings = enumerate_matchings(params)
-    expected_keys = {m.key for m in matchings}
-    clique_keys = {frozenset(graph.vertices[v] for v in clique) for clique in cliques}
-    bijection_ok = clique_keys == expected_keys and len(cliques) == len(matchings)
-
+    chi_value = chi(params)
     phi_value = phi(params)
-    per_vertex = [0] * len(graph.vertices)
-    for clique in cliques:
-        for v in clique:
-            per_vertex[v] += 1
-    star_sizes_ok = all(count == phi_value for count in per_vertex)
+    distinct = len({m.edges for m in matchings}) == len(matchings)
+    bijection_ok = cliques_ok and distinct and len(matchings) == chi_value
+    stars = _stars(matchings)
+    star_sizes_ok = len(stars) == len(graph.vertices) and all(
+        len(indices) == phi_value for indices in stars.values()
+    )
 
     return BridgeReport(
         n=params.n,
         r=params.r,
         vertex_count=len(graph.vertices),
-        independent_set_count=len(cliques),
-        chi_value=chi(params),
+        independent_set_count=len(matchings),
+        chi_value=chi_value,
         phi_value=phi_value,
         bijection_ok=bijection_ok,
         star_sizes_ok=star_sizes_ok,

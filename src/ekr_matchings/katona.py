@@ -218,14 +218,10 @@ class CompatibilityCount:
 
     formula_value: int
     split: tuple[int, int]
-    oracle_value: int | None = None
 
     def __post_init__(self) -> None:
         if sum(self.split) != self.formula_value:
             raise ValueError("split parts must sum to the formula value")
-
-    def with_oracle(self, value: int) -> "CompatibilityCount":
-        return replace(self, oracle_value=value)
 
 
 def q_formula(params: Parameters) -> CompatibilityCount:
@@ -265,7 +261,7 @@ def _count_placements(n: int, r: int, first: tuple[int, int]) -> int:
     return count
 
 
-def q_bruteforce(a: Matching, params: Parameters, limit: int = 10, jobs: int = 1) -> int:
+def q_bruteforce(a: Matching, params: Parameters, limit: int = 10) -> int:
     """Count compatible permutations for a, exhaustively, without listing S_{2n}.
 
     Refuses to run when 2n exceeds limit (default 10, the size of the
@@ -277,9 +273,7 @@ def q_bruteforce(a: Matching, params: Parameters, limit: int = 10, jobs: int = 1
     orbit of placements, and every orbit has 2n-1 members because a
     placement puts a vertex on a corner.  So q = (2n-1) * (2n-2r)! times
     the number of compatible orbit representatives, which are read off
-    slot_positions and tested against the window masks.  With jobs > 1 the
-    representatives are split by the slots of a's first edge and the
-    partial counts are summed in a fixed order.
+    slot_positions and tested against the window masks.
     """
     n = params.n
     two_n = 2 * n
@@ -295,15 +289,8 @@ def q_bruteforce(a: Matching, params: Parameters, limit: int = 10, jobs: int = 1
     # u1 on the root slot leaves v1 a corner, rotated to slot 0
     root = two_n - 1
     firsts = [(0, s) for s in range(1, root + 1)] + [(root, 0)]
-    tasks = [(n, params.r, first) for first in firsts]
-    if jobs <= 1:
-        partial = list(itertools.starmap(_count_placements, tasks))
-    else:
-        import multiprocessing
-
-        with multiprocessing.get_context("fork").Pool(processes=jobs) as pool:
-            partial = pool.starmap(_count_placements, tasks)
-    return (two_n - 1) * math.factorial(two_n - 2 * params.r) * sum(partial)
+    compatible = sum(_count_placements(n, params.r, first) for first in firsts)
+    return (two_n - 1) * math.factorial(two_n - 2 * params.r) * compatible
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ forms with exact integer equality.
 """
 
 import math
-import os
 import random
 import time
 
@@ -42,8 +41,6 @@ from ekr_matchings.kneser import (
     verify_ham_power,
 )
 from ekr_matchings.transposition_lab import center_map, swap_identities
-
-JOBS = min(4, os.cpu_count() or 1)
 
 
 def _verdict(number, label, problems, elapsed, limit=None, note=""):
@@ -80,7 +77,7 @@ def test_criterion_02_q_oracle_equality():
         params = Parameters(n, r)
         expected = q_formula(params).formula_value
         for a in enumerate_matchings(params):
-            if q_bruteforce(a, params, jobs=JOBS) != expected:
+            if q_bruteforce(a, params) != expected:
                 problems.append(f"q mismatch at ({n},{r}) for {a.edges}")
     rng = random.Random(97)
     for r in (1, 2, 3):
@@ -88,7 +85,7 @@ def test_criterion_02_q_oracle_equality():
         expected = q_formula(params).formula_value
         pool = enumerate_matchings(params)
         for a in rng.sample(pool, 20):
-            if q_bruteforce(a, params, jobs=JOBS) != expected:
+            if q_bruteforce(a, params) != expected:
                 problems.append(f"q mismatch at (4,{r}) for {a.edges}")
     _verdict(2, "compatibility count oracle", problems, time.perf_counter() - start, limit=60.0)
 

@@ -349,9 +349,3 @@ def test_argparse_rejects_unknown(capsys):
     assert info.value.code == 2
     with pytest.raises(SystemExit):
         main(["no-such-command"])
-
-
-def test_jobs_flag_matches_serial(capsys):
-    serial = run(capsys, "count", "--n", "3", "--r", "2")
-    parallel = run(capsys, "count", "--n", "3", "--r", "2", "--jobs", "2")
-    assert serial == parallel

@@ -139,6 +139,14 @@ def test_star_family_size_and_membership():
     assert len(family) == phi(params)
     assert all((1, 2) in m for m in family)
     assert family.is_intersecting
+    # every edge's star is the filtered enumeration
+    for n in range(1, 5):
+        for r in range(1, n + 1):
+            params = Parameters(n, r)
+            matchings = enumerate_matchings(params)
+            for edge in all_edges(n):
+                expected = [m for m in matchings if edge in m]
+                assert list(star_family(params, edge)) == expected
 
 
 def test_star_family_canonicalizes_edge():

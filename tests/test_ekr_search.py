@@ -25,7 +25,6 @@ from ekr_matchings.ekr_search import (
     SearchBudget,
     _Counter,
     _edge_masks,
-    _enumerate_cliques_of_size,
     _expand,
     _first_level_orbits,
     _neighbourhood_size,
@@ -37,6 +36,7 @@ from ekr_matchings.ekr_search import (
     max_intersecting,
     verify_theorem,
 )
+from ekr_matchings.kneser import kneser_graph
 from oracles import full_graph_search, naive_cliques_through, naive_matchings
 
 
@@ -88,21 +88,25 @@ def test_search_nodes_pinned(n, r, bound_nodes, enum_nodes):
     "n,r", [(n, r) for n in range(1, 5) for r in range(1, n + 1)] + [(5, 2)]
 )
 def test_reduced_search_matches_unreduced(n, r):
-    # the full-graph search, unseeded, is the oracle for the search inside N(v0)
+    # the full-graph search, unseeded, is the oracle for the search inside N(v0);
+    # every maximum clique contains exactly one least member, naive[i]
     params = Parameters(n, r)
     matchings = enumerate_matchings(params)
     adjacency = intersection_graph(matchings)
-    counter = _Counter(SearchBudget())
     best: list[list[int]] = [[]]
-    _expand(adjacency, [], (1 << len(matchings)) - 1, best, counter)
-    cliques = _enumerate_cliques_of_size(adjacency, len(best[0]), counter)
-    expected = {frozenset(matchings[v].key for v in clique) for clique in cliques}
+    _expand(adjacency, [], (1 << len(matchings)) - 1, best, _Counter(SearchBudget()))
+    naive = naive_matchings(2 * n, r)
+    cliques = [
+        frozenset(clique)
+        for i in range(len(naive))
+        for clique in naive_cliques_through(naive[i:], len(best[0]))
+    ]
 
     report = max_intersecting(params, SearchBudget(enumerate_all_maximum=True))
     assert report.status == STATUS_PROVEN
     assert report.max_size == len(best[0])
-    assert report.maximum_family_count == len(cliques)
-    assert {frozenset(m.key for m in fam.members) for fam in report.witnesses} == expected
+    assert report.maximum_family_count == len(cliques) == len(set(cliques))
+    assert {frozenset(m.key for m in fam.members) for fam in report.witnesses} == set(cliques)
 
 
 @pytest.mark.parametrize("n,r", [(n, r) for n in range(1, 7) for r in range(1, n + 1)])
@@ -425,29 +429,59 @@ def test_verify_theorem_rejects_perfect_matchings():
         verify_theorem(Parameters(3, 3))
 
 
-def test_bridge_n3():
-    report = kneser_complement_bridge(Parameters(3, 2))
-    assert report.vertex_count == 15
-    assert report.independent_set_count == report.chi_value == 45
+@pytest.mark.parametrize("n,r", [(2, 1), (3, 2), (4, 2), (4, 3), (5, 2)])
+def test_bridge_matches_naive_clique_count(n, r):
+    params = Parameters(n, r)
+    report = kneser_complement_bridge(params)
+    graph = kneser_graph(2 * n)
+    naive = sum(
+        all(graph.adjacent(a, b) for a, b in itertools.combinations(clique, 2))
+        for clique in itertools.combinations(graph.vertices, r)
+    )
+    assert report.vertex_count == math.comb(2 * n, 2)
+    assert report.independent_set_count == report.chi_value == naive
+    assert report.phi_value == phi(params)
     assert report.bijection_ok
     assert report.star_sizes_ok
     assert report.strictly_ekr
     assert report.passed
 
 
-def test_bridge_r1():
-    report = kneser_complement_bridge(Parameters(2, 1))
-    assert report.independent_set_count == math.comb(4, 2)
-    assert report.bijection_ok and report.star_sizes_ok
-    assert report.passed
+def test_bridge_flags_a_broken_dictionary(monkeypatch):
+    # one matching listed twice in place of another: the count holds, distinctness
+    # and the phi matchings per vertex do not
+    listed = enumerate_matchings(Parameters(3, 2))
+    broken = [*listed[:-1], listed[0]]
+    monkeypatch.setattr(ekr_search, "enumerate_matchings", lambda params: broken)
+    report = kneser_complement_bridge(Parameters(3, 2))
+    assert report.independent_set_count == report.chi_value
+    assert not report.bijection_ok
+    assert not report.star_sizes_ok
+    assert report.strictly_ekr
+    assert not report.passed
 
 
-def test_bridge_budget_exhaustion():
-    # the theorem at (3,2) takes 5 nodes, the bridge enumeration 61
+def test_bridge_budget_exhaustion(monkeypatch):
+    # the clock jumps past the bridge's deadline at the eleventh matching of its pass
     params = Parameters(3, 2)
-    budget = SearchBudget(max_nodes=40, enumerate_all_maximum=True)
+    budget = SearchBudget(max_seconds=60.0, enumerate_all_maximum=True)
     assert verify_theorem(params, budget).proven
+    offset = [0.0]
+    clock = time.monotonic
+    monkeypatch.setattr(ekr_search, "time", types.SimpleNamespace(monotonic=lambda: clock() + offset[0]))
+    listed = ekr_search.enumerate_matchings
+    pulled = []
+
+    def jumping(params):
+        for matching in listed(params):
+            pulled.append(matching)
+            if len(pulled) == 11:
+                offset[0] = 2 * budget.max_seconds
+            yield matching
+
+    monkeypatch.setattr(ekr_search, "enumerate_matchings", jumping)
     report = kneser_complement_bridge(params, budget)
+    assert len(pulled) == 11  # the deadline is checked once per matching
     assert report.theorem.status == STATUS_BUDGET
     assert not report.bijection_ok
     assert report.strictly_ekr is None

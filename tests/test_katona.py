@@ -270,8 +270,7 @@ def test_q_bruteforce_matches_naive_sweep(n):
 def test_q_bruteforce_parallel_agrees_at_n5(r):
     params = Parameters(5, r)
     a = Matching.from_edges([(1, 10), *((2 * t, 2 * t + 1) for t in range(1, r))])
-    serial = q_bruteforce(a, params)
-    assert q_bruteforce(a, params, jobs=2) == serial == q_formula(params).formula_value
+    assert q_bruteforce(a, params) == q_formula(params).formula_value
 
 
 def test_q_bruteforce_exhaustive_over_matchings_n3():
@@ -279,12 +278,6 @@ def test_q_bruteforce_exhaustive_over_matchings_n3():
     expected = q_formula(params).formula_value
     for a in enumerate_matchings(params):
         assert q_bruteforce(a, params) == expected
-
-
-def test_q_bruteforce_parallel_agrees():
-    a = Matching.from_edges([(1, 4), (2, 6)])
-    params = Parameters(3, 2)
-    assert q_bruteforce(a, params, jobs=2) == q_bruteforce(a, params)
 
 
 def test_q_bruteforce_guards():
@@ -411,7 +404,7 @@ def test_rotation_quotient_matches_full_sweep(n, r):
             for images in itertools.permutations(range(1, 2 * n + 1))
             if is_compatible(a, Permutation(images)) is not None
         )
-        assert q_bruteforce(a, params) == q_bruteforce(a, params, jobs=2) == full
+        assert q_bruteforce(a, params) == full
     for family in (star_family(params, (1, 2 * n)), triangle_family()):
         report = verify_double_count(family, params)
         total, largest, per_member = full_sweep_counts(family, n, r)
