@@ -351,17 +351,15 @@ def all_permutations(two_n: int) -> Iterable[Permutation]:
         yield Permutation(images)
 
 
-def rotation_classes(two_n: int, root: int | None = None) -> Iterator[tuple[int, ...]]:
-    """One raw image tuple per shift orbit of S_{two_n}, optionally for one root.
+def rotation_classes(two_n: int) -> Iterator[tuple[int, ...]]:
+    """One raw image tuple per shift orbit of S_{two_n}.
 
     shift() rotates the 2n-1 corners and fixes the root; each orbit is
     streamed as its member with the least corner at position 1.  Windows
     are constant on an orbit, so a sweep weights each tuple 2n-1.
     """
     vertices = range(1, two_n + 1)
-    if root is not None and root not in vertices:
-        raise ValueError(f"root must be in 1..{two_n}, got {root}")
-    for last in vertices if root is None else (root,):
+    for last in vertices:
         least, *rest = (x for x in vertices if x != last)
         for tail in itertools.permutations(rest):
             yield (least, *tail, last)

@@ -58,7 +58,7 @@ from .baranyai import all_permutations, baranyai_edge, cyclic_order  # noqa: F40
 from .kneser import kneser_graph  # noqa: F401
 from .transposition_lab import composition_identity, reflect_swap, transpose_adjacent  # noqa: F401
 
-__all__ = ["RunConfig", "dispatch", "emit_report", "main"]
+__all__ = ["dispatch", "emit_report", "main"]
 
 EXIT_PASS = 0
 EXIT_FALSIFIED = 1
@@ -67,43 +67,10 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 DEFAULT_SEED = 1729
-DEFAULT_LIMIT = 10
-DEFAULT_MAX_NODES = 50_000_000
-DEFAULT_MAX_SECONDS = 600.0
 # auto sampling modes exhaust S_{2n} only up to this many points
 EXHAUSTIVE_CUTOFF = 8
 
 FORMATS = ("json", "csv", "text")
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: subcommand, instance sizes, limits, output options."""
-
-    command: str
-    n: int | None = None
-    r: int | None = None
-    sigma: str | None = None
-    c: int | None = None
-    j: int | None = None
-    edge: str | None = None
-    k: int | None = None
-    pairs: str | None = None
-    cert: str | None = None
-    samples: int | None = None
-    limit_perms: int = DEFAULT_LIMIT
-    max_nodes: int = DEFAULT_MAX_NODES
-    max_seconds: float = DEFAULT_MAX_SECONDS
-    enumerate_max: bool = False
-    format: str = "json"
-    out: str | None = None
-    seed: int = DEFAULT_SEED
-
-    @classmethod
-    def from_namespace(cls, namespace: argparse.Namespace) -> "RunConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        values = {k: v for k, v in vars(namespace).items() if k in known}
-        return cls(**values)
 
 
 @dataclass
@@ -150,7 +117,7 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
     return pairs
 
 
-def _require_n(config: RunConfig) -> int:
+def _require_n(config: argparse.Namespace) -> int:
     if config.n is None:
         raise ValueError("this subcommand requires --n")
     if config.n < 1:
@@ -158,13 +125,13 @@ def _require_n(config: RunConfig) -> int:
     return config.n
 
 
-def _sigma_or_identity(config: RunConfig, two_n: int) -> Permutation:
+def _sigma_or_identity(config: argparse.Namespace, two_n: int) -> Permutation:
     if config.sigma is None:
         return Permutation.identity(two_n)
     return _parse_sigma(config.sigma, two_n)
 
 
-def _instances(config: RunConfig) -> list[tuple[int, int]]:
+def _instances(config: argparse.Namespace) -> list[tuple[int, int]]:
     if config.pairs is not None:
         return _parse_pairs(config.pairs)
     if config.n is None or config.r is None:
@@ -173,7 +140,7 @@ def _instances(config: RunConfig) -> list[tuple[int, int]]:
 
 
 def _over_instances(
-    config: RunConfig, command: str, run: Callable[[int, int], CommandResult]
+    config: argparse.Namespace, command: str, run: Callable[[int, int], CommandResult]
 ) -> CommandResult:
     """Run every requested (n, r) instance and merge the per-instance results.
 
@@ -195,7 +162,7 @@ def _over_instances(
 
 
 def _sigma_sample(
-    config: RunConfig, two_n: int, auto_samples: int
+    config: argparse.Namespace, two_n: int, auto_samples: int
 ) -> tuple[Iterable[tuple[int, ...]], str, int]:
     """Image tuples of the permutations to sweep, a label, and how many permutations each stands for."""
     if config.sigma is not None:
@@ -215,7 +182,7 @@ def _sigma_sample(
     return (sigma.images for sigma in sample_permutations(two_n, samples, config.seed)), "sampled", 1
 
 
-def _cmd_construct(config: RunConfig) -> CommandResult:
+def _cmd_construct(config: argparse.Namespace) -> CommandResult:
     n = _require_n(config)
     sigma = _sigma_or_identity(config, 2 * n)
     if config.c is not None:
@@ -235,7 +202,7 @@ def _cmd_construct(config: RunConfig) -> CommandResult:
     return CommandResult(payload, {"parts_partition_edge_set": partitioned})
 
 
-def _cmd_verify_goodness(config: RunConfig) -> CommandResult:
+def _cmd_verify_goodness(config: argparse.Namespace) -> CommandResult:
     n = _require_n(config)
     sigmas, mode, weight = _sigma_sample(config, 2 * n, auto_samples=1000)
     report = verify_goodness(n, sigmas, r=config.r)
@@ -255,7 +222,7 @@ def _cmd_verify_goodness(config: RunConfig) -> CommandResult:
     return CommandResult(payload, {"all_intervals_are_matchings": report.passed})
 
 
-def _count_instance(n: int, r: int, config: RunConfig) -> CommandResult:
+def _count_instance(n: int, r: int, config: argparse.Namespace) -> CommandResult:
     params = Parameters(n, r)
     chi_value = chi(params)
     phi_value = phi(params)
@@ -278,11 +245,11 @@ def _count_instance(n: int, r: int, config: RunConfig) -> CommandResult:
     return CommandResult(row, checks)
 
 
-def _cmd_count(config: RunConfig) -> CommandResult:
+def _cmd_count(config: argparse.Namespace) -> CommandResult:
     return _over_instances(config, "count", lambda n, r: _count_instance(n, r, config))
 
 
-def _cmd_double_count(config: RunConfig) -> CommandResult:
+def _cmd_double_count(config: argparse.Namespace) -> CommandResult:
     n = _require_n(config)
     if config.r is None:
         raise ValueError("this subcommand requires --r")
@@ -345,7 +312,7 @@ def _search_instance(n: int, r: int, budget: SearchBudget) -> CommandResult:
     return CommandResult(row, checks, budget_exhausted=report.status != STATUS_PROVEN)
 
 
-def _cmd_ekr_search(config: RunConfig) -> CommandResult:
+def _cmd_ekr_search(config: argparse.Namespace) -> CommandResult:
     budget = SearchBudget(
         max_nodes=config.max_nodes,
         max_seconds=config.max_seconds,
@@ -354,7 +321,7 @@ def _cmd_ekr_search(config: RunConfig) -> CommandResult:
     return _over_instances(config, "ekr-search", lambda n, r: _search_instance(n, r, budget))
 
 
-def _cmd_center_map(config: RunConfig) -> CommandResult:
+def _cmd_center_map(config: argparse.Namespace) -> CommandResult:
     n = _require_n(config)
     if config.r is None:
         raise ValueError("this subcommand requires --r")
@@ -384,7 +351,7 @@ def _cmd_center_map(config: RunConfig) -> CommandResult:
     return CommandResult(payload, checks)
 
 
-def _cmd_lemma_identities(config: RunConfig) -> CommandResult:
+def _cmd_lemma_identities(config: argparse.Namespace) -> CommandResult:
     n = _require_n(config)
     sigmas, mode, weight = _sigma_sample(config, 2 * n, auto_samples=200)
     if config.j is not None and not 1 <= config.j <= 2 * n - 1:
@@ -414,7 +381,7 @@ def _cmd_lemma_identities(config: RunConfig) -> CommandResult:
     return CommandResult(payload, checks)
 
 
-def _certificate_for(config: RunConfig) -> HamPowerCertificate:
+def _certificate_for(config: argparse.Namespace) -> HamPowerCertificate:
     n = _require_n(config)
     sigma = _sigma_or_identity(config, 2 * n) if config.sigma else None
     certificate = ham_power_certificate(n, sigma)
@@ -423,7 +390,7 @@ def _certificate_for(config: RunConfig) -> HamPowerCertificate:
     return certificate
 
 
-def _cmd_kneser_cert(config: RunConfig) -> CommandResult:
+def _cmd_kneser_cert(config: argparse.Namespace) -> CommandResult:
     certificate = _certificate_for(config)
     payload = {
         "m": certificate.m,
@@ -433,7 +400,7 @@ def _cmd_kneser_cert(config: RunConfig) -> CommandResult:
     return CommandResult(payload, {}, bare_payload=True)
 
 
-def _cmd_kneser_verify(config: RunConfig) -> CommandResult:
+def _cmd_kneser_verify(config: argparse.Namespace) -> CommandResult:
     if config.cert is not None:
         if config.cert == "-":
             text = sys.stdin.read()
@@ -457,7 +424,7 @@ def _cmd_kneser_verify(config: RunConfig) -> CommandResult:
     return CommandResult(payload, {"power_certified": valid})
 
 
-HANDLERS: dict[str, Callable[[RunConfig], CommandResult]] = {
+HANDLERS: dict[str, Callable[[argparse.Namespace], CommandResult]] = {
     "construct": _cmd_construct,
     "verify-goodness": _cmd_verify_goodness,
     "count": _cmd_count,
@@ -540,7 +507,7 @@ def emit_report(payload: dict[str, Any], fmt: str, out: str | None) -> None:
             handle.write(text)
 
 
-def dispatch(config: RunConfig) -> tuple[int, dict[str, Any]]:
+def dispatch(config: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     """Run one subcommand; returns (exit code, report payload)."""
     if config.format not in FORMATS:
         raise ValueError(f"unknown format {config.format!r}")
@@ -562,115 +529,91 @@ def dispatch(config: RunConfig) -> tuple[int, dict[str, Any]]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per subcommand, built from one declaration of each option.
+
+    Every subcommand takes --n, --format and --out, and lists the other
+    flags it takes; a (flag, help) entry keeps the flag's declaration and
+    gives it that subcommand's help text.  Argparse derives each dest from
+    the flag.
+    """
+    options: dict[str, dict[str, Any]] = {
+        "--n": {"type": int, "help": "half the number of vertices"},
+        "--r": {"type": int, "help": "edges per matching"},
+        "--sigma": {"help": "comma-separated images, default identity"},
+        "--c": {"type": int, "help": "rotate the polygon positions by c first"},
+        "--j": {"type": int, "help": "restrict to one swap index"},
+        "--samples": {
+            "type": int,
+            "help": "random permutations to check; 0 forces the exhaustive sweep (auto by size)",
+        },
+        "--seed": {"type": int, "default": DEFAULT_SEED, "help": "sampling seed"},
+        "--limit-perms": {"type": int, "default": 10, "help": "largest 2n allowed for exhaustive sweeps"},
+        "--pairs": {"help": "sweep instances, e.g. '2:1,3:1,3:2'"},
+        "--edge": {"help": "star edge as 'a,b', default 1,2"},
+        "--enumerate-max": {
+            "action": "store_true",
+            "help": "enumerate every maximum family, not just one witness",
+        },
+        "--max-nodes": {"type": int, "default": SearchBudget.max_nodes, "help": "search node budget"},
+        "--max-seconds": {
+            "type": float,
+            "default": SearchBudget.max_seconds,
+            "help": "search wall-clock budget",
+        },
+        "--k": {"type": int, "help": "claimed power, default n-2"},
+        "--cert": {"help": "certificate file, '-' for stdin"},
+        "--format": {"choices": FORMATS, "default": "json", "help": "report format"},
+        "--out": {"help": "write the report to this file"},
+    }
+    commands: dict[str, tuple[str, list[str | tuple[str, str]]]] = {
+        "construct": ("rotational partition and cyclic edge order", ["--sigma", "--c"]),
+        "verify-goodness": (
+            "check that short cyclic-order intervals are matchings",
+            [("--r", "interval length, default n-1"), ("--sigma", "check a single permutation"),
+             "--samples", "--seed", "--limit-perms"],
+        ),
+        "count": (
+            "matching counts and the compatibility constant",
+            ["--r", "--pairs", ("--limit-perms", "largest 2n for the brute-force oracle")],
+        ),
+        "double-count": (
+            "the counting bound for a star family, with exhaustive sweep",
+            ["--r", "--edge", ("--limit-perms", "largest 2n for the exhaustive sweep")],
+        ),
+        "ekr-search": (
+            "exact maximum intersecting family search",
+            ["--r", "--pairs", "--enumerate-max", "--max-nodes", "--max-seconds"],
+        ),
+        "center-map": (
+            "trace every permutation against a star family",
+            ["--r", "--edge", ("--limit-perms", "largest 2n allowed for the sweep")],
+        ),
+        "lemma-identities": (
+            "involution and composition identities",
+            [("--sigma", "check a single permutation"), "--j", "--samples", "--seed", "--limit-perms"],
+        ),
+        "kneser-cert": ("emit a Hamiltonian-power certificate", ["--sigma", "--k"]),
+        "kneser-verify": (
+            "verify a Hamiltonian-power certificate",
+            ["--cert", ("--sigma", "generate from this permutation instead"), "--k"],
+        ),
+    }
     parser = argparse.ArgumentParser(
         prog="ekr-matchings",
         description="Construct and verify intersecting families of matchings in K_{2n}.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    def add_output(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--format", choices=FORMATS, default="json", help="report format")
-        sub.add_argument("--out", default=None, help="write the report to this file")
-
-    def add_instance(sub: argparse.ArgumentParser, with_r: bool = True) -> None:
-        sub.add_argument("--n", type=int, default=None, help="half the number of vertices")
-        if with_r:
-            sub.add_argument("--r", type=int, default=None, help="edges per matching")
-
-    sub = subparsers.add_parser("construct", help="rotational partition and cyclic edge order")
-    add_instance(sub, with_r=False)
-    sub.add_argument("--sigma", default=None, help="comma-separated images, default identity")
-    sub.add_argument("--c", type=int, default=None, help="rotate the polygon positions by c first")
-    add_output(sub)
-
-    sub = subparsers.add_parser(
-        "verify-goodness", help="check that short cyclic-order intervals are matchings"
-    )
-    add_instance(sub, with_r=False)
-    sub.add_argument("--r", type=int, default=None, help="interval length, default n-1")
-    sub.add_argument("--sigma", default=None, help="check a single permutation")
-    sub.add_argument(
-        "--samples",
-        type=int,
-        default=None,
-        help="random permutations to check; 0 forces the exhaustive sweep (auto by size)",
-    )
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sampling seed")
-    sub.add_argument("--limit-perms", type=int, default=DEFAULT_LIMIT, dest="limit_perms",
-                     help="largest 2n allowed for exhaustive sweeps")
-    add_output(sub)
-
-    sub = subparsers.add_parser("count", help="matching counts and the compatibility constant")
-    add_instance(sub)
-    sub.add_argument("--pairs", default=None, help="sweep instances, e.g. '2:1,3:1,3:2'")
-    sub.add_argument("--limit-perms", type=int, default=DEFAULT_LIMIT, dest="limit_perms",
-                     help="largest 2n for the brute-force oracle")
-    add_output(sub)
-
-    sub = subparsers.add_parser(
-        "double-count", help="the counting bound for a star family, with exhaustive sweep"
-    )
-    add_instance(sub)
-    sub.add_argument("--edge", default=None, help="star edge as 'a,b', default 1,2")
-    sub.add_argument("--limit-perms", type=int, default=DEFAULT_LIMIT, dest="limit_perms",
-                     help="largest 2n for the exhaustive sweep")
-    add_output(sub)
-
-    sub = subparsers.add_parser("ekr-search", help="exact maximum intersecting family search")
-    add_instance(sub)
-    sub.add_argument("--pairs", default=None, help="sweep instances, e.g. '2:1,3:1,3:2'")
-    sub.add_argument("--enumerate-max", action="store_true", dest="enumerate_max",
-                     help="enumerate every maximum family, not just one witness")
-    sub.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES, dest="max_nodes",
-                     help="search node budget")
-    sub.add_argument("--max-seconds", type=float, default=DEFAULT_MAX_SECONDS, dest="max_seconds",
-                     help="search wall-clock budget")
-    add_output(sub)
-
-    sub = subparsers.add_parser(
-        "center-map", help="trace every permutation against a star family"
-    )
-    add_instance(sub)
-    sub.add_argument("--edge", default=None, help="star edge as 'a,b', default 1,2")
-    sub.add_argument("--limit-perms", type=int, default=DEFAULT_LIMIT, dest="limit_perms",
-                     help="largest 2n allowed for the sweep")
-    add_output(sub)
-
-    sub = subparsers.add_parser("lemma-identities", help="involution and composition identities")
-    add_instance(sub, with_r=False)
-    sub.add_argument("--sigma", default=None, help="check a single permutation")
-    sub.add_argument("--j", type=int, default=None, help="restrict to one swap index")
-    sub.add_argument(
-        "--samples",
-        type=int,
-        default=None,
-        help="random permutations to check; 0 forces the exhaustive sweep (auto by size)",
-    )
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sampling seed")
-    sub.add_argument("--limit-perms", type=int, default=DEFAULT_LIMIT, dest="limit_perms",
-                     help="largest 2n allowed for exhaustive sweeps")
-    add_output(sub)
-
-    sub = subparsers.add_parser("kneser-cert", help="emit a Hamiltonian-power certificate")
-    add_instance(sub, with_r=False)
-    sub.add_argument("--sigma", default=None, help="comma-separated images, default identity")
-    sub.add_argument("--k", type=int, default=None, help="claimed power, default n-2")
-    add_output(sub)
-
-    sub = subparsers.add_parser("kneser-verify", help="verify a Hamiltonian-power certificate")
-    add_instance(sub, with_r=False)
-    sub.add_argument("--cert", default=None, help="certificate file, '-' for stdin")
-    sub.add_argument("--sigma", default=None, help="generate from this permutation instead")
-    sub.add_argument("--k", type=int, default=None, help="claimed power, default n-2")
-    add_output(sub)
-
+    for name, (summary, flags) in commands.items():
+        sub = subparsers.add_parser(name, help=summary)
+        for entry in ["--n", *flags, "--format", "--out"]:
+            flag, help_text = entry if isinstance(entry, tuple) else (entry, options[entry]["help"])
+            sub.add_argument(flag, **{**options[flag], "help": help_text})
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    namespace = parser.parse_args(argv)
-    config = RunConfig.from_namespace(namespace)
+    config = parser.parse_args(argv)
     try:
         code, payload = dispatch(config)
         emit_report(payload, config.format, config.out)

@@ -240,27 +240,6 @@ def q_formula(params: Parameters) -> CompatibilityCount:
     return CompatibilityCount(formula_value=interior + straddling, split=(interior, straddling))
 
 
-def _count_placements(n: int, r: int, first: tuple[int, int]) -> int:
-    """Placements of an r-matching's 2r vertices that form a run, with (u1, v1) on the slots first.
-
-    The other 2r-2 vertices (u2, v2, ..., ur, vr) take every injective
-    placement on the remaining slots.
-    """
-    bits = [[1 << k if k >= 0 else 0 for k in row] for row in slot_positions(n)]
-    windows = _window_starts(n, r)
-    base = bits[first[0]][first[1]]
-    free = [s for s in range(2 * n) if s not in first]
-    pairs = range(0, 2 * r - 2, 2)
-    count = 0
-    for slots in itertools.permutations(free, 2 * r - 2):
-        mask = base
-        for t in pairs:
-            mask |= bits[slots[t]][slots[t + 1]]
-        if mask in windows:
-            count += 1
-    return count
-
-
 def q_bruteforce(a: Matching, params: Parameters, limit: int = 10) -> int:
     """Count compatible permutations for a, exhaustively, without listing S_{2n}.
 
@@ -285,11 +264,23 @@ def q_bruteforce(a: Matching, params: Parameters, limit: int = 10) -> int:
         raise ValueError(f"compatibility needs r <= n-1, got r={params.r}, n={n}")
     if a.support and max(a.support) > two_n:
         raise ValueError(f"matching uses vertices outside 1..{two_n}")
+    bits = [[1 << k if k >= 0 else 0 for k in row] for row in slot_positions(n)]
+    windows = _window_starts(n, params.r)
+    pairs = range(0, 2 * params.r - 2, 2)
     # one placement per shift orbit: a corner u1 is rotated to slot 0, and
-    # u1 on the root slot leaves v1 a corner, rotated to slot 0
+    # u1 on the root slot leaves v1 a corner, rotated to slot 0; the other
+    # 2r-2 vertices take every injective placement on the remaining slots
     root = two_n - 1
-    firsts = [(0, s) for s in range(1, root + 1)] + [(root, 0)]
-    compatible = sum(_count_placements(n, params.r, first) for first in firsts)
+    compatible = 0
+    for first in [(0, s) for s in range(1, root + 1)] + [(root, 0)]:
+        base = bits[first[0]][first[1]]
+        free = [s for s in range(two_n) if s not in first]
+        for slots in itertools.permutations(free, 2 * params.r - 2):
+            mask = base
+            for t in pairs:
+                mask |= bits[slots[t]][slots[t + 1]]
+            if mask in windows:
+                compatible += 1
     return (two_n - 1) * math.factorial(two_n - 2 * params.r) * compatible
 
 

@@ -220,7 +220,7 @@ def full_graph_search(params: Parameters, budget: SearchBudget | None = None) ->
     counter = _Counter(budget)
     matchings = enumerate_matchings(params)
     stars = _stars(matchings)
-    masks = _edge_masks(stars)
+    masks = _edge_masks(matchings)
     adjacency = intersection_graph(matchings, masks=masks)
     best = [stars[(1, 2)]]
     _expand(adjacency, [0], adjacency[0], best, counter)

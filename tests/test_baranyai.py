@@ -299,11 +299,3 @@ def test_rotation_classes_partition_the_symmetric_group(two_n):
         assert orbits.isdisjoint(orbit)
         orbits |= orbit
     assert orbits == set(itertools.permutations(range(1, two_n + 1)))
-
-
-def test_rotation_classes_by_root():
-    every = list(rotation_classes(6))
-    for root in range(1, 7):
-        assert list(rotation_classes(6, root)) == [p for p in every if p[-1] == root]
-    with pytest.raises(ValueError):
-        list(rotation_classes(6, 7))

@@ -297,8 +297,7 @@ def test_json_reports_cover_every_subcommand():
 
 @pytest.mark.parametrize("argv", JSON_REPORTS, ids=" ".join)
 def test_json_report_equals_json_dumps(tmp_path, capsys, argv):
-    config = cli.RunConfig.from_namespace(cli.build_parser().parse_args(argv))
-    expected = json.dumps(cli.dispatch(config)[1], indent=2) + "\n"
+    expected = json.dumps(cli.dispatch(cli.build_parser().parse_args(argv))[1], indent=2) + "\n"
     code, out, err = run(capsys, *argv)
     assert out == expected
     target = tmp_path / "report.json"

@@ -7,7 +7,7 @@ import types
 
 import pytest
 
-from ekr_matchings import cli, ekr_search
+from ekr_matchings import cli, core, ekr_search
 from ekr_matchings.core import (
     Matching,
     MatchingFamily,
@@ -29,7 +29,6 @@ from ekr_matchings.ekr_search import (
     _first_level_orbits,
     _neighbourhood_size,
     _non_star_through_v0,
-    _stars,
     intersection_graph,
     is_star,
     kneser_complement_bridge,
@@ -59,7 +58,7 @@ def test_intersection_graph_degrees():
         for j, b in enumerate(matchings):
             expected = i != j and intersects(a, b)
             assert bool(adjacency[i] >> j & 1) == expected
-    assert intersection_graph(matchings, masks=_edge_masks(_stars(matchings))) == adjacency
+    assert intersection_graph(matchings, masks=_edge_masks(matchings)) == adjacency
 
 
 @pytest.mark.parametrize("n,r", [(2, 1), (3, 1), (3, 2), (4, 1)])
@@ -153,7 +152,7 @@ def test_non_star_maxima_are_reported(planted_non_star):
 def _graph(params):
     # the graph the search runs on: the closed neighbourhood N[v0]
     matchings = list(iter_matchings(params, first_matching(params.r)))
-    masks = _edge_masks(_stars(matchings))
+    masks = _edge_masks(matchings)
     return matchings, masks, intersection_graph(matchings, masks=masks)
 
 
@@ -381,7 +380,7 @@ def test_deadline_binds_witness_enumeration(monkeypatch):
     params = Parameters(9, 3)
     report = max_intersecting(params, SearchBudget(enumerate_all_maximum=True))
     assert clock() - shortened[0] < 0.8
-    assert indexed == [_neighbourhood_size(params)]  # the full list was never indexed
+    assert indexed == []  # the full list was never indexed
     assert report.status == STATUS_BUDGET
     assert report.maximum_family_count is None
     assert report.all_maximum_are_stars is None
@@ -392,7 +391,7 @@ def test_deadline_binds_witness_enumeration(monkeypatch):
 def test_graph_rows_check_the_deadline():
     # with the edge masks built, the rows and their diagonal clear still look at the clock
     matchings = enumerate_matchings(Parameters(3, 2))
-    masks = _edge_masks(_stars(matchings))
+    masks = _edge_masks(matchings)
     with pytest.raises(ekr_search._BudgetExceeded):
         intersection_graph(matchings, time.monotonic() - 1.0, masks)
 
@@ -450,10 +449,13 @@ def test_bridge_matches_naive_clique_count(n, r):
 def test_bridge_flags_a_broken_dictionary(monkeypatch):
     # one matching listed twice in place of another: the count holds, distinctness
     # and the phi matchings per vertex do not
-    listed = enumerate_matchings(Parameters(3, 2))
+    params = Parameters(3, 2)
+    theorem = verify_theorem(params)
+    listed = enumerate_matchings(params)
     broken = [*listed[:-1], listed[0]]
-    monkeypatch.setattr(ekr_search, "enumerate_matchings", lambda params: broken)
-    report = kneser_complement_bridge(Parameters(3, 2))
+    monkeypatch.setattr(ekr_search, "verify_theorem", lambda params, budget: theorem)
+    monkeypatch.setattr(ekr_search, "iter_matchings", lambda params: iter(broken))
+    report = kneser_complement_bridge(params)
     assert report.independent_set_count == report.chi_value
     assert not report.bijection_ok
     assert not report.star_sizes_ok
@@ -465,11 +467,13 @@ def test_bridge_budget_exhaustion(monkeypatch):
     # the clock jumps past the bridge's deadline at the eleventh matching of its pass
     params = Parameters(3, 2)
     budget = SearchBudget(max_seconds=60.0, enumerate_all_maximum=True)
-    assert verify_theorem(params, budget).proven
+    theorem = verify_theorem(params, budget)
+    assert theorem.proven
+    monkeypatch.setattr(ekr_search, "verify_theorem", lambda params, budget: theorem)
     offset = [0.0]
     clock = time.monotonic
     monkeypatch.setattr(ekr_search, "time", types.SimpleNamespace(monotonic=lambda: clock() + offset[0]))
-    listed = ekr_search.enumerate_matchings
+    listed = ekr_search.iter_matchings
     pulled = []
 
     def jumping(params):
@@ -479,10 +483,41 @@ def test_bridge_budget_exhaustion(monkeypatch):
                 offset[0] = 2 * budget.max_seconds
             yield matching
 
-    monkeypatch.setattr(ekr_search, "enumerate_matchings", jumping)
+    monkeypatch.setattr(ekr_search, "iter_matchings", jumping)
     report = kneser_complement_bridge(params, budget)
     assert len(pulled) == 11  # the deadline is checked once per matching
     assert report.theorem.status == STATUS_BUDGET
     assert not report.bijection_ok
     assert report.strictly_ekr is None
+    assert not report.passed
+
+
+def test_bridge_listing_runs_under_its_deadline(monkeypatch):
+    # the clock reads far past the deadline from its second reading on, so the
+    # pass stops at the first matching instead of listing all chi(4, 2) = 210
+    params = Parameters(4, 2)
+    theorem = verify_theorem(params)
+    monkeypatch.setattr(ekr_search, "verify_theorem", lambda params, budget: theorem)
+    readings = itertools.count()
+    clock = time.monotonic
+    monkeypatch.setattr(
+        ekr_search,
+        "time",
+        types.SimpleNamespace(monotonic=lambda: clock() + 1e9 * min(next(readings), 1)),
+    )
+    listed = core.iter_matchings
+    pulled = []
+
+    def counted(params, meeting=None):
+        for matching in listed(params, meeting):
+            pulled.append(matching)
+            yield matching
+
+    # enumerate_matchings reads the name in core, the bridge in ekr_search
+    monkeypatch.setattr(core, "iter_matchings", counted)
+    monkeypatch.setattr(ekr_search, "iter_matchings", counted)
+    report = kneser_complement_bridge(params)
+    assert len(pulled) <= 1
+    assert report.theorem.status == STATUS_BUDGET
+    assert report.independent_set_count == 0
     assert not report.passed
