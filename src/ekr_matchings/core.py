@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 Edge = tuple[int, int]
 
@@ -24,6 +24,7 @@ __all__ = [
     "make_edge",
     "all_edges",
     "intersects",
+    "common_edges",
     "iter_matchings",
     "enumerate_matchings",
     "first_matching",
@@ -122,6 +123,11 @@ def intersects(a: Matching, b: Matching) -> bool:
     return not a.key.isdisjoint(b.key)
 
 
+def common_edges(members: Sequence[Matching]) -> tuple[Edge, ...]:
+    """The first member's edges that every member holds, in lexicographic order."""
+    return tuple(e for e in members[0].edges if all(e in m.edges for m in members))
+
+
 class MatchingFamily:
     """A deduplicated collection of equal-size matchings in sorted order."""
 
@@ -150,13 +156,9 @@ class MatchingFamily:
     def is_intersecting(self) -> bool:
         """True iff every two members share an edge; a common edge settles it."""
         members = self.members
-        if members and frozenset.intersection(*(m.key for m in members)):
+        if members and common_edges(members):
             return True
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                if not intersects(members[i], members[j]):
-                    return False
-        return True
+        return all(intersects(a, b) for a, b in itertools.combinations(members, 2))
 
     def __len__(self) -> int:
         return len(self.members)

@@ -38,7 +38,7 @@ import math
 import time
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 from .core import (
     Edge,
@@ -46,6 +46,7 @@ from .core import (
     MatchingFamily,
     Parameters,
     chi,
+    common_edges,
     first_matching,
     iter_matchings,
     phi,
@@ -144,12 +145,15 @@ class EkrReport:
         )
 
 
-def _clocked(matchings: Iterable[Matching], deadline: float) -> Iterator[Matching]:
-    """The matchings as they come, with the deadline checked once per matching."""
-    for matching in matchings:
+T = TypeVar("T")
+
+
+def _clocked(items: Iterable[T], deadline: float) -> Iterator[T]:
+    """The items as they come, with the deadline checked once per item."""
+    for item in items:
         if time.monotonic() > deadline:
             raise _BudgetExceeded
-        yield matching
+        yield item
 
 
 def _neighbourhood_size(params: Parameters) -> int:
@@ -167,12 +171,12 @@ def _neighbourhood_size(params: Parameters) -> int:
     return sum((-1) ** (j + 1) * math.comb(r, j) * m(2 * n - 2 * j, r - j) for j in range(1, r + 1))
 
 
-def _stars(matchings: Sequence[Matching]) -> dict[Edge, list[int]]:
-    """The ascending indices of the matchings through each edge of K_{2n}."""
-    buckets: dict[Edge, list[int]] = defaultdict(list)
-    for idx, matching in enumerate(matchings):
+def _stars(matchings: Iterable[Matching]) -> dict[Edge, list[Matching]]:
+    """The matchings through each edge of K_{2n}, in the order they come."""
+    buckets: dict[Edge, list[Matching]] = defaultdict(list)
+    for matching in matchings:
         for edge in matching.edges:
-            buckets[edge].append(idx)
+            buckets[edge].append(matching)
     return buckets
 
 
@@ -419,14 +423,14 @@ def max_intersecting(params: Parameters, budget: SearchBudget | None = None) -> 
     second search looks for a maximum family through v0 with no common
     edge.  If there is none, every maximum family is a star, and the report
     lists the distinct stars of the optimum size and counts them; only
-    these need every matching, which are enumerated after that search.  If
-    there is one, the report gives it as the only witness, with
-    all_maximum_are_stars False and no count.  Every reported witness is
+    these need every matching, listed once after that search straight into
+    their stars, each checked against its closed form (size and centre).
+    If there is one, the report gives it as the only witness, with
+    all_maximum_are_stars False and no count; it and the best witness are
     re-verified intersecting.  The seed star is listed before the clock is
-    first read; after it, the deadline is checked once per enumerated
-    matching and before each star is re-verified.  If it passes in the
-    search for every maximum family, the report is budget_exhausted with
-    the best witness only and no count.
+    first read; after it, the deadline is checked once per listed matching
+    and once per star.  If it passes in the search for every maximum
+    family, the report is budget_exhausted with the best witness and no count.
     """
     if budget is None:
         budget = SearchBudget()
@@ -450,13 +454,13 @@ def max_intersecting(params: Parameters, budget: SearchBudget | None = None) -> 
     except _BudgetExceeded:
         status = STATUS_BUDGET
 
-    def to_family(pool: Sequence[Matching], indices: Sequence[int]) -> MatchingFamily:
-        family = MatchingFamily(pool[v] for v in indices)
+    def to_family(indices: Sequence[int]) -> MatchingFamily:
+        family = MatchingFamily(matchings[v] for v in indices)
         if not family.is_intersecting:
             raise ArithmeticError("witness family is not intersecting")
         return family
 
-    best_family = to_family(matchings, best[0])
+    best_family = to_family(best[0])
     max_size = len(best_family)
     if max_size < phi_value:
         raise ArithmeticError("maximum smaller than the star lower bound")
@@ -472,16 +476,16 @@ def max_intersecting(params: Parameters, budget: SearchBudget | None = None) -> 
             if non_star is None:
                 # S_{2n} maps stars to stars, so no maximum family elsewhere is a non-star
                 del adjacency, masks
-                everything = list(_clocked(iter_matchings(params), counter.deadline))
-                buckets = _stars(everything).values()
-                distinct = {tuple(indices) for indices in buckets if len(indices) == max_size}
-                families = []
-                for indices in distinct:
-                    if time.monotonic() > counter.deadline:
-                        raise _BudgetExceeded
-                    families.append(to_family(everything, indices))
+                stars = _stars(_clocked(iter_matchings(params), counter.deadline))
+                families = set()  # at r = n two edges can span one star
+                for edge, members in _clocked(stars.items(), counter.deadline):
+                    # intersecting by construction: check the star against its closed form
+                    star = MatchingFamily(members)
+                    if len(star) != max_size or edge not in common_edges(star.members):
+                        raise ArithmeticError(f"the star at {edge} does not match its closed form")
+                    families.add(star)
             else:
-                families = [to_family(matchings, non_star)]
+                families = [to_family(non_star)]
                 if len(families[0]) != max_size or is_star(families[0]) is not None:
                     raise ArithmeticError("non-star witness is a star or has the wrong size")
         except _BudgetExceeded:
@@ -514,8 +518,8 @@ def is_star(family: MatchingFamily) -> Edge | None:
     """
     if len(family) == 0:
         raise ValueError("empty family")
-    common = frozenset.intersection(*(m.key for m in family.members))
-    return min(common) if common else None
+    common = common_edges(family.members)
+    return common[0] if common else None
 
 
 def verify_theorem(params: Parameters, budget: SearchBudget | None = None) -> EkrReport:
@@ -597,10 +601,7 @@ def kneser_complement_bridge(
     phi_value = phi(params)
     distinct = len({m.edges for m in matchings}) == len(matchings)
     bijection_ok = cliques_ok and distinct and len(matchings) == chi_value
-    stars = _stars(matchings)
-    star_sizes_ok = len(stars) == len(graph.vertices) and all(
-        len(indices) == phi_value for indices in stars.values()
-    )
+    star_sizes_ok = [*map(len, _stars(matchings).values())] == [phi_value] * len(graph.vertices)
 
     return BridgeReport(
         n=params.n,

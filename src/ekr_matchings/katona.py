@@ -44,7 +44,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable
 
-from .core import Edge, Matching, MatchingFamily, Parameters
+from .core import Edge, Matching, MatchingFamily, Parameters, common_edges
 from .baranyai import Permutation, half_order, position_pairs, rotation_classes, slot_positions
 
 __all__ = [
@@ -201,14 +201,10 @@ def trace(family: MatchingFamily, sigma: Permutation) -> TraceResult:
     center: Edge | None = None
     violation = False
     if family.is_intersecting:
-        if len(members) > r:
-            violation = True
-        elif len(members) == r:
-            common = frozenset.intersection(*(m.key for m in members))
-            if len(common) == 1:
-                center = next(iter(common))
-            else:
-                violation = True
+        if len(members) == r and len(common := common_edges(members)) == 1:
+            center = common[0]
+        else:
+            violation = len(members) >= r
     return TraceResult(members=members, r=r, center=center, katona_violation=violation)
 
 

@@ -4,8 +4,9 @@ Everything here recomputes results straight from definitions with
 itertools and sets, sharing no logic with the package internals, except
 full_graph_search: it runs the package's own search routines on the
 graph of every matching, so that it pins exactly what narrowing the
-graph to N[v0] may change.  The real implementations must agree with
-these on every instance small enough to sweep.
+graph to N[v0] may change; it files the stars by index itself.  The real
+implementations must agree with these on every instance small enough to
+sweep.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from ekr_matchings.ekr_search import (
     _edge_masks,
     _expand,
     _non_star_through_v0,
-    _stars,
     intersection_graph,
 )
 
@@ -219,7 +219,10 @@ def full_graph_search(params: Parameters, budget: SearchBudget | None = None) ->
     budget = budget or SearchBudget()
     counter = _Counter(budget)
     matchings = enumerate_matchings(params)
-    stars = _stars(matchings)
+    stars: dict[tuple[int, int], list[int]] = {}  # the indices through each edge
+    for idx, matching in enumerate(matchings):
+        for edge in matching.edges:
+            stars.setdefault(edge, []).append(idx)
     masks = _edge_masks(matchings)
     adjacency = intersection_graph(matchings, masks=masks)
     best = [stars[(1, 2)]]

@@ -13,6 +13,7 @@ from ekr_matchings.core import (
     Parameters,
     all_edges,
     chi,
+    common_edges,
     dumps_indented,
     enumerate_matchings,
     intersects,
@@ -218,6 +219,25 @@ def test_from_edges_idempotent(edges):
         m = Matching.from_edges(edges)
         assert Matching.from_edges(m.edges) == m
         assert m.edges == tuple(sorted(edges))
+
+
+_matchings_42 = enumerate_matchings(Parameters(4, 2))
+_families_42 = st.one_of(
+    st.lists(st.sampled_from(_matchings_42), min_size=1, max_size=6),
+    st.sampled_from(all_edges(4)).flatmap(  # members of one star: a common edge
+        lambda e: st.lists(
+            st.sampled_from([m for m in _matchings_42 if e in m.edges]), min_size=1, max_size=6
+        )
+    ),
+)
+
+
+@given(_families_42)
+@example([Matching(((1, 2), (3, 4))), Matching(((1, 3), (2, 4)))])  # no common edge
+def test_common_edges_are_the_key_intersection(members):
+    common = common_edges(members)
+    assert frozenset(common) == frozenset.intersection(*(m.key for m in members))
+    assert all(a < b for a, b in zip(common, common[1:]))
 
 
 _special_floats = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, -2.5])

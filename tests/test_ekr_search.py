@@ -325,7 +325,7 @@ def test_deadline_binds_graph_build():
 
 
 def test_deadline_binds_witness_rechecks(monkeypatch):
-    # the clock runs out once the non-star search has ended, before any star is re-checked
+    # the clock runs out once the non-star search has ended, before any star is built
     now = [0.0]
     monkeypatch.setattr(ekr_search, "time", types.SimpleNamespace(monotonic=lambda: now[0]))
     search = ekr_search._non_star_through_v0
@@ -368,24 +368,51 @@ def test_deadline_binds_witness_enumeration(monkeypatch):
         shortened.append(clock())
         return result
 
-    indexed = []
-    stars = ekr_search._stars
+    built = []
 
-    def counted_stars(matchings):
-        indexed.append(len(matchings))
-        return stars(matchings)
+    def counted_family(members):
+        if shortened:  # a star, built after the non-star search
+            built.append(1)
+        return MatchingFamily(members)
 
     monkeypatch.setattr(ekr_search, "_non_star_through_v0", search_then_shorten)
-    monkeypatch.setattr(ekr_search, "_stars", counted_stars)
+    monkeypatch.setattr(ekr_search, "MatchingFamily", counted_family)
     params = Parameters(9, 3)
     report = max_intersecting(params, SearchBudget(enumerate_all_maximum=True))
     assert clock() - shortened[0] < 0.8
-    assert indexed == []  # the full list was never indexed
+    assert built == []  # the listing ran out of time before the first star was built
     assert report.status == STATUS_BUDGET
     assert report.maximum_family_count is None
     assert report.all_maximum_are_stars is None
     (witness,) = report.witnesses  # the star at (1, 2), which seeded the search
     assert is_star(witness) == (1, 2) and len(witness) == phi(params)
+
+
+@pytest.mark.parametrize("corruption", ["dropped", "misfiled"])
+def test_a_star_off_its_closed_form_is_an_internal_error(corruption, monkeypatch):
+    # the stars are checked against their size and centre, not filtered by them
+    stars = ekr_search._stars
+
+    def corrupted(matchings):
+        buckets = stars(matchings)
+        if corruption == "dropped":
+            buckets[(1, 2)].pop()
+        else:  # filed under (1, 2), which it does not hold
+            buckets[(1, 2)][-1] = next(m for m in buckets[(3, 4)] if (1, 2) not in m.edges)
+        return buckets
+
+    monkeypatch.setattr(ekr_search, "_stars", corrupted)
+    with pytest.raises(ArithmeticError):
+        max_intersecting(Parameters(4, 2), SearchBudget(enumerate_all_maximum=True))
+    assert cli.main(["ekr-search", "--n", "4", "--r", "2", "--enumerate-max"]) == cli.EXIT_INTERNAL
+
+
+def test_witness_stars_build_no_member_keys():
+    # a star is intersecting by construction, so its members' edge sets are never hashed
+    report = max_intersecting(Parameters(5, 3), SearchBudget(enumerate_all_maximum=True))
+    assert report.maximum_family_count == 45
+    assert all(is_star(witness) is not None for witness in report.witnesses)
+    assert not any("key" in m.__dict__ for witness in report.witnesses for m in witness)
 
 
 def test_graph_rows_check_the_deadline():
