@@ -20,7 +20,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .core import Edge, Matching, make_edge
 
@@ -266,6 +266,33 @@ def shift(pi: Permutation, c: int) -> Permutation:
     return Permutation(images)
 
 
+def window_repeats(pairs: Sequence[tuple[int, int]], labels: int, width: int, cap: int) -> list[int]:
+    """Ascending 1-based starts of the windows of `width` consecutive pairs that repeat an end.
+
+    The pairs hold ints in range(labels), read as a cycle; one pass over
+    len(pairs) + width - 1 positions keeps the last position of each label.
+    With prev the later of those of its two ends, the pair at position k
+    fails every start in k-width+1..prev when k - prev < width.  The left
+    ends only grow with k, so the starts come out ascending; the pass stops
+    once at least `cap` are known.
+    """
+    last = [-width] * labels
+    failing: list[int] = []
+    recorded = -1
+    for k, (a, b) in enumerate(itertools.chain(pairs, pairs[: width - 1])):
+        prev = last[a]
+        if last[b] > prev:
+            prev = last[b]
+        last[a] = last[b] = k
+        if k - prev < width:
+            first = max(k - width + 1, recorded + 1)
+            recorded = max(recorded, min(prev, len(pairs) - 1))
+            failing.extend(range(first + 1, recorded + 2))
+            if len(failing) >= cap:
+                break
+    return failing
+
+
 @dataclass(frozen=True)
 class GoodnessReport:
     """Result of checking that short intervals of cyclic orders are matchings."""
@@ -297,11 +324,8 @@ def verify_goodness(
 
     A bijection puts distinct vertices in distinct slots of the image tuple,
     so a window repeats a vertex exactly when it repeats a slot of
-    position_pairs, and fails the same way for every sigma.  One pass over
-    the n(2n-1)+r-1 positions, wrapping, keeps the last position of each
-    slot; a repeat at positions prev < k with k - prev < r makes every start
-    in k-r+1..prev fail.  The left ends only grow with k, so the failing
-    starts come out ascending; each sigma is then only size-checked and counted.
+    position_pairs, and fails the same way for every sigma, so window_repeats
+    reads position_pairs once and each sigma is only size-checked and counted.
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
@@ -310,23 +334,7 @@ def verify_goodness(
         r = n - 1 if n > 1 else 1
     if not 1 <= r <= total:
         raise ValueError(f"interval length must be in 1..{total}, got {r}")
-    pairs = position_pairs(n)
-    width = 2 * r
-    last = [-width - 2] * (2 * n)
-    failing: list[int] = []
-    recorded = -1
-    # ends 2k and 2k+1 are the two slots of the edge at position k
-    for end, slot in enumerate(itertools.chain.from_iterable(pairs + pairs[: r - 1])):
-        prev = last[slot]
-        last[slot] = end
-        if end - prev < width:
-            # positions prev >> 1 and end >> 1 share this slot; when they
-            # are r apart the range of failing starts below is empty
-            first = max((end >> 1) - r + 1, recorded + 1)
-            recorded = max(recorded, min(prev >> 1, total - 1))
-            failing.extend(range(first + 1, recorded + 2))
-            if len(failing) >= max_counterexamples:
-                break  # no sigma can use more
+    failing = window_repeats(position_pairs(n), 2 * n, r, max_counterexamples)
     counterexamples: list[tuple[tuple[int, ...], int]] = []
     permutations_checked = 0
     for images in sigmas:

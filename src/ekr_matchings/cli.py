@@ -18,7 +18,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable
 
 from .core import (
@@ -384,24 +384,19 @@ def _cmd_lemma_identities(config: argparse.Namespace) -> CommandResult:
 def _certificate_for(config: argparse.Namespace) -> HamPowerCertificate:
     n = _require_n(config)
     sigma = _sigma_or_identity(config, 2 * n) if config.sigma else None
-    certificate = ham_power_certificate(n, sigma)
-    if config.k is not None:
-        certificate = HamPowerCertificate(m=certificate.m, k=config.k, order=certificate.order)
-    return certificate
+    return ham_power_certificate(n, sigma, config.k)
 
 
 def _cmd_kneser_cert(config: argparse.Namespace) -> CommandResult:
     certificate = _certificate_for(config)
-    payload = {
-        "m": certificate.m,
-        "k": certificate.k,
-        "order": list(certificate.order),
-    }
+    payload = {"m": certificate.m, "k": certificate.k, "order": list(certificate.order)}
     return CommandResult(payload, {}, bare_payload=True)
 
 
 def _cmd_kneser_verify(config: argparse.Namespace) -> CommandResult:
     if config.cert is not None:
+        if config.sigma is not None:
+            raise ValueError("--sigma generates a certificate, so it cannot be combined with --cert")
         if config.cert == "-":
             text = sys.stdin.read()
         else:
@@ -411,6 +406,8 @@ def _cmd_kneser_verify(config: argparse.Namespace) -> CommandResult:
             except OSError as exc:
                 raise ValueError(f"cannot read certificate {config.cert!r}: {exc}") from exc
         certificate = certificate_from_json(text)
+        if config.k is not None:
+            certificate = replace(certificate, k=config.k)
     else:
         certificate = _certificate_for(config)
     valid = verify_ham_power(certificate.m, certificate)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable, Iterator, Sequence
@@ -132,7 +133,7 @@ class MatchingFamily:
     """A deduplicated collection of equal-size matchings in sorted order."""
 
     def __init__(self, members: Iterable[Matching], r: int | None = None):
-        unique = sorted(set(members), key=lambda m: m.edges)
+        unique = sorted(dict.fromkeys(members), key=operator.attrgetter("edges"))
         sizes = {len(m) for m in unique}
         if len(sizes) > 1:
             raise ValueError(f"members have mixed sizes {sorted(sizes)}")
@@ -229,24 +230,23 @@ def first_matching(r: int) -> Matching:
     return Matching(tuple((2 * t + 1, 2 * t + 2) for t in range(r)))
 
 
+def matching_count(v: int, k: int) -> int:
+    """Number of k-matchings of K_v: C(v, 2) C(v-2, 2) ... C(v-2k+2, 2) / k!."""
+    numerator = math.prod(math.comb(v - 2 * t, 2) for t in range(k))
+    value, remainder = divmod(numerator, math.factorial(k))
+    if remainder:
+        raise ArithmeticError(f"matching count is not integral for k={k} in K_{v}")
+    return value
+
+
 def chi(params: Parameters) -> int:
     """Number of r-matchings of K_{2n}."""
-    n, r = params.n, params.r
-    numerator = math.prod(math.comb(2 * n - 2 * t, 2) for t in range(r))
-    value, remainder = divmod(numerator, math.factorial(r))
-    if remainder:
-        raise ArithmeticError(f"matching count is not integral for {params}")
-    return value
+    return matching_count(2 * params.n, params.r)
 
 
 def phi(params: Parameters) -> int:
-    """Number of r-matchings of K_{2n} containing one fixed edge."""
-    n, r = params.n, params.r
-    numerator = math.prod(math.comb(2 * n - 2 * t, 2) for t in range(1, r))
-    value, remainder = divmod(numerator, math.factorial(r - 1))
-    if remainder:
-        raise ArithmeticError(f"star count is not integral for {params}")
-    return value
+    """Number of r-matchings of K_{2n} containing one fixed edge: the other r-1 avoid its ends."""
+    return matching_count(2 * params.n - 2, params.r - 1)
 
 
 def star_family(params: Parameters, e: tuple[int, int]) -> MatchingFamily:

@@ -49,6 +49,7 @@ from .core import (
     common_edges,
     first_matching,
     iter_matchings,
+    matching_count,
     phi,
 )
 from .kneser import kneser_graph
@@ -160,15 +161,13 @@ def _neighbourhood_size(params: Parameters) -> int:
     """|N[v0]|, by inclusion-exclusion over the r edges of v0.
 
     The matchings through j given edges of v0 are the (r-j)-matchings of
-    the other 2n-2j vertices, and K_v has m(v, k) = v!/(2^k k! (v-2k)!)
-    k-matchings.
+    the other 2n-2j vertices, counted by core.matching_count.
     """
     n, r = params.n, params.r
-
-    def m(v: int, k: int) -> int:
-        return math.factorial(v) // (2**k * math.factorial(k) * math.factorial(v - 2 * k))
-
-    return sum((-1) ** (j + 1) * math.comb(r, j) * m(2 * n - 2 * j, r - j) for j in range(1, r + 1))
+    return sum(
+        (-1) ** (j + 1) * math.comb(r, j) * matching_count(2 * n - 2 * j, r - j)
+        for j in range(1, r + 1)
+    )
 
 
 def _stars(matchings: Iterable[Matching]) -> dict[Edge, list[Matching]]:
@@ -183,9 +182,7 @@ def _stars(matchings: Iterable[Matching]) -> dict[Edge, list[Matching]]:
 def _edge_masks(matchings: Sequence[Matching], deadline: float = math.inf) -> dict[Edge, int]:
     """The bitmask of the matchings through each edge; the deadline is checked once per matching."""
     masks: dict[Edge, int] = {}
-    for i, matching in enumerate(matchings):
-        if time.monotonic() > deadline:
-            raise _BudgetExceeded
+    for i, matching in enumerate(_clocked(matchings, deadline)):
         bit = 1 << i
         for edge in matching.edges:
             masks[edge] = masks.get(edge, 0) | bit
@@ -200,16 +197,14 @@ def intersection_graph(
     """Bitset adjacency rows: i and j are adjacent iff the matchings share an edge.
 
     Row i is the union of the masks of the edges of matching i, less bit i;
-    `masks` comes from _edge_masks when the caller already has it.  The
-    build checks time.monotonic() against the deadline once per matching
-    and once per row.
+    `masks` comes from _edge_masks when the caller already has it.  Both
+    passes run through _clocked, so the deadline is checked once per
+    matching and once per row.
     """
     if masks is None:
         masks = _edge_masks(matchings, deadline)
     rows: list[int] = []
-    for i, matching in enumerate(matchings):
-        if time.monotonic() > deadline:
-            raise _BudgetExceeded
+    for i, matching in enumerate(_clocked(matchings, deadline)):
         row = 0
         for edge in matching.edges:
             row |= masks[edge]
@@ -297,11 +292,9 @@ def _first_level_orbits(
         if w in seen:
             continue
         orbit = {w}
-        frontier = [w]
-        while frontier:
-            if time.monotonic() > deadline:
-                raise _BudgetExceeded
-            edges = matchings[frontier.pop()].edges
+        frontier = [w]  # grows while it is read: a breadth-first walk of the orbit
+        for member in _clocked(frontier, deadline):
+            edges = matchings[member].edges
             for g in generators:
                 image = index_of[
                     tuple(sorted((g[u], g[v]) if g[u] < g[v] else (g[v], g[u]) for u, v in edges))

@@ -6,8 +6,8 @@ K(2n, 2), and because every run of up to n-1 consecutive edges is a
 matching, that order witnesses the (n-2)-nd power of a Hamiltonian cycle
 inside K(2n, 2).  Certificates are just (m, k, order) triples.  Any third
 party can re-verify one from the order alone: it is a k-th power exactly
-when every k+1 consecutive pairs are pairwise disjoint, which one scan of
-the order checks without building the graph.
+when every k+1 consecutive pairs are pairwise disjoint, the window check
+of verify_goodness, so both run baranyai.window_repeats and build no graph.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .baranyai import Permutation, cyclic_order
+from .baranyai import Permutation, cyclic_order, window_repeats
 from .core import dumps_indented
 
 __all__ = [
@@ -80,30 +80,32 @@ class HamPowerCertificate:
     order: tuple[Vertex, ...]
 
 
-def ham_power_certificate(n: int, sigma: Permutation | None = None) -> HamPowerCertificate:
-    """Certificate for the (n-2)-nd Hamiltonian power of K(2n, 2).
+def ham_power_certificate(
+    n: int, sigma: Permutation | None = None, k: int | None = None
+) -> HamPowerCertificate:
+    """Certificate claiming the k-th Hamiltonian power of K(2n, 2), k = n-2 by default.
 
     The vertex order is the cyclic edge order of K_{2n} for sigma (identity
-    by default).  Requires n >= 3 so that the claimed power is positive.
+    by default).  Requires n >= 3 so that the default claim is positive,
+    and k >= 1; a larger k than n-2 makes a false claim.
     """
     if n < 3:
         raise ValueError(f"the power claim needs n >= 3, got {n}")
+    k = n - 2 if k is None else k
+    _check_power(k)
     if sigma is None:
         sigma = Permutation.identity(2 * n)
     if sigma.size != 2 * n:
         raise ValueError(f"permutation size {sigma.size} does not match 2n = {2 * n}")
-    psi = cyclic_order(sigma)
-    return HamPowerCertificate(m=2 * n, k=n - 2, order=psi.sequence)
+    return HamPowerCertificate(m=2 * n, k=k, order=cyclic_order(sigma).sequence)
 
 
 def verify_ham_power(m: int, certificate: HamPowerCertificate) -> bool:
     """True iff all order positions at cyclic distance <= k hold disjoint pairs.
 
     Distances are clamped to total - 1, since the order is a cycle of total
-    positions.  One pass reads the total + depth positions, wrapping, and
-    keeps the last position at which each of 1..m was seen; the claim fails
-    as soon as a vertex comes back within depth positions.  No adjacency of
-    K(m, 2) is built.
+    positions, so the claim holds exactly when window_repeats finds no
+    window of min(k, total - 1) + 1 consecutive pairs that repeats a vertex.
 
     Raises ValueError for malformed certificates: m below 2 or unlike the
     certificate's, a nonpositive k, or an order that is not every canonical
@@ -113,19 +115,18 @@ def verify_ham_power(m: int, certificate: HamPowerCertificate) -> bool:
         raise ValueError(f"m must be at least 2, got {m}")
     if certificate.m != m:
         raise ValueError(f"certificate is for m={certificate.m}, expected m={m}")
-    if certificate.k < 1:
-        raise ValueError(f"claimed power must be at least 1, got {certificate.k}")
+    _check_power(certificate.k)
     order = certificate.order
     total = m * (m - 1) // 2
     if len(order) != total or not _lists_each_pair_once(m, order):
         raise ValueError("certificate order must list every vertex exactly once")
-    depth = min(certificate.k, total - 1)
-    last = [-depth - 1] * (m + 1)
-    for position, (a, b) in enumerate(itertools.chain(order, order[:depth])):
-        if position - last[a] <= depth or position - last[b] <= depth:
-            return False
-        last[a] = last[b] = position
-    return True
+    return not window_repeats(order, m + 1, min(certificate.k, total - 1) + 1, 1)
+
+
+def _check_power(k: int) -> None:
+    """The one rule on a claimed power: it is at least 1."""
+    if k < 1:
+        raise ValueError(f"claimed power must be at least 1, got {k}")
 
 
 def _lists_each_pair_once(m: int, order: tuple[Vertex, ...]) -> bool:

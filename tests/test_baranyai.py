@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from ekr_matchings.baranyai import (
     shift,
     slot_positions,
     verify_goodness,
+    window_repeats,
     wrap_index,
 )
 from ekr_matchings.core import all_edges
@@ -263,6 +265,26 @@ def test_verify_goodness_cap_matches_window_oracle(n, cap):
             intervals_checked=len(sigmas) * total,
             counterexamples=tuple(failures[:cap]),
         )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_window_repeats_matches_every_window(seed):
+    # arbitrary cyclic pair sequences, where ends come back at any distance
+    rng = random.Random(seed)
+    labels = 3 + seed
+    pairs = [tuple(rng.sample(range(labels), 2)) for _ in range(5 + 3 * seed)]
+    total = len(pairs)
+    for width in range(1, total + 1):
+        failing = [
+            start + 1
+            for start in range(total)
+            if len({x for t in range(width) for x in pairs[(start + t) % total]}) < 2 * width
+        ]
+        assert window_repeats(pairs, labels, width, total + 1) == failing
+        for cap in (0, 1, 3):
+            found = window_repeats(pairs, labels, width, cap)
+            assert found == failing[: len(found)]
+            assert found == failing or len(found) >= cap
 
 
 def test_verify_goodness_rejects_size_mismatch():

@@ -275,6 +275,39 @@ def test_kneser_cert_schema_and_verify(tmp_path, capsys):
     assert verdict["valid"] is True
 
 
+def test_kneser_verify_applies_k_to_a_loaded_certificate(tmp_path, capsys):
+    target = tmp_path / "cert.json"
+    run(capsys, "kneser-cert", "--n", "4", "--out", str(target))
+    code, verdict = run_json(capsys, "kneser-verify", "--cert", str(target), "--k", "3")
+    assert code == 1
+    assert verdict["k"] == 3 and verdict["valid"] is False
+    assert run_json(capsys, "kneser-verify", "--n", "4", "--k", "3") == (code, verdict)
+    code, verdict = run_json(capsys, "kneser-verify", "--cert", str(target), "--k", "1")
+    assert code == 0
+    assert verdict["k"] == 1 and verdict["valid"] is True
+    code, out, err = run(capsys, "kneser-verify", "--cert", str(target), "--k", "0")
+    assert (code, out, err) == (2, "", "error: claimed power must be at least 1, got 0\n")
+
+
+def test_kneser_verify_rejects_sigma_with_cert(tmp_path, capsys):
+    target = tmp_path / "cert.json"
+    run(capsys, "kneser-cert", "--n", "4", "--out", str(target))
+    code, out, err = run(capsys, "kneser-verify", "--cert", str(target), "--sigma", "8,7,6,5,4,3,2,1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --sigma generates a certificate, so it cannot be combined with --cert\n"
+
+
+@pytest.mark.parametrize("k", [0, -3])
+def test_kneser_cert_refuses_power_below_1(tmp_path, capsys, k):
+    target = tmp_path / "cert.json"
+    code, out, err = run(capsys, "kneser-cert", "--n", "4", "--k", str(k), "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: claimed power must be at least 1, got {k}\n"
+    assert not target.exists()
+    assert run(capsys, "kneser-verify", "--n", "4", "--k", str(k)) == (code, out, err)
+
+
 JSON_REPORTS = [
     ("construct", "--n", "4", "--c", "3"),
     ("construct", "--n", "2", "--sigma", "2,1,4,3"),

@@ -12,6 +12,7 @@ from ekr_matchings.baranyai import (
     cyclic_order,
     interval,
     sample_permutations,
+    verify_goodness,
 )
 from ekr_matchings.kneser import (
     HamPowerCertificate,
@@ -143,6 +144,19 @@ def test_power_k_equivalent_to_interval_matchings():
                 for start in range(1, total + 1)
             )
             assert verify_ham_power(2 * n, certificate) == windows_ok
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_power_claims_are_goodness_checks(n):
+    # the two faces of the window lemma: the k-th power of the cyclic order
+    # holds exactly when every window of min(k, total - 1) + 1 edges is a matching
+    total = n * (2 * n - 1)
+    for sigma in [Permutation.identity(2 * n)] + sample_permutations(2 * n, 3, seed=70 + n):
+        order = cyclic_order(sigma).sequence
+        for k in range(1, total + 1):
+            power = verify_ham_power(2 * n, HamPowerCertificate(2 * n, k, order))
+            goodness = verify_goodness(n, [sigma.images], r=min(k, total - 1) + 1)
+            assert power == goodness.passed
 
 
 def test_verifier_rejects_malformed():
