@@ -22,13 +22,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .core import Edge, Matching, make_edge
+from .core import Edge, make_edge
 
 __all__ = [
     "Permutation",
     "RootedBaranyaiOrder",
     "CyclicOrder",
-    "Interval",
     "GoodnessReport",
     "wrap_index",
     "half_order",
@@ -38,8 +37,6 @@ __all__ = [
     "position_pairs",
     "slot_positions",
     "cyclic_edges",
-    "edge_position",
-    "interval",
     "shift",
     "verify_goodness",
     "all_permutations",
@@ -83,12 +80,6 @@ class Permutation:
         if not 1 <= i <= len(self.images):
             raise ValueError(f"index {i} out of range 1..{len(self.images)}")
         return self.images[i - 1]
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for position, value in enumerate(self.images, start=1):
-            inv[value - 1] = position
-        return Permutation(tuple(inv))
 
 
 def half_order(sigma: Permutation) -> int:
@@ -149,10 +140,6 @@ class CyclicOrder:
     def __len__(self) -> int:
         return len(self.sequence)
 
-    def at(self, position: int) -> Edge:
-        """Edge at a 1-based position, wrapping around the cycle."""
-        return self.sequence[(position - 1) % len(self.sequence)]
-
 
 @lru_cache(maxsize=None)
 def position_pairs(n: int) -> tuple[tuple[int, int], ...]:
@@ -208,47 +195,6 @@ def cyclic_order(sigma: Permutation) -> CyclicOrder:
     """The cyclic order on the n(2n-1) edges induced by sigma."""
     n = half_order(sigma)
     return CyclicOrder(n=n, sequence=tuple(cyclic_edges(sigma.images, n)))
-
-
-def edge_position(sigma: Permutation, edge: tuple[int, int]) -> int:
-    """1-based position of an edge in the cyclic order for sigma.
-
-    Every edge of K_{2n} occurs exactly once, so the position is unique; it
-    is read from slot_positions at the slots sigma gives the two ends.
-    """
-    n = half_order(sigma)
-    u, v = make_edge(edge[0], edge[1], 2 * n)
-    return slot_positions(n)[sigma.images.index(u)][sigma.images.index(v)] + 1
-
-
-@dataclass(frozen=True)
-class Interval:
-    """A run of consecutive edges of a cyclic order, with wraparound."""
-
-    start: int
-    edges: tuple[Edge, ...]
-
-    @property
-    def key(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
-
-    def is_matching(self) -> bool:
-        vertices = [x for edge in self.edges for x in edge]
-        return len(set(vertices)) == len(vertices)
-
-    def as_matching(self) -> Matching:
-        return Matching.from_edges(self.edges)
-
-
-def interval(psi: CyclicOrder, i: int, r: int) -> Interval:
-    """The r consecutive edges of psi starting at position i (1-based)."""
-    total = len(psi.sequence)
-    if not 1 <= i <= total:
-        raise ValueError(f"start position must be in 1..{total}, got {i}")
-    if not 1 <= r <= total:
-        raise ValueError(f"interval length must be in 1..{total}, got {r}")
-    edges = tuple(psi.sequence[(i - 1 + t) % total] for t in range(r))
-    return Interval(start=i, edges=edges)
 
 
 def shift(pi: Permutation, c: int) -> Permutation:
@@ -320,7 +266,8 @@ def verify_goodness(
     a tuple from rotation_classes, and must have 2n images.  r defaults
     to n-1, the longest length for which every interval is a matching.
     Counterexamples are (images, start position) pairs, sigma
-    by sigma and by ascending start within one, capped at max_counterexamples.
+    by sigma and by ascending start within one, capped at max_counterexamples,
+    which must be at least 1 so that passed cannot hide a failing window.
 
     A bijection puts distinct vertices in distinct slots of the image tuple,
     so a window repeats a vertex exactly when it repeats a slot of
@@ -334,6 +281,8 @@ def verify_goodness(
         r = n - 1 if n > 1 else 1
     if not 1 <= r <= total:
         raise ValueError(f"interval length must be in 1..{total}, got {r}")
+    if max_counterexamples < 1:
+        raise ValueError(f"max_counterexamples must be at least 1, got {max_counterexamples}")
     failing = window_repeats(position_pairs(n), 2 * n, r, max_counterexamples)
     counterexamples: list[tuple[tuple[int, ...], int]] = []
     permutations_checked = 0

@@ -22,6 +22,8 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable
 
 from .core import (
+    Edge,
+    MatchingFamily,
     Parameters,
     chi,
     dumps_indented,
@@ -249,18 +251,23 @@ def _cmd_count(config: argparse.Namespace) -> CommandResult:
     return _over_instances(config, "count", lambda n, r: _count_instance(n, r, config))
 
 
-def _cmd_double_count(config: argparse.Namespace) -> CommandResult:
+def _star(config: argparse.Namespace) -> tuple[Parameters, Edge, MatchingFamily]:
+    """The parameters, the --edge (default 1,2) and its star, for double-count and center-map."""
     n = _require_n(config)
     if config.r is None:
         raise ValueError("this subcommand requires --r")
     params = Parameters(n, config.r)
     edge = _parse_edge(config.edge) if config.edge else (1, 2)
-    family = star_family(params, edge)
+    return params, edge, star_family(params, edge)
+
+
+def _cmd_double_count(config: argparse.Namespace) -> CommandResult:
+    params, edge, family = _star(config)
     report = verify_double_count(family, params, limit=config.limit_perms)
     payload = {
         "command": "double-count",
-        "n": n,
-        "r": config.r,
+        "n": params.n,
+        "r": params.r,
         "edge": list(edge),
         "family_size": report.family_size,
         "q_value": report.q_value,
@@ -322,17 +329,12 @@ def _cmd_ekr_search(config: argparse.Namespace) -> CommandResult:
 
 
 def _cmd_center_map(config: argparse.Namespace) -> CommandResult:
-    n = _require_n(config)
-    if config.r is None:
-        raise ValueError("this subcommand requires --r")
-    params = Parameters(n, config.r)
-    edge = _parse_edge(config.edge) if config.edge else (1, 2)
-    family = star_family(params, edge)
+    params, edge, family = _star(config)
     result = center_map(family, params, limit=config.limit_perms)
     payload = {
         "command": "center-map",
-        "n": n,
-        "r": config.r,
+        "n": params.n,
+        "r": params.r,
         "edge": list(edge),
         "permutations": result.total,
         "saturated": result.saturated,
@@ -383,7 +385,7 @@ def _cmd_lemma_identities(config: argparse.Namespace) -> CommandResult:
 
 def _certificate_for(config: argparse.Namespace) -> HamPowerCertificate:
     n = _require_n(config)
-    sigma = _sigma_or_identity(config, 2 * n) if config.sigma else None
+    sigma = _parse_sigma(config.sigma, 2 * n) if config.sigma else None
     return ham_power_certificate(n, sigma, config.k)
 
 
@@ -410,7 +412,9 @@ def _cmd_kneser_verify(config: argparse.Namespace) -> CommandResult:
             certificate = replace(certificate, k=config.k)
     else:
         certificate = _certificate_for(config)
-    valid = verify_ham_power(certificate.m, certificate)
+    # --n with --cert names the m = 2n the loaded certificate must be for
+    m = certificate.m if config.n is None else 2 * _require_n(config)
+    valid = verify_ham_power(m, certificate)
     payload = {
         "command": "kneser-verify",
         "m": certificate.m,

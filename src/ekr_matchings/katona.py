@@ -7,8 +7,9 @@ edge occurs exactly once in the cyclic order, A occupies a fixed set of r
 positions and is compatible iff those positions are consecutive, so each
 matching matches at most one interval.  The position of an edge depends
 only on the slots sigma gives its two ends (baranyai.slot_positions), so
-compatibility is read off a bitmask of A's positions and a table of the
-n(2n-1) window masks.
+the q oracle (q_bruteforce below) decides compatibility from the slots of
+A's vertices alone: A's positions form a bitmask, and A is compatible
+exactly when that mask is one of the n(2n-1) window masks.
 
 A trace, the set of members of a family compatible with sigma, is read the
 other way round, with masks over edges instead of positions.  Each edge of
@@ -51,7 +52,6 @@ __all__ = [
     "TraceResult",
     "CompatibilityCount",
     "DoubleCountReport",
-    "is_compatible",
     "trace",
     "q_formula",
     "q_bruteforce",
@@ -66,31 +66,13 @@ def _window_starts(n: int, r: int) -> dict[int, int]:
     """1-based start of each length-r window of the cyclic order, keyed by its position mask.
 
     Bit k of a mask stands for 0-based cyclic position k, so a set of r
-    positions is a run exactly when its mask is a key here.  Shared by
-    every caller; it must not be mutated.
+    positions is a run exactly when its mask is a key here.  Cached for
+    q_bruteforce, so it must not be mutated.
     """
     total = n * (2 * n - 1)
     run = (1 << r) - 1
     full = (1 << total) - 1
     return {((run << start) | (run >> (total - start))) & full: start + 1 for start in range(total)}
-
-
-def is_compatible(a: Matching, sigma: Permutation) -> int | None:
-    """Position of the interval of sigma's cyclic order equal to a, or None.
-
-    Requires |a| <= n-1 so that every candidate interval is a matching.
-    """
-    n = half_order(sigma)
-    if not 1 <= len(a) <= n - 1:
-        raise ValueError(f"matching size must be in 1..{n - 1}, got {len(a)}")
-    if a.support and max(a.support) > 2 * n:
-        raise ValueError(f"matching uses vertices outside 1..{2 * n}")
-    table = slot_positions(n)
-    slot = {vertex: s for s, vertex in enumerate(sigma.images)}
-    mask = 0
-    for u, v in a.edges:
-        mask |= 1 << table[slot[u]][slot[v]]
-    return _window_starts(n, len(a)).get(mask)
 
 
 @lru_cache(maxsize=None)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import Edge, MatchingFamily, Parameters, make_edge, phi
+from .core import Edge, MatchingFamily, Parameters, phi
 from .baranyai import Permutation, half_order, position_pairs, rotation_classes
 from .katona import compatible_member_keys, member_windows
 
@@ -29,7 +29,6 @@ __all__ = [
     "reflect_swap",
     "composition_identity",
     "swap_identities",
-    "construct_interval_permutation",
     "center_map",
 ]
 
@@ -118,44 +117,6 @@ def swap_identities(sigma: Permutation, j: int | None = None) -> Iterator[tuple[
         for k in indices:
             if j is None or k == j:
                 yield name, k, holds(k)
-
-
-def construct_interval_permutation(
-    edges: tuple[tuple[int, int], ...] | list[tuple[int, int]],
-    params: Parameters,
-) -> Permutation:
-    """A permutation whose cyclic order ends with the given edges, in order.
-
-    The input lists r+1 pairwise disjoint edges (the interval read left to
-    right); the last one becomes the final spoke {sigma(2n-1), sigma(2n)}.
-    Edge number k from the end is realized on positions k and 2n-1-k.
-    Leftover vertices go to leftover positions in increasing order, which
-    keeps the construction deterministic.  Requires r <= n-2 so that the
-    whole interval sits inside the last part.
-    """
-    n = params.n
-    two_n = 2 * n
-    sequence = [make_edge(u, v, two_n) for u, v in edges]
-    r = len(sequence) - 1
-    if r < 0:
-        raise ValueError("need at least one edge")
-    if r > n - 2:
-        raise ValueError(f"interval of length {r + 1} needs r <= n-2, got n={n}")
-    used = [x for e in sequence for x in e]
-    if len(set(used)) != len(used):
-        raise ValueError("edges must form a matching")
-    assignment: dict[int, int] = {}
-    for k, (x, y) in zip(range(r, -1, -1), sequence):
-        if k == 0:
-            assignment[two_n - 1] = x
-            assignment[two_n] = y
-        else:
-            assignment[k] = x
-            assignment[two_n - 1 - k] = y
-    free_positions = sorted(set(range(1, two_n + 1)) - set(assignment))
-    free_vertices = sorted(set(range(1, two_n + 1)) - set(used))
-    assignment.update(zip(free_positions, free_vertices))
-    return Permutation(tuple(assignment[p] for p in range(1, two_n + 1)))
 
 
 @dataclass(frozen=True)

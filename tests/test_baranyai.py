@@ -13,9 +13,7 @@ from ekr_matchings.baranyai import (
     all_permutations,
     baranyai_edge,
     cyclic_order,
-    edge_position,
     half_order,
-    interval,
     position_pairs,
     rooted_order,
     rotation_classes,
@@ -50,7 +48,6 @@ def test_wrap_index_never_zero():
 def test_permutation_basics():
     sigma = Permutation((2, 3, 1))
     assert sigma(1) == 2 and sigma(3) == 1
-    assert sigma.inverse()(2) == 1
     assert Permutation.identity(4).images == (1, 2, 3, 4)
     with pytest.raises(ValueError):
         Permutation((1, 1, 2))
@@ -58,12 +55,6 @@ def test_permutation_basics():
         sigma(0)
     with pytest.raises(ValueError):
         sigma(4)
-
-
-@given(permutations_of(8))
-def test_inverse_roundtrip(sigma):
-    inv = sigma.inverse()
-    assert all(inv(sigma(i)) == i for i in range(1, 9))
 
 
 def test_half_order_rejects_odd():
@@ -123,17 +114,11 @@ def test_cyclic_order_matches_definition(sigma):
 
 
 def test_cyclic_order_worked_position():
-    psi = cyclic_order(Permutation.identity(8))
-    assert psi.at(10) == (1, 5)
-    assert psi.at(10 + len(psi)) == (1, 5)  # wraparound
-
-
-@settings(max_examples=40)
-@given(st.integers(2, 5).flatmap(lambda n: permutations_of(2 * n)))
-def test_edge_position_inverts_cyclic_order(sigma):
-    psi = cyclic_order(sigma)
-    for position, edge in enumerate(psi.sequence, start=1):
-        assert edge_position(sigma, edge) == position
+    # positions 10 and 12 of the identity order for n = 4, 13 and 14 for n = 3
+    sequence = cyclic_order(Permutation.identity(8)).sequence
+    assert sequence[9] == (1, 5)
+    assert sequence[11] == (3, 8)  # spoke of part 3
+    assert cyclic_order(Permutation.identity(6)).sequence[12:14] == ((2, 3), (1, 4))
 
 
 def test_slot_positions_inverts_position_pairs():
@@ -145,33 +130,13 @@ def test_slot_positions_inverts_position_pairs():
         assert [table[s][s] for s in range(2 * n)] == [-1] * (2 * n)
 
 
-def test_edge_position_worked_example():
-    sigma = Permutation.identity(8)
-    assert edge_position(sigma, (1, 5)) == 10
-    assert edge_position(sigma, (3, 8)) == 3 * 4  # spoke of part 3
-
-
-def test_interval_extraction_and_wraparound():
-    psi = cyclic_order(Permutation.identity(6))
-    run = interval(psi, 2, 3)
-    assert run.start == 2
-    assert run.edges == tuple(psi.sequence[1:4])
-    assert not run.is_matching()  # length n straddling a part boundary
-    tail = interval(psi, len(psi), 2)
-    assert tail.edges == (psi.sequence[-1], psi.sequence[0])
-    with pytest.raises(ValueError):
-        interval(psi, 0, 2)
-    with pytest.raises(ValueError):
-        interval(psi, 1, 0)
-
-
 def test_short_intervals_are_matchings_identity():
     for n in (3, 4, 5):
-        psi = cyclic_order(Permutation.identity(2 * n))
-        for start in range(1, len(psi) + 1):
-            run = interval(psi, start, n - 1)
-            assert run.is_matching()
-            run.as_matching()  # must not raise
+        sequence = cyclic_order(Permutation.identity(2 * n)).sequence
+        wrapped = sequence + sequence[: n - 2]
+        for start in range(len(sequence)):
+            vertices = [x for edge in wrapped[start : start + n - 1] for x in edge]
+            assert len(set(vertices)) == len(vertices)
 
 
 def test_shift_relabels_parts():
@@ -256,6 +221,10 @@ def test_verify_goodness_cap_matches_window_oracle(n, cap):
     total = n * (2 * n - 1)
     sigmas = [Permutation.identity(2 * n)] + sample_permutations(2 * n, 20, seed=100 + n)
     for r in (n - 1, n, n + 1, 2 * n):
+        if cap == 0:
+            with pytest.raises(ValueError, match="at least 1"):
+                verify_goodness(n, [sigma.images for sigma in sigmas], r=r, max_counterexamples=cap)
+            continue
         failures = [(sigma.images, start) for sigma in sigmas for start in naive_goodness_failures(sigma.images, n, r)]
         report = verify_goodness(n, [sigma.images for sigma in sigmas], r=r, max_counterexamples=cap)
         assert report == GoodnessReport(
@@ -265,6 +234,15 @@ def test_verify_goodness_cap_matches_window_oracle(n, cap):
             intervals_checked=len(sigmas) * total,
             counterexamples=tuple(failures[:cap]),
         )
+
+
+def test_verify_goodness_rejects_a_cap_below_1():
+    # a cap of 0 kept no counterexample, so passed read True while windows failed
+    identity = Permutation.identity(8).images
+    assert not verify_goodness(4, [identity], r=4).passed
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            verify_goodness(4, [identity], r=4, max_counterexamples=cap)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -298,6 +298,18 @@ def test_kneser_verify_rejects_sigma_with_cert(tmp_path, capsys):
     assert err == "error: --sigma generates a certificate, so it cannot be combined with --cert\n"
 
 
+def test_kneser_verify_checks_a_loaded_certificate_against_n(tmp_path, capsys):
+    target = tmp_path / "cert.json"
+    run(capsys, "kneser-cert", "--n", "4", "--out", str(target))
+    code, out, err = run(capsys, "kneser-verify", "--cert", str(target), "--n", "7")
+    assert (code, out, err) == (2, "", "error: certificate is for m=8, expected m=14\n")
+    code, out, err = run(capsys, "kneser-verify", "--cert", str(target), "--n", "0")
+    assert (code, out, err) == (2, "", "error: n must be a positive integer, got 0\n")
+    matched = run(capsys, "kneser-verify", "--cert", str(target), "--n", "4")
+    assert matched == run(capsys, "kneser-verify", "--cert", str(target))
+    assert matched[0] == 0 and json.loads(matched[1])["valid"] is True
+
+
 @pytest.mark.parametrize("k", [0, -3])
 def test_kneser_cert_refuses_power_below_1(tmp_path, capsys, k):
     target = tmp_path / "cert.json"

@@ -10,7 +10,6 @@ from ekr_matchings.baranyai import (
     Permutation,
     all_permutations,
     cyclic_order,
-    interval,
     rotation_classes,
     sample_permutations,
 )
@@ -25,7 +24,6 @@ from ekr_matchings.core import (
 )
 from ekr_matchings.katona import (
     compatible_member_keys,
-    is_compatible,
     member_windows,
     q_bruteforce,
     q_formula,
@@ -42,10 +40,6 @@ from oracles import (
 )
 
 
-def permutations_of(two_n):
-    return st.permutations(list(range(1, two_n + 1))).map(lambda p: Permutation(tuple(p)))
-
-
 def triangle_family():
     # pairwise intersecting without a common edge
     return MatchingFamily(
@@ -57,69 +51,19 @@ def triangle_family():
     )
 
 
-def test_is_compatible_returns_interval_start():
-    sigma = Permutation.identity(8)
-    psi = cyclic_order(sigma)
-    run = interval(psi, 10, 3)
-    position = is_compatible(run.as_matching(), sigma)
-    assert position is not None
-    assert interval(psi, position, 3).key == run.key
-
-
-def test_is_compatible_worked_example():
-    # {{2,3},{1,4}} sits at positions 13,14 of the identity order for n=3
-    sigma = Permutation.identity(6)
-    a = Matching.from_edges([(2, 3), (1, 4)])
-    assert is_compatible(a, sigma) == 13
-    psi = cyclic_order(sigma)
-    assert interval(psi, 13, 2).key == a.key
-
-
-def test_is_compatible_negative_case():
-    sigma = Permutation.identity(6)
-    # both edges lie in the order, but never adjacent: not compatible
-    a = Matching.from_edges([(3, 4), (1, 5)])
-    assert is_compatible(a, sigma) is None
-
-
-def test_is_compatible_rejects_bad_sizes():
-    sigma = Permutation.identity(6)
-    with pytest.raises(ValueError):
-        is_compatible(Matching.from_edges([(1, 2), (3, 4), (5, 6)]), sigma)
-    with pytest.raises(ValueError):
-        is_compatible(Matching.from_edges([(1, 8)]), sigma)
+def order_windows(sigma, r):
+    """The n(2n-1) runs of r consecutive edges of sigma's cyclic order, wrapping, as matchings."""
+    order = cyclic_order(sigma).sequence
+    wrapped = order + order[: r - 1]
+    return [Matching.from_edges(wrapped[start : start + r]) for start in range(len(order))]
 
 
 def test_every_extracted_interval_is_compatible():
     for sigma in (Permutation.identity(8), Permutation((3, 7, 1, 5, 8, 2, 6, 4))):
-        psi = cyclic_order(sigma)
         for r in (1, 2, 3):
-            for start in range(1, len(psi) + 1):
-                a = interval(psi, start, r).as_matching()
-                position = is_compatible(a, sigma)
-                assert position is not None
-                assert interval(psi, position, r).key == a.key
-
-
-def assert_compatibility_matches_naive(sigma, n, r):
-    psi = cyclic_order(sigma)
-    for a in enumerate_matchings(Parameters(n, r)):
-        position = is_compatible(a, sigma)
-        assert (position is not None) == naive_compatible(a.edges, sigma.images, n)
-        if position is not None:
-            assert interval(psi, position, r).key == a.key
-
-
-@settings(max_examples=30)
-@given(permutations_of(6), st.integers(1, 2))
-def test_is_compatible_matches_naive_scan(sigma, r):
-    assert_compatibility_matches_naive(sigma, 3, r)
-
-
-@pytest.mark.parametrize("r", [1, 2, 3])
-def test_is_compatible_matches_naive_scan_n4(r):
-    for sigma in (Permutation.identity(8), *sample_permutations(8, 12, seed=31)):
-        assert_compatibility_matches_naive(sigma, 4, r)
+            windows = MatchingFamily(order_windows(sigma, r))
+            assert len(windows) == 4 * 7
+            assert trace(windows, sigma).members == windows.members
 
 
 def test_compatible_member_keys_matches_naive():
@@ -187,11 +131,7 @@ def test_window_reader_matches_oracles_on_every_rotation_class(n, r):
 def test_window_reader_matches_oracles_on_sampled_permutations(n):
     sigmas = sample_permutations(2 * n, 6, seed=n)
     for r in (1, n - 1):
-        seen = MatchingFamily(
-            interval(cyclic_order(sigma), start, r).as_matching()
-            for sigma in sigmas[:2]
-            for start in range(1, n * (2 * n - 1) + 1)
-        )
+        seen = MatchingFamily(a for sigma in sigmas[:2] for a in order_windows(sigma, r))
         substar = MatchingFamily((m for m in seen if (1, 2) in m), r=r)
         assert len(substar) >= r
         for family in (seen, substar, MatchingFamily([], r=r)):
@@ -316,7 +256,7 @@ def test_trace_members_are_compatible():
         result = trace(family, sigma)
         assert result.size <= params.r  # Katona bound for intersecting families
         for member in result.members:
-            assert is_compatible(member, sigma) is not None
+            assert naive_compatible(member.edges, sigma.images, params.n)
         if result.saturated:
             assert result.center is not None
             assert all(result.center in m for m in result.members)
@@ -398,13 +338,8 @@ def full_sweep_counts(family, n, r):
 @pytest.mark.parametrize("n,r", [(3, 2), (4, 2)])
 def test_rotation_quotient_matches_full_sweep(n, r):
     params = Parameters(n, r)
-    for a in (Matching.from_edges([(1, 2), (3, 4)]), Matching.from_edges([(2, 5), (3, 2 * n)])):
-        full = sum(
-            1
-            for images in itertools.permutations(range(1, 2 * n + 1))
-            if is_compatible(a, Permutation(images)) is not None
-        )
-        assert q_bruteforce(a, params) == full
+    matchings = [Matching.from_edges([(1, 2), (3, 4)]), Matching.from_edges([(2, 5), (3, 2 * n)])]
+    assert [q_bruteforce(a, params) for a in matchings] == naive_q_counts([a.edges for a in matchings], n)
     for family in (star_family(params, (1, 2 * n)), triangle_family()):
         report = verify_double_count(family, params)
         total, largest, per_member = full_sweep_counts(family, n, r)

@@ -1,4 +1,4 @@
-"""Swap identities and the interval-realizing permutation construction."""
+"""Swap identities and the center map."""
 
 import itertools
 import math
@@ -10,19 +10,16 @@ from ekr_matchings.baranyai import (
     Permutation,
     all_permutations,
     baranyai_edge,
-    cyclic_order,
-    interval,
     rotation_classes,
     sample_permutations,
 )
 from ekr_matchings.core import Matching, MatchingFamily, Parameters, star_family
 from ekr_matchings import transposition_lab
-from ekr_matchings.katona import compatible_member_keys, is_compatible, member_windows, trace
+from ekr_matchings.katona import compatible_member_keys, member_windows, trace
 from ekr_matchings.transposition_lab import (
     SWAP_IDENTITIES,
     center_map,
     composition_identity,
-    construct_interval_permutation,
     reflect_swap,
     swap_identities,
     transpose_adjacent,
@@ -108,48 +105,6 @@ def test_composition_identity_index_range():
     with pytest.raises(ValueError):
         # the valid range is empty below n=4
         composition_identity(Permutation.identity(6), 4)
-
-
-def test_construct_interval_permutation_worked_example():
-    params = Parameters(4, 2)
-    sigma = construct_interval_permutation(((3, 6), (2, 7), (1, 8)), params)
-    assert sigma.images == (2, 3, 4, 5, 6, 7, 1, 8)
-
-
-def test_constructed_permutation_realizes_interval():
-    params = Parameters(4, 2)
-    edges = ((3, 6), (2, 7), (1, 8))
-    sigma = construct_interval_permutation(edges, params)
-    n = params.n
-    total = n * (2 * n - 1)
-    run = interval(cyclic_order(sigma), total - len(edges) + 1, len(edges))
-    assert run.edges == edges
-    # the closing sub-matching is compatible and ends at the final spoke
-    tail = Matching.from_edges(edges[1:])
-    assert is_compatible(tail, sigma) == total - 1
-
-
-def test_construct_many_random_intervals():
-    params = Parameters(5, 3)
-    n = params.n
-    total = n * (2 * n - 1)
-    for source in sample_permutations(10, 20, seed=31):
-        # any interval of length r+1 <= n-1 from any real cyclic order
-        run = interval(cyclic_order(source), 17, n - 1)
-        sigma = construct_interval_permutation(run.edges, params)
-        realized = interval(cyclic_order(sigma), total - len(run.edges) + 1, len(run.edges))
-        assert realized.edges == run.edges
-
-
-def test_construct_rejects_bad_input():
-    params = Parameters(4, 2)
-    with pytest.raises(ValueError):
-        construct_interval_permutation((), params)
-    with pytest.raises(ValueError):
-        # r+1 = 4 edges means r = 3 > n-2
-        construct_interval_permutation(((1, 2), (3, 4), (5, 6), (7, 8)), params)
-    with pytest.raises(ValueError):
-        construct_interval_permutation(((1, 2), (2, 3), (4, 5)), params)
 
 
 def test_center_map_star_n3_constant():
