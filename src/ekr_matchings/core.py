@@ -102,26 +102,16 @@ class Matching:
     def from_edges(cls, edges: Iterable[tuple[int, int]]) -> "Matching":
         return cls(tuple(sorted(make_edge(u, v) for u, v in edges)))
 
-    @cached_property
-    def support(self) -> frozenset[int]:
-        """Vertices covered by the matching."""
-        return frozenset(x for edge in self.edges for x in edge)
-
-    @cached_property
-    def key(self) -> frozenset[Edge]:
-        """The edge set, hashable, for order-free comparisons."""
-        return frozenset(self.edges)
-
     def __len__(self) -> int:
         return len(self.edges)
 
     def __contains__(self, edge: Edge) -> bool:
-        return edge in self.key
+        return edge in self.edges
 
 
 def intersects(a: Matching, b: Matching) -> bool:
     """True iff the matchings share an edge; a shared vertex is not enough."""
-    return not a.key.isdisjoint(b.key)
+    return not set(a.edges).isdisjoint(b.edges)
 
 
 def common_edges(members: Sequence[Matching]) -> tuple[Edge, ...]:
@@ -144,10 +134,6 @@ class MatchingFamily:
             r = inferred
         self.members: tuple[Matching, ...] = tuple(unique)
         self.r = r
-
-    @cached_property
-    def member_keys(self) -> frozenset[frozenset[Edge]]:
-        return frozenset(m.key for m in self.members)
 
     @cached_property
     def _member_set(self) -> frozenset[Matching]:
@@ -191,7 +177,7 @@ def iter_matchings(params: Parameters, meeting: Matching | None = None) -> Itera
     """
     edges = all_edges(params.n)
     r = params.r
-    wanted = [] if meeting is None else [i for i, e in enumerate(edges) if e in meeting.key]
+    wanted = [] if meeting is None else [i for i, e in enumerate(edges) if e in meeting.edges]
     chosen: list[Edge] = []
     used: set[int] = set()
 

@@ -470,13 +470,15 @@ def max_intersecting(params: Parameters, budget: SearchBudget | None = None) -> 
                 # S_{2n} maps stars to stars, so no maximum family elsewhere is a non-star
                 del adjacency, masks
                 stars = _stars(_clocked(iter_matchings(params), counter.deadline))
-                families = set()  # at r = n two edges can span one star
+                families = []
                 for edge, members in _clocked(stars.items(), counter.deadline):
                     # intersecting by construction: check the star against its closed form
                     star = MatchingFamily(members)
-                    if len(star) != max_size or edge not in common_edges(star.members):
+                    common = common_edges(star.members)
+                    if len(star) != max_size or edge not in common:
                         raise ArithmeticError(f"the star at {edge} does not match its closed form")
-                    families.add(star)
+                    if edge == common[0]:  # at r = n two edges can span one star; file it once
+                        families.append(star)
             else:
                 families = [to_family(non_star)]
                 if len(families[0]) != max_size or is_star(families[0]) is not None:

@@ -12,11 +12,11 @@ A's vertices alone: A's positions form a bitmask, and A is compatible
 exactly when that mask is one of the n(2n-1) window masks.
 
 A trace, the set of members of a family compatible with sigma, is read the
-other way round, with masks over edges instead of positions.  Each edge of
-K_{2n} has one bit, and a table built once per sweep (member_windows) maps
-each member's edge mask to the member.  Each of the n(2n-1) windows of
-sigma's order is the OR of r consecutive edge bits, and the trace is the
-windows found in the table (compatible_member_keys).
+other way round, with masks over edges instead of positions.  Bit k stands
+for edge k of core.all_edges, member_windows maps each member's edge mask to
+the member, and the trace is the set of sigma's n(2n-1) windows, each the OR
+of r consecutive edge bits, found among those masks (compatible_member_keys).
+The centre of a saturated trace is the one bit its masks share (trace_center).
 
 The number of compatible permutations is the same for every r-matching:
 
@@ -42,10 +42,10 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable
 
-from .core import Edge, Matching, MatchingFamily, Parameters, common_edges
+from .core import Edge, Matching, MatchingFamily, Parameters, all_edges
 from .baranyai import Permutation, half_order, position_pairs, rotation_classes, slot_positions
 
 __all__ = [
@@ -58,56 +58,65 @@ __all__ = [
     "verify_double_count",
     "member_windows",
     "compatible_member_keys",
+    "trace_center",
 ]
 
 
 @lru_cache(maxsize=None)
-def _window_starts(n: int, r: int) -> dict[int, int]:
-    """1-based start of each length-r window of the cyclic order, keyed by its position mask.
+def _window_position_masks(n: int, r: int) -> frozenset[int]:
+    """The position mask of each length-r window of the cyclic order.
 
     Bit k of a mask stands for 0-based cyclic position k, so a set of r
-    positions is a run exactly when its mask is a key here.  Cached for
-    q_bruteforce, so it must not be mutated.
+    positions is a run exactly when its mask is in this set.
     """
     total = n * (2 * n - 1)
     run = (1 << r) - 1
     full = (1 << total) - 1
-    return {((run << start) | (run >> (total - start))) & full: start + 1 for start in range(total)}
+    return frozenset(((run << start) | (run >> (total - start))) & full for start in range(total))
 
 
 @lru_cache(maxsize=None)
-def _edge_bits(two_n: int) -> tuple[tuple[int, ...], ...]:
-    """One bit per edge of K_{two_n}: entry [u][v] == [v][u] is the bit of {u, v}.
+def _edge_bits(n: int) -> tuple[tuple[int, ...], ...]:
+    """One bit per edge of K_{2n}: entry [u][v] == [v][u] is the bit of {u, v}.
 
     Row and column 0 and the diagonal hold 0.  An edge set is then the OR of
-    its bits, whatever the order of its edges.  Shared by every caller; the
-    bits are numbered in lexicographic edge order.
+    its bits, whatever the order of its edges.  Shared by every caller; bit
+    k is edge k of all_edges(n).
     """
-    rows = [[0] * (two_n + 1) for _ in range(two_n + 1)]
-    for k, (u, v) in enumerate(itertools.combinations(range(1, two_n + 1), 2)):
+    rows = [[0] * (2 * n + 1) for _ in range(2 * n + 1)]
+    for k, (u, v) in enumerate(all_edges(n)):
         rows[u][v] = rows[v][u] = 1 << k
     return tuple(map(tuple, rows))
 
 
-def member_windows(
-    n: int, r: int, member_keys: Iterable[frozenset[Edge]]
-) -> dict[int, frozenset[Edge]]:
-    """Each member's edge mask mapped to its key: the table compatible_member_keys reads.
+@lru_cache(maxsize=None)
+def _bit_edges(n: int) -> dict[int, Edge]:
+    """Each single-bit edge mask of K_{2n} mapped to its edge; cached, so never mutated."""
+    return {1 << k: edge for k, edge in enumerate(all_edges(n))}
 
-    Built once per sweep, with one entry per member.
+
+def member_windows(n: int, r: int, members: Iterable[Matching]) -> dict[int, Matching]:
+    """Each member's edge mask mapped to the member: the table compatible_member_keys reads.
+
+    Built once per sweep, with one entry per member, in the order given.
     """
-    bits = _edge_bits(2 * n)
-    windows: dict[int, frozenset[Edge]] = {}
-    for key in member_keys:
-        if len(key) != r:
-            raise ValueError(f"member has {len(key)} edges, expected r = {r}")
+    bits = _edge_bits(n)
+    windows: dict[int, Matching] = {}
+    for member in members:
+        if len(member) != r:
+            raise ValueError(f"member has {len(member)} edges, expected r = {r}")
         mask = 0
-        for u, v in key:
-            if max(u, v) > 2 * n:
+        for u, v in member.edges:
+            if v > 2 * n:
                 raise ValueError(f"member uses vertices outside 1..{2 * n}")
             mask |= bits[u][v]
-        windows[mask] = key
+        windows[mask] = member
     return windows
+
+
+def trace_center(n: int, masks: Iterable[int]) -> Edge | None:
+    """The one edge that every mask of a nonempty set holds, or None if none or several are."""
+    return _bit_edges(n).get(reduce(operator.and_, masks))
 
 
 @lru_cache(maxsize=None)
@@ -122,25 +131,23 @@ def compatible_member_keys(
     images: tuple[int, ...],
     n: int,
     r: int,
-    windows: dict[int, frozenset[Edge]],
-) -> set[frozenset[Edge]]:
-    """Keys of the members occurring as length-r windows of the cyclic order for images.
+    windows: dict[int, Matching],
+) -> set[int]:
+    """Edge masks of the members occurring as length-r windows of the cyclic order for images.
 
     Shared hot path for traces and exhaustive sweeps; images is a raw
     permutation tuple and windows comes from member_windows(n, r, ...).
     The edge at each position, plus r-1 wrapped positions, becomes its bit;
     r shifted copies of that list ORed together are the n(2n-1) window
-    masks, each looked up in windows.
+    masks, and the hits are those that are keys of windows.
     """
     first, second = _window_ends(n, r)
-    rows = _edge_bits(2 * n)
+    rows = _edge_bits(n)
     bits = list(map(operator.getitem, first(list(map(rows.__getitem__, images))), second(images)))
     masks = bits
     for offset in range(1, r):
         masks = map(operator.or_, masks, bits[offset:])
-    found = set(map(windows.get, masks))
-    found.discard(None)
-    return found
+    return windows.keys() & masks
 
 
 @dataclass(frozen=True)
@@ -177,16 +184,12 @@ def trace(family: MatchingFamily, sigma: Permutation) -> TraceResult:
     assert r is not None
     if not 1 <= r <= n - 1:
         raise ValueError(f"family members must have size in 1..{n - 1}, got {r}")
-    by_key = {m.key: m for m in family}
-    found = compatible_member_keys(sigma.images, n, r, member_windows(n, r, family.member_keys))
-    members = tuple(sorted((by_key[k] for k in found), key=lambda m: m.edges))
-    center: Edge | None = None
-    violation = False
-    if family.is_intersecting:
-        if len(members) == r and len(common := common_edges(members)) == 1:
-            center = common[0]
-        else:
-            violation = len(members) >= r
+    windows = member_windows(n, r, family)
+    found = compatible_member_keys(sigma.images, n, r, windows)
+    members = tuple(member for mask, member in windows.items() if mask in found)
+    intersecting = family.is_intersecting
+    center = trace_center(n, found) if intersecting and len(found) == r else None
+    violation = intersecting and center is None and len(found) >= r
     return TraceResult(members=members, r=r, center=center, katona_violation=violation)
 
 
@@ -240,10 +243,10 @@ def q_bruteforce(a: Matching, params: Parameters, limit: int = 10) -> int:
         raise ValueError(f"matching has {len(a)} edges, expected r = {params.r}")
     if params.r > n - 1:
         raise ValueError(f"compatibility needs r <= n-1, got r={params.r}, n={n}")
-    if a.support and max(a.support) > two_n:
+    if any(v > two_n for _, v in a.edges):
         raise ValueError(f"matching uses vertices outside 1..{two_n}")
     bits = [[1 << k if k >= 0 else 0 for k in row] for row in slot_positions(n)]
-    windows = _window_starts(n, params.r)
+    windows = _window_position_masks(n, params.r)
     pairs = range(0, 2 * params.r - 2, 2)
     # one placement per shift orbit: a corner u1 is rotated to slot 0, and
     # u1 on the root slot leaves v1 a corner, rotated to slot 0; the other
@@ -341,8 +344,8 @@ def verify_double_count(
     if 2 * n > limit:
         return report
     weight = 2 * n - 1
-    windows = member_windows(n, r, family.member_keys)
-    per_member: dict[frozenset[Edge], int] = dict.fromkeys(family.member_keys, 0)
+    windows = member_windows(n, r, family)
+    per_member = dict.fromkeys(windows, 0)
     total = 0
     max_trace = 0
     for images in rotation_classes(2 * n):
@@ -351,9 +354,9 @@ def verify_double_count(
         total += size * weight
         if size > max_trace:
             max_trace = size
-        for key in found:
-            per_member[key] += weight
-    member_counts = tuple(per_member[m.key] for m in family)
+        for mask in found:
+            per_member[mask] += weight
+    member_counts = tuple(per_member.values())
     return replace(
         report,
         sweep_total=total,

@@ -19,7 +19,7 @@ from typing import Iterator
 
 from .core import Edge, MatchingFamily, Parameters, phi
 from .baranyai import Permutation, half_order, position_pairs, rotation_classes
-from .katona import compatible_member_keys, member_windows
+from .katona import compatible_member_keys, member_windows, trace_center
 
 __all__ = [
     "CenterMap",
@@ -189,7 +189,7 @@ def center_map(
     if not family.is_intersecting:
         raise ValueError("family is not intersecting")
     weight = two_n - 1
-    windows = member_windows(n, r, family.member_keys)
+    windows = member_windows(n, r, family)
     saturated = 0
     centers: set[Edge] = set()
     violations: list[CenterViolation] = []
@@ -199,10 +199,10 @@ def center_map(
         if len(found) != r:
             reason = "unsaturated"
         else:
-            common = frozenset.intersection(*found)
-            if len(common) == 1:
+            center = trace_center(n, found)
+            if center is not None:
                 saturated += weight
-                centers |= common
+                centers.add(center)
                 continue
             reason = "no common edge"
         violation_count += weight

@@ -11,16 +11,13 @@ import random
 import time
 
 from ekr_matchings.baranyai import (
-    Permutation,
     all_permutations,
-    cyclic_order,
     rooted_order,
     sample_permutations,
     shift,
     verify_goodness,
 )
 from ekr_matchings.core import (
-    MatchingFamily,
     Parameters,
     chi,
     enumerate_matchings,
@@ -30,7 +27,6 @@ from ekr_matchings.core import (
 from ekr_matchings.ekr_search import (
     STATUS_PROVEN,
     SearchBudget,
-    is_star,
     kneser_complement_bridge,
     max_intersecting,
 )
@@ -64,7 +60,7 @@ def test_criterion_01_counting_formulas():
             matchings = enumerate_matchings(params)
             if chi(params) != len(matchings):
                 problems.append(f"chi({n},{r}) != enumeration")
-            star_count = sum(1 for m in matchings if (1, 2) in m.key)
+            star_count = sum(1 for m in matchings if (1, 2) in m.edges)
             if phi(params) != star_count:
                 problems.append(f"phi({n},{r}) != star filter")
     _verdict(1, "counting formulas", problems, time.perf_counter() - start, limit=10.0)

@@ -105,7 +105,7 @@ def test_reduced_search_matches_unreduced(n, r):
     assert report.status == STATUS_PROVEN
     assert report.max_size == len(best[0])
     assert report.maximum_family_count == len(cliques) == len(set(cliques))
-    assert {frozenset(m.key for m in fam.members) for fam in report.witnesses} == set(cliques)
+    assert {frozenset(frozenset(m.edges) for m in fam) for fam in report.witnesses} == set(cliques)
 
 
 @pytest.mark.parametrize("n,r", [(n, r) for n in range(1, 7) for r in range(1, n + 1)])
@@ -114,7 +114,7 @@ def test_closed_neighbourhood_enumeration(n, r):
     params = Parameters(n, r)
     everything = enumerate_matchings(params)
     for meeting in (first_matching(r), everything[-1]):
-        expected = [m for m in everything if not m.key.isdisjoint(meeting.key)]
+        expected = [m for m in everything if not set(m.edges).isdisjoint(meeting.edges)]
         assert list(iter_matchings(params, meeting)) == expected
     assert len(list(iter_matchings(params, first_matching(r)))) == _neighbourhood_size(params)
 
@@ -165,11 +165,13 @@ def test_non_star_search_matches_oracle(n, r):
     report = max_intersecting(params, SearchBudget(enumerate_all_maximum=True))
     naive = naive_matchings(2 * n, r)
     v0 = enumerate_matchings(params)[0]
-    assert naive[0] == v0.key
+    assert naive[0] == frozenset(v0.edges)
     families = {frozenset(f) for f in naive_cliques_through(naive, report.max_size)}
     assert report.all_maximum_are_stars is all(frozenset.intersection(*f) for f in families)
     assert report.all_maximum_are_stars
-    through_v0 = {frozenset(fam.member_keys) for fam in report.witnesses if v0 in fam}
+    through_v0 = {
+        frozenset(frozenset(m.edges) for m in fam) for fam in report.witnesses if v0 in fam
+    }
     assert through_v0 == families
 
 
@@ -220,8 +222,8 @@ def test_first_level_orbits_are_stabiliser_orbits(n, r):
     assert covered == first
     assert [rep for rep, _ in orbits] == sorted(rep for rep, _ in orbits)
 
-    index_of = {m.key: i for i, m in enumerate(matchings)}
-    v0 = matchings[0].key
+    index_of = {frozenset(m.edges): i for i, m in enumerate(matchings)}
+    v0 = matchings[0].edges
     stabiliser = []
     for images in itertools.permutations(range(1, 2 * n + 1)):
         g = dict(zip(range(1, 2 * n + 1), images))
@@ -408,11 +410,10 @@ def test_a_star_off_its_closed_form_is_an_internal_error(corruption, monkeypatch
 
 
 def test_witness_stars_build_no_member_keys():
-    # a star is intersecting by construction, so its members' edge sets are never hashed
+    # the witness stars are intersecting by construction, one per edge of K_10
     report = max_intersecting(Parameters(5, 3), SearchBudget(enumerate_all_maximum=True))
     assert report.maximum_family_count == 45
     assert all(is_star(witness) is not None for witness in report.witnesses)
-    assert not any("key" in m.__dict__ for witness in report.witnesses for m in witness)
 
 
 def test_graph_rows_check_the_deadline():

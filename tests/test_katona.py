@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from ekr_matchings.baranyai import (
     Permutation,
-    all_permutations,
     cyclic_order,
     rotation_classes,
     sample_permutations,
@@ -18,8 +17,8 @@ from ekr_matchings.core import (
     MatchingFamily,
     Parameters,
     chi,
+    common_edges,
     enumerate_matchings,
-    phi,
     star_family,
 )
 from ekr_matchings.katona import (
@@ -51,6 +50,11 @@ def triangle_family():
     )
 
 
+def edge_sets(members):
+    """Each member's edges as a frozenset: the order-free format of the oracles."""
+    return {frozenset(m.edges) for m in members}
+
+
 def order_windows(sigma, r):
     """The n(2n-1) runs of r consecutive edges of sigma's cyclic order, wrapping, as matchings."""
     order = cyclic_order(sigma).sequence
@@ -69,14 +73,10 @@ def test_every_extracted_interval_is_compatible():
 def test_compatible_member_keys_matches_naive():
     params = Parameters(3, 2)
     family = MatchingFamily(enumerate_matchings(params))
-    windows = member_windows(3, 2, family.member_keys)
+    windows = member_windows(3, 2, family)
     for sigma in sample_permutations(6, 25, seed=11):
-        found = compatible_member_keys(sigma.images, 3, 2, windows)
-        reference = {
-            frozenset(member)
-            for member in naive_trace(family.member_keys, sigma.images, 3)
-        }
-        assert found == reference
+        found = edge_sets(map(windows.get, compatible_member_keys(sigma.images, 3, 2, windows)))
+        assert found == set(naive_trace(edge_sets(family), sigma.images, 3))
 
 
 def two_of_triangle(params):
@@ -85,7 +85,7 @@ def two_of_triangle(params):
     At r = 2 this is triangle_family().
     """
     triangle = {(1, 2), (3, 4), (5, 6)}
-    members = [m for m in enumerate_matchings(params) if len(triangle & m.key) >= 2]
+    members = [m for m in enumerate_matchings(params) if len(triangle.intersection(m.edges)) >= 2]
     return MatchingFamily(members, r=params.r)
 
 
@@ -93,7 +93,7 @@ def test_two_of_triangle_is_a_non_star_intersecting_family():
     assert two_of_triangle(Parameters(3, 2)) == triangle_family()
     family = two_of_triangle(Parameters(4, 3))
     assert family.is_intersecting
-    assert not frozenset.intersection(*family.member_keys)
+    assert not frozenset.intersection(*edge_sets(family))
 
 
 def trace_families(params):
@@ -113,18 +113,18 @@ def trace_families(params):
 def test_window_reader_matches_oracles_on_every_rotation_class(n, r):
     families = trace_families(Parameters(n, r))
     everything = families[1]
-    tables = [(family, member_windows(n, r, family.member_keys)) for family in families]
+    tables = [(family, member_windows(n, r, family)) for family in families]
     assert [len(windows) for _, windows in tables] == [len(family) for family in families]
     for count, images in enumerate(rotation_classes(2 * n)):
         # every window is an r-matching, so scanning every r-matching finds every
         # window, the r-1 that wrap past position n(2n-1) included
-        every_window = frozenset_window_scan(images, n, r, everything.member_keys)
+        every_window = frozenset_window_scan(images, n, r, edge_sets(everything))
         assert len(every_window) == n * (2 * n - 1)
         for family, windows in tables:
-            found = compatible_member_keys(images, n, r, windows)
-            assert found == every_window & family.member_keys
+            found = edge_sets(map(windows.get, compatible_member_keys(images, n, r, windows)))
+            assert found == every_window & edge_sets(family)
             if family is not everything or count % 97 == 0:
-                assert found == set(naive_trace(family.member_keys, images, n))
+                assert found == set(naive_trace(edge_sets(family), images, n))
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -135,18 +135,19 @@ def test_window_reader_matches_oracles_on_sampled_permutations(n):
         substar = MatchingFamily((m for m in seen if (1, 2) in m), r=r)
         assert len(substar) >= r
         for family in (seen, substar, MatchingFamily([], r=r)):
-            windows = member_windows(n, r, family.member_keys)
+            windows = member_windows(n, r, family)
             for sigma in sigmas:
-                found = compatible_member_keys(sigma.images, n, r, windows)
-                assert found == frozenset_window_scan(sigma.images, n, r, family.member_keys)
-                assert found == set(naive_trace(family.member_keys, sigma.images, n))
+                hits = compatible_member_keys(sigma.images, n, r, windows)
+                found = edge_sets(map(windows.get, hits))
+                assert found == frozenset_window_scan(sigma.images, n, r, edge_sets(family))
+                assert found == set(naive_trace(edge_sets(family), sigma.images, n))
 
 
 def test_member_windows_rejects_foreign_members():
     with pytest.raises(ValueError):
-        member_windows(3, 2, [frozenset([(1, 2)])])
+        member_windows(3, 2, [Matching.from_edges([(1, 2)])])
     with pytest.raises(ValueError):
-        member_windows(3, 2, [frozenset([(1, 2), (3, 8)])])
+        member_windows(3, 2, [Matching.from_edges([(1, 2), (3, 8)])])
 
 
 def test_q_formula_frozen_values():
@@ -262,6 +263,19 @@ def test_trace_members_are_compatible():
             assert all(result.center in m for m in result.members)
 
 
+@pytest.mark.parametrize("n,r", [(3, 2), (4, 2), (4, 3)])
+def test_trace_center_matches_the_common_edge_rule(n, r):
+    # the AND of the hit masks against the common edges of the traced members
+    families = trace_families(Parameters(n, r))
+    for images in rotation_classes(2 * n):
+        sigma = Permutation(images)
+        for family in families:
+            result = trace(family, sigma)
+            common = common_edges(result.members) if result.size == r else ()
+            expected = common[0] if family.is_intersecting and len(common) == 1 else None
+            assert result.center == expected
+
+
 def test_trace_empty_family():
     result = trace(MatchingFamily([]), Permutation.identity(6))
     assert result.size == 0
@@ -323,16 +337,16 @@ def test_double_count_substars(indices):
 
 def full_sweep_counts(family, n, r):
     """Trace total, largest trace and per-member counts over every permutation."""
-    per_member = dict.fromkeys(family.member_keys, 0)
-    windows = member_windows(n, r, family.member_keys)
+    per_member = dict.fromkeys(family, 0)
+    windows = member_windows(n, r, family)
     total = largest = 0
     for images in itertools.permutations(range(1, 2 * n + 1)):
         found = compatible_member_keys(images, n, r, windows)
         total += len(found)
         largest = max(largest, len(found))
-        for key in found:
-            per_member[key] += 1
-    return total, largest, tuple(per_member[m.key] for m in family)
+        for mask in found:
+            per_member[windows[mask]] += 1
+    return total, largest, tuple(per_member[m] for m in family)
 
 
 @pytest.mark.parametrize("n,r", [(3, 2), (4, 2)])

@@ -4,11 +4,10 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from ekr_matchings.baranyai import (
     Permutation,
-    all_permutations,
     baranyai_edge,
     rotation_classes,
     sample_permutations,
@@ -173,11 +172,12 @@ def test_center_map_respects_limit():
 def test_center_map_quotient_matches_full_sweep(n, r):
     params = Parameters(n, r)
     family = star_family(params, (2, 2 * n - 1))
-    windows = member_windows(n, r, family.member_keys)
+    windows = member_windows(n, r, family)
     saturated = 0
     centers = set()
     for images in itertools.permutations(range(1, 2 * n + 1)):
-        found = compatible_member_keys(images, n, r, windows)
+        hits = compatible_member_keys(images, n, r, windows)
+        found = [frozenset(windows[mask].edges) for mask in hits]
         common = frozenset.intersection(*found) if len(found) == r else frozenset()
         if len(common) == 1:
             saturated += 1
@@ -198,6 +198,19 @@ def test_center_map_counts_each_violating_class_in_full(monkeypatch):
     assert len(result.violations) == 10
     assert len({v.images for v in result.violations}) == 10
     assert all(v.reason == "unsaturated" and v.trace_size == 0 for v in result.violations)
+
+
+def test_center_map_reports_saturated_traces_without_a_common_edge(monkeypatch):
+    # every trace is two edge-disjoint 2-matchings: saturated, with no centre
+    disjoint = [Matching.from_edges([(1, 2), (3, 4)]), Matching.from_edges([(1, 3), (2, 4)])]
+    masks = set(member_windows(3, 2, disjoint))
+    monkeypatch.setattr(transposition_lab, "compatible_member_keys", lambda *args: masks)
+    params = Parameters(3, 2)
+    result = center_map(star_family(params, (1, 2)), params)
+    assert result.saturated == 0
+    assert result.violation_count == result.total == 720
+    assert result.centers == frozenset()
+    assert all(v.reason == "no common edge" and v.trace_size == 2 for v in result.violations)
 
 
 def test_swap_identities_order_and_restriction():
