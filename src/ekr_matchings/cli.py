@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -26,8 +27,9 @@ from .core import (
     MatchingFamily,
     Parameters,
     chi,
-    dumps_indented,
     first_matching,
+    iter_indented,
+    lists_each_edge_once,
     make_edge,
     phi,
     star_family,
@@ -191,7 +193,7 @@ def _cmd_construct(config: argparse.Namespace) -> CommandResult:
         sigma = shift(sigma, config.c)
     order = rooted_order(sigma)
     covered = [e for part in order.parts for e in part]
-    partitioned = len(set(covered)) == len(covered) == n * (2 * n - 1)
+    partitioned = lists_each_edge_once(2 * n, covered)
     payload = {
         "command": "construct",
         "n": n,
@@ -492,20 +494,24 @@ def _text_lines(payload: dict[str, Any]) -> list[str]:
 
 
 def emit_report(payload: dict[str, Any], fmt: str, out: str | None) -> None:
-    """Serialize a report deterministically and write it to out or stdout."""
+    """Serialize a report deterministically and write it to out or stdout.
+
+    A json report is written piece by piece as core.iter_indented yields
+    it, so its whole text is never held in memory.
+    """
     if fmt == "json":
-        text = dumps_indented(payload) + "\n"
+        pieces: Iterable[str] = itertools.chain(iter_indented(payload), ["\n"])
     elif fmt == "csv":
-        text = _csv_text(payload)
+        pieces = [_csv_text(payload)]
     elif fmt == "text":
-        text = "\n".join(_text_lines(payload)) + "\n"
+        pieces = ["\n".join(_text_lines(payload)) + "\n"]
     else:
         raise ValueError(f"unknown format {fmt!r}")
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
 
 
 def dispatch(config: argparse.Namespace) -> tuple[int, dict[str, Any]]:

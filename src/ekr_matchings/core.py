@@ -24,6 +24,7 @@ __all__ = [
     "MatchingFamily",
     "make_edge",
     "all_edges",
+    "lists_each_edge_once",
     "intersects",
     "common_edges",
     "iter_matchings",
@@ -32,6 +33,7 @@ __all__ = [
     "chi",
     "phi",
     "star_family",
+    "iter_indented",
     "dumps_indented",
 ]
 
@@ -71,6 +73,25 @@ def all_edges(n: int) -> list[Edge]:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     top = 2 * n
     return [(u, v) for u in range(1, top) for v in range(u + 1, top + 1)]
+
+
+def lists_each_edge_once(vertex_count: int, edges: Sequence[Any]) -> bool:
+    """True iff `edges` lists every edge of K_{vertex_count} once, each as a canonical tuple of ints."""
+    if len(edges) != vertex_count * (vertex_count - 1) // 2:
+        return False
+    # (u, v) with 1 <= u < v <= vertex_count has its own slot u * vertex_count + v
+    seen = bytearray(vertex_count * vertex_count + 1)
+    for edge in edges:
+        if not (isinstance(edge, tuple) and len(edge) == 2):
+            return False
+        u, v = edge
+        if not (isinstance(u, int) and isinstance(v, int) and 1 <= u < v <= vertex_count):
+            return False
+        slot = u * vertex_count + v
+        if seen[slot]:
+            return False
+        seen[slot] = 1
+    return True
 
 
 @dataclass(frozen=True)
@@ -244,51 +265,91 @@ def star_family(params: Parameters, e: tuple[int, int]) -> MatchingFamily:
     return MatchingFamily(iter_matchings(params, Matching((edge,))), r=params.r)
 
 
-def dumps_indented(value: Any) -> str:
-    """Exactly json.dumps(value, indent=2), for reports of many small int rows.
+# rows of ints are formatted this many at a time, with one %-template per block
+_BLOCK_ROWS = 2048
+
+
+def iter_indented(value: Any) -> Iterator[str]:
+    """The text of json.dumps(value, indent=2), in pieces, for reports of many small int rows.
 
     json uses its C encoder only when indent is None, so an indented dump of
     a long list of edges goes through the pure-Python encoder one value at a
     time.  Here dicts, lists and tuples are walked in the same layout, ints
     (not bools) are written with int.__repr__, and a list whose items are
-    all lists or tuples of ints is written with one %-template per row
-    length.  Every other scalar, and every key, goes through json.dumps.
+    all lists or tuples of ints is written _BLOCK_ROWS rows at a time, one
+    %-template per block.  Every other scalar, and every key, goes through
+    json.dumps.  A piece holds at most one block of rows, so a writer that
+    passes each piece on never holds the whole text.
     """
-    return _indented(value, "\n")
+    text = _leaf_text(value, "\n")
+    return iter((text,)) if text is not None else _pieces(value, "\n")
 
 
-def _indented(value: Any, newline: str) -> str:
+def dumps_indented(value: Any) -> str:
+    """Exactly json.dumps(value, indent=2): the pieces of iter_indented, joined."""
+    return "".join(iter_indented(value))
+
+
+def _leaf_text(value: Any, newline: str) -> str | None:
+    """The text of a scalar or of at most _BLOCK_ROWS int rows; None for other containers."""
     if type(value) is int:
         return int.__repr__(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
+    if isinstance(value, dict) and value:
+        return None
+    if isinstance(value, (list, tuple)) and value:
+        if len(value) > _BLOCK_ROWS or not _int_rows(value):
+            return None
         inner = newline + "  "
-        items = _int_rows(value, inner)
-        if items is None:
-            items = [_indented(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = newline + "  "
-        items = [f"{_key_json(key)}: {_indented(item, inner)}" for key, item in value.items()]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+        return "[" + inner + _rows_text(value, inner) + newline + "]"
     return json.dumps(value)
 
 
-def _int_rows(rows: list | tuple, newline: str) -> list[str] | None:
-    """Each row rendered at the given indent, or None unless every row holds ints only."""
+def _pieces(value: dict | list | tuple, newline: str) -> Iterator[str]:
+    """The text of a container that _leaf_text leaves to it, one item or block of rows per piece."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        opener, closer = "{", "}"
+        entries: Iterable[tuple[str, Any]] = (
+            (f"{_key_json(key)}: ", item) for key, item in value.items()
+        )
+    elif len(value) > _BLOCK_ROWS and _int_rows(value):
+        separator = "[" + inner
+        for start in range(0, len(value), _BLOCK_ROWS):
+            yield separator + _rows_text(value[start : start + _BLOCK_ROWS], inner)
+            separator = "," + inner
+        yield newline + "]"
+        return
+    else:
+        opener, closer = "[", "]"
+        entries = (("", item) for item in value)
+    separator = opener + inner
+    for label, item in entries:
+        text = _leaf_text(item, inner)
+        if text is None:
+            yield separator + label
+            yield from _pieces(item, inner)
+        else:
+            yield separator + label + text
+        separator = "," + inner
+    yield newline + closer
+
+
+def _int_rows(rows: list | tuple) -> bool:
+    """True iff every row is a list or tuple of ints only."""
     if not {*map(type, rows)} <= {list, tuple}:
-        return None
-    if not {*map(type, itertools.chain.from_iterable(rows))} <= {int}:
-        return None
+        return False
+    return {*map(type, itertools.chain.from_iterable(rows))} <= {int}
+
+
+def _rows_text(rows: list | tuple, newline: str) -> str:
+    """Int rows at the given indent, comma-separated, through one %-template."""
     inner = newline + "  "
     templates = {
         length: "[" + inner + ("," + inner).join(["%d"] * length) + newline + "]" if length else "[]"
         for length in {*map(len, rows)}
     }
-    return [templates[len(row)] % tuple(row) for row in rows]
+    template = ("," + newline).join(map(templates.__getitem__, map(len, rows)))
+    return template % tuple(itertools.chain.from_iterable(rows))
 
 
 def _key_json(key: Any) -> str:

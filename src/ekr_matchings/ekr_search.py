@@ -239,6 +239,8 @@ def _expand(
     counter: _Counter,
 ) -> None:
     counter.tick()
+    if len(stack) + candidates.bit_count() <= len(best[0]):
+        return
     order, bounds = _color_order(candidates, adjacency)
     for t in range(len(order) - 1, -1, -1):
         if len(stack) + bounds[t] <= len(best[0]):
@@ -338,10 +340,10 @@ def _non_star_clique(
         _expand(adjacency, [], candidates, best, counter)
         return family + best[0][:need] if len(best[0]) >= need else None
     counter.tick()
-    if need == 0:
+    if need == 0 or candidates.bit_count() < need:
         return None
     _, bounds = _color_order(candidates, adjacency)
-    if not bounds or bounds[-1] < need:
+    if bounds[-1] < need:
         return None
     if branches is None:
         e = (common & -common).bit_length() - 1

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .baranyai import Permutation, cyclic_order, window_repeats
-from .core import dumps_indented
+from .core import dumps_indented, lists_each_edge_once
 
 __all__ = [
     "KneserGraph",
@@ -118,7 +118,7 @@ def verify_ham_power(m: int, certificate: HamPowerCertificate) -> bool:
     _check_power(certificate.k)
     order = certificate.order
     total = m * (m - 1) // 2
-    if len(order) != total or not _lists_each_pair_once(m, order):
+    if not lists_each_edge_once(m, order):
         raise ValueError("certificate order must list every vertex exactly once")
     return not window_repeats(order, m + 1, min(certificate.k, total - 1) + 1, 1)
 
@@ -127,23 +127,6 @@ def _check_power(k: int) -> None:
     """The one rule on a claimed power: it is at least 1."""
     if k < 1:
         raise ValueError(f"claimed power must be at least 1, got {k}")
-
-
-def _lists_each_pair_once(m: int, order: tuple[Vertex, ...]) -> bool:
-    """True iff every entry is a canonical pair of 1..m and none repeats."""
-    # (a, b) with 1 <= a < b <= m has its own slot a * m + b
-    seen = bytearray(m * m + 1)
-    for pair in order:
-        if not (isinstance(pair, tuple) and len(pair) == 2):
-            return False
-        a, b = pair
-        if not (isinstance(a, int) and isinstance(b, int) and 1 <= a < b <= m):
-            return False
-        slot = a * m + b
-        if seen[slot]:
-            return False
-        seen[slot] = 1
-    return True
 
 
 def certificate_to_json(certificate: HamPowerCertificate) -> str:

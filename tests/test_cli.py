@@ -3,11 +3,18 @@
 import csv
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
 from ekr_matchings import cli, transposition_lab
-from ekr_matchings.baranyai import all_permutations, sample_permutations, verify_goodness
+from ekr_matchings.baranyai import (
+    Permutation,
+    all_permutations,
+    rooted_order,
+    sample_permutations,
+    verify_goodness,
+)
 from ekr_matchings.cli import EXIT_INTERNAL, main
 from ekr_matchings.transposition_lab import SWAP_IDENTITIES, swap_identities
 
@@ -86,6 +93,15 @@ def test_construct_given_sigma(capsys):
     assert payload["root"] == 3
     assert payload["sigma"] == [2, 1, 4, 3]
     assert payload["checks"]["parts_partition_edge_set"] is True
+
+
+def test_construct_reports_parts_that_repeat_an_edge(capsys, monkeypatch):
+    order = rooted_order(Permutation.identity(6))
+    repeated = replace(order, parts=(order.parts[0], *order.parts[:-1]))
+    monkeypatch.setattr(cli, "rooted_order", lambda sigma: repeated)
+    code, payload = run_json(capsys, "construct", "--n", "3")
+    assert code == 1
+    assert payload["checks"] == {"parts_partition_edge_set": False}
 
 
 def test_verify_goodness_single_sigma(capsys):
@@ -322,6 +338,7 @@ def test_kneser_cert_refuses_power_below_1(tmp_path, capsys, k):
 
 JSON_REPORTS = [
     ("construct", "--n", "4", "--c", "3"),
+    ("construct", "--n", "50"),  # 4 950 rows, more than one block of the writer
     ("construct", "--n", "2", "--sigma", "2,1,4,3"),
     ("verify-goodness", "--n", "4", "--r", "4"),
     ("verify-goodness", "--n", "5", "--samples", "3"),

@@ -3,10 +3,12 @@
 import itertools
 import json
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ekr_matchings import core
 from ekr_matchings.core import (
     Matching,
     MatchingFamily,
@@ -275,8 +277,13 @@ _json_trees = st.recursive(
 @example({"tab\t": ["quote\"", "back\\slash", "\u00e9t\u00e9 \u2713 \U0001f600", "\x00\x1f"]})
 @example([[], ()])
 @example({1: [[-(10**50), 10**50]], 2.5: {}, True: [], None: ()})
+@example({"rows": [[1, 2], [3], [], (4, 5, 6), [7, 8], [9], (10, 11)]})
 def test_dumps_indented_matches_json(value):
-    assert dumps_indented(value) == json.dumps(value, indent=2)
+    expected = json.dumps(value, indent=2)
+    assert dumps_indented(value) == expected
+    # three rows per block puts block boundaries inside the short row lists drawn here
+    with mock.patch.object(core, "_BLOCK_ROWS", 3):
+        assert dumps_indented(value) == expected
 
 
 def test_dumps_indented_rejects_keys_json_rejects():

@@ -83,6 +83,17 @@ def test_search_nodes_pinned(n, r, bound_nodes, enum_nodes):
     assert enumerated.search_nodes == enum_nodes
 
 
+@pytest.mark.parametrize("n,r,nodes,colourings", [(4, 3, 12, 5), (5, 4, 478, 80)])
+def test_count_prune_skips_colourings(n, r, nodes, colourings, monkeypatch):
+    # a node whose stack and candidates together cannot beat the incumbent
+    # returns before it colours, after it ticks, so the node counts hold
+    calls = []
+    color_order = ekr_search._color_order
+    monkeypatch.setattr(ekr_search, "_color_order", lambda *args: calls.append(1) or color_order(*args))
+    report = max_intersecting(Parameters(n, r), SearchBudget(enumerate_all_maximum=True))
+    assert (report.search_nodes, len(calls)) == (nodes, colourings)
+
+
 @pytest.mark.parametrize(
     "n,r", [(n, r) for n in range(1, 5) for r in range(1, n + 1)] + [(5, 2)]
 )
