@@ -38,12 +38,10 @@ from .baranyai import (
 from .katona import (
     CompatibilityCount,
     DoubleCountReport,
-    TraceResult,
     compatible_member_keys,
     member_windows,
     q_bruteforce,
     q_formula,
-    trace,
     trace_center,
     verify_double_count,
 )
@@ -104,12 +102,10 @@ __all__ = [
     "wrap_index",
     "CompatibilityCount",
     "DoubleCountReport",
-    "TraceResult",
     "compatible_member_keys",
     "member_windows",
     "q_bruteforce",
     "q_formula",
-    "trace",
     "trace_center",
     "verify_double_count",
     "CenterMap",

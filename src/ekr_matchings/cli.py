@@ -43,12 +43,7 @@ from .baranyai import (
     verify_goodness,
 )
 from .katona import q_bruteforce, q_formula, verify_double_count
-from .ekr_search import (
-    STATUS_PROVEN,
-    SearchBudget,
-    is_star,
-    max_intersecting,
-)
+from .ekr_search import STATUS_PROVEN, SearchBudget, max_intersecting
 from .kneser import (
     HamPowerCertificate,
     certificate_from_json,
@@ -57,8 +52,9 @@ from .kneser import (
 )
 from .transposition_lab import SWAP_IDENTITIES, center_map, swap_identities
 # looked up only by the benchmark tracer, see ENTRY_POINTS in bench/spans.py;
-# none of these seven is called here any more, so their spans read 0
+# none of these eight is called here any more, so their spans read 0
 from .baranyai import all_permutations, baranyai_edge, cyclic_order  # noqa: F401
+from .ekr_search import is_star  # noqa: F401
 from .kneser import kneser_graph  # noqa: F401
 from .transposition_lab import composition_identity, reflect_swap, transpose_adjacent  # noqa: F401
 
@@ -299,7 +295,7 @@ def _search_instance(n: int, r: int, budget: SearchBudget) -> CommandResult:
         "status": report.status,
         # fresh lists: the members' own edge tuples, held past the search, kept
         # about 1 MiB more of its memory resident over a run of searches
-        "witness": [[list(e) for e in m.edges] for m in report.witnesses[0].members],
+        "witness": [[list(e) for e in m.edges] for m in report.witness.members],
         "maximum_families": report.maximum_family_count,
         "all_stars": report.all_maximum_are_stars,
     }
@@ -310,8 +306,7 @@ def _search_instance(n: int, r: int, budget: SearchBudget) -> CommandResult:
     if report.proven:
         checks["max_equals_phi"] = report.max_size == report.phi_value
     if report.all_maximum_are_stars is not None:
-        centers = [is_star(fam) for fam in report.witnesses]
-        row["centers"] = sorted(c for c in centers if c is not None)
+        row["centers"] = list(report.centers or ())
         checks["all_maximum_are_stars"] = report.all_maximum_are_stars
     if report.maximum_family_count is not None and r <= n - 1:
         # for r = n distinct edges can span the same star, e.g. {1,2} and {3,4} at n = 2

@@ -23,12 +23,12 @@ color bound cuts it short, because non-star intersecting families are much
 smaller than stars (Hilton and Milner).  At the first level it branches on
 one member per orbit of the stabiliser of v0 and its least edge.  If there
 is no such clique, stars go to stars under S_{2n}, so every maximum family
-is a star, and the maximum families are the distinct stars of size omega;
-only listing them needs every matching, and no adjacency is built for them.
-Budgets (node count and wall clock, checked at every node against one
-deadline for all phases, both enumerations included) are first-class:
-blowing one yields status "budget_exhausted" with the best witness found
-so far, never a silently weaker answer.
+is a star, and the maximum families are the distinct stars of size omega.
+Their centres follow in closed form (_star_centers), so no matching
+outside N[v0] is ever listed.  Budgets (node count and wall clock, checked
+at every node against one deadline for all phases, the listing of N[v0]
+included) are first-class: blowing one yields status "budget_exhausted"
+with the best witness found so far, never a silently weaker answer.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from collections import defaultdict
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence, TypeVar
 
@@ -45,6 +45,7 @@ from .core import (
     Matching,
     MatchingFamily,
     Parameters,
+    all_edges,
     chi,
     common_edges,
     first_matching,
@@ -108,21 +109,31 @@ class _Counter:
 
 @dataclass(frozen=True)
 class EkrReport:
-    """Search outcome for one (n, r) instance."""
+    """Search outcome for one (n, r) instance.
+
+    witness is the best family found, or the non-star maximum family when
+    the search for one succeeded.  centers lists the least edge of each
+    distinct maximum family, in order, once every maximum family is proven
+    a star; it is None otherwise.
+    """
 
     n: int
     r: int
     max_size: int
     phi_value: int
     status: str
-    witnesses: tuple[MatchingFamily, ...]
-    maximum_family_count: int | None = None
+    witness: MatchingFamily
+    centers: tuple[Edge, ...] | None = None
     all_maximum_are_stars: bool | None = None
     search_nodes: int = 0
 
     @property
     def proven(self) -> bool:
         return self.status == STATUS_PROVEN
+
+    @property
+    def maximum_family_count(self) -> int | None:
+        return None if self.centers is None else len(self.centers)
 
     @property
     def bound_confirmed(self) -> bool:
@@ -170,13 +181,18 @@ def _neighbourhood_size(params: Parameters) -> int:
     )
 
 
-def _stars(matchings: Iterable[Matching]) -> dict[Edge, list[Matching]]:
-    """The matchings through each edge of K_{2n}, in the order they come."""
-    buckets: dict[Edge, list[Matching]] = defaultdict(list)
-    for matching in matchings:
-        for edge in matching.edges:
-            buckets[edge].append(matching)
-    return buckets
+def _star_centers(params: Parameters) -> tuple[Edge, ...]:
+    """The least edge of each distinct star of r-matchings of K_{2n}, in order.
+
+    Edges e < f span the same star exactly when every matching through e
+    also holds f.  That happens only at r = n = 2, where the one matching
+    through e also holds the complementary edge, so the stars there are
+    those at (1, 2), (1, 3) and (1, 4).  For r <= n - 1, and for r = n >= 3,
+    some matching through e avoids f, and every edge spans its own star.
+    """
+    if params.n == params.r == 2:
+        return ((1, 2), (1, 3), (1, 4))
+    return tuple(all_edges(params.n))
 
 
 def _edge_masks(matchings: Sequence[Matching], deadline: float = math.inf) -> dict[Edge, int]:
@@ -416,16 +432,15 @@ def max_intersecting(params: Parameters, budget: SearchBudget | None = None) -> 
     the star at (1, 2) is its first phi members; the adjacency rows take
     |N[v0]|^2/8 bytes.  When the budget asks for every maximum family, a
     second search looks for a maximum family through v0 with no common
-    edge.  If there is none, every maximum family is a star, and the report
-    lists the distinct stars of the optimum size and counts them; only
-    these need every matching, listed once after that search straight into
-    their stars, each checked against its closed form (size and centre).
-    If there is one, the report gives it as the only witness, with
-    all_maximum_are_stars False and no count; it and the best witness are
+    edge.  If there is none, S_{2n} maps stars to stars, so every maximum
+    family is a star of size phi: the report gives their centres from
+    _star_centers and the star at (1, 2), the incumbent, as the witness.
+    If there is one, the report gives it as the witness, with
+    all_maximum_are_stars False and no centres.  Either witness is
     re-verified intersecting.  The seed star is listed before the clock is
-    first read; after it, the deadline is checked once per listed matching
-    and once per star.  If it passes in the search for every maximum
-    family, the report is budget_exhausted with the best witness and no count.
+    first read; the clock is read for the last time by the second search.
+    If the deadline passes in the search for every maximum family, the
+    report is budget_exhausted with the best witness and no centres.
     """
     if budget is None:
         budget = SearchBudget()
@@ -455,43 +470,31 @@ def max_intersecting(params: Parameters, budget: SearchBudget | None = None) -> 
             raise ArithmeticError("witness family is not intersecting")
         return family
 
-    best_family = to_family(best[0])
-    max_size = len(best_family)
+    witness = to_family(best[0])
+    max_size = len(witness)
     if max_size < phi_value:
         raise ArithmeticError("maximum smaller than the star lower bound")
 
-    witnesses: tuple[MatchingFamily, ...] = (best_family,)
-    maximum_family_count: int | None = None
+    centers: tuple[Edge, ...] | None = None
     all_stars: bool | None = None
     if budget.enumerate_all_maximum and status == STATUS_PROVEN:
         try:
             non_star = _non_star_through_v0(
                 matchings, 2 * params.n, masks, adjacency, max_size, counter
             )
-            if non_star is None:
-                # S_{2n} maps stars to stars, so no maximum family elsewhere is a non-star
-                del adjacency, masks
-                stars = _stars(_clocked(iter_matchings(params), counter.deadline))
-                families = []
-                for edge, members in _clocked(stars.items(), counter.deadline):
-                    # intersecting by construction: check the star against its closed form
-                    star = MatchingFamily(members)
-                    common = common_edges(star.members)
-                    if len(star) != max_size or edge not in common:
-                        raise ArithmeticError(f"the star at {edge} does not match its closed form")
-                    if edge == common[0]:  # at r = n two edges can span one star; file it once
-                        families.append(star)
-            else:
-                families = [to_family(non_star)]
-                if len(families[0]) != max_size or is_star(families[0]) is not None:
-                    raise ArithmeticError("non-star witness is a star or has the wrong size")
         except _BudgetExceeded:
             status = STATUS_BUDGET
         else:
             all_stars = non_star is None
             if all_stars:
-                maximum_family_count = len(families)
-            witnesses = tuple(sorted(families, key=lambda fam: tuple(m.edges for m in fam.members)))
+                # a family larger than a star has no common edge, so the search would have found it
+                if max_size != phi_value:
+                    raise ArithmeticError("no non-star maximum family, yet the maximum is not phi")
+                centers = _star_centers(params)
+            else:
+                witness = to_family(non_star)
+                if len(witness) != max_size or is_star(witness) is not None:
+                    raise ArithmeticError("non-star witness is a star or has the wrong size")
 
     return EkrReport(
         n=params.n,
@@ -499,8 +502,8 @@ def max_intersecting(params: Parameters, budget: SearchBudget | None = None) -> 
         max_size=max_size,
         phi_value=phi_value,
         status=status,
-        witnesses=witnesses,
-        maximum_family_count=maximum_family_count,
+        witness=witness,
+        centers=centers,
         all_maximum_are_stars=all_stars,
         search_nodes=counter.nodes,
     )
@@ -598,7 +601,8 @@ def kneser_complement_bridge(
     phi_value = phi(params)
     distinct = len({m.edges for m in matchings}) == len(matchings)
     bijection_ok = cliques_ok and distinct and len(matchings) == chi_value
-    star_sizes_ok = [*map(len, _stars(matchings).values())] == [phi_value] * len(graph.vertices)
+    star_sizes = Counter(edge for matching in matchings for edge in matching.edges)
+    star_sizes_ok = [*star_sizes.values()] == [phi_value] * len(graph.vertices)
 
     return BridgeReport(
         n=params.n,

@@ -46,13 +46,11 @@ from functools import lru_cache, reduce
 from typing import Iterable
 
 from .core import Edge, Matching, MatchingFamily, Parameters, all_edges
-from .baranyai import Permutation, half_order, position_pairs, rotation_classes, slot_positions
+from .baranyai import position_pairs, rotation_classes, slot_positions
 
 __all__ = [
-    "TraceResult",
     "CompatibilityCount",
     "DoubleCountReport",
-    "trace",
     "q_formula",
     "q_bruteforce",
     "verify_double_count",
@@ -148,49 +146,6 @@ def compatible_member_keys(
     for offset in range(1, r):
         masks = map(operator.or_, masks, bits[offset:])
     return windows.keys() & masks
-
-
-@dataclass(frozen=True)
-class TraceResult:
-    """Members of a family occurring as intervals of one cyclic order.
-
-    center is the common edge of the members, reported only when the
-    source family is intersecting and the trace is saturated (size == r).
-    katona_violation marks outcomes that would falsify the cycle bound:
-    an intersecting family tracing to more than r members, or a saturated
-    trace without a single common edge.
-    """
-
-    members: tuple[Matching, ...]
-    r: int
-    center: Edge | None
-    katona_violation: bool
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    @property
-    def saturated(self) -> bool:
-        return self.r > 0 and self.size == self.r
-
-
-def trace(family: MatchingFamily, sigma: Permutation) -> TraceResult:
-    """The members of family compatible with sigma, in canonical order."""
-    n = half_order(sigma)
-    if len(family) == 0:
-        return TraceResult(members=(), r=family.r or 0, center=None, katona_violation=False)
-    r = family.r
-    assert r is not None
-    if not 1 <= r <= n - 1:
-        raise ValueError(f"family members must have size in 1..{n - 1}, got {r}")
-    windows = member_windows(n, r, family)
-    found = compatible_member_keys(sigma.images, n, r, windows)
-    members = tuple(member for mask, member in windows.items() if mask in found)
-    intersecting = family.is_intersecting
-    center = trace_center(n, found) if intersecting and len(found) == r else None
-    violation = intersecting and center is None and len(found) >= r
-    return TraceResult(members=members, r=r, center=center, katona_violation=violation)
 
 
 @dataclass(frozen=True)

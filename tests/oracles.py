@@ -2,19 +2,23 @@
 
 Everything here recomputes results straight from definitions with
 itertools and sets, sharing no logic with the package internals, except
-full_graph_search: it runs the package's own search routines on the
+two.  full_graph_search runs the package's own search routines on the
 graph of every matching, so that it pins exactly what narrowing the
-graph to N[v0] may change; it files the stars by index itself.  The real
-implementations must agree with these on every instance small enough to
-sweep.
+graph to N[v0] may change; it files the stars by index itself.  trace
+reads one family at one permutation through the package's window scan,
+so that tests can check the scan's hits, centres and the Katona bound
+member by member.  The real implementations must agree with these on
+every instance small enough to sweep.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from ekr_matchings.core import MatchingFamily, Parameters, enumerate_matchings, phi
+from ekr_matchings.baranyai import Permutation, half_order
+from ekr_matchings.core import Edge, Matching, MatchingFamily, Parameters, enumerate_matchings, phi
 from ekr_matchings.ekr_search import (
     STATUS_PROVEN,
     EkrReport,
@@ -25,6 +29,7 @@ from ekr_matchings.ekr_search import (
     _non_star_through_v0,
     intersection_graph,
 )
+from ekr_matchings.katona import compatible_member_keys, member_windows, trace_center
 
 
 def naive_edges(two_n: int) -> list[tuple[int, int]]:
@@ -97,6 +102,55 @@ def naive_q_counts(targets: Sequence[Iterable[tuple[int, int]]], n: int) -> list
 def naive_q(edges: Iterable[tuple[int, int]], n: int) -> int:
     """Count compatible permutations by scanning all of S_{2n}."""
     return naive_q_counts([tuple(edges)], n)[0]
+
+
+@dataclass(frozen=True)
+class TraceResult:
+    """Members of a family occurring as intervals of one cyclic order.
+
+    center is the common edge of the members, reported only when the
+    source family is intersecting and the trace is saturated (size == r).
+    katona_violation marks outcomes that would falsify the cycle bound:
+    an intersecting family tracing to more than r members, or a saturated
+    trace without a single common edge.
+    """
+
+    members: tuple[Matching, ...]
+    r: int
+    center: Edge | None
+    katona_violation: bool
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
+
+    @property
+    def saturated(self) -> bool:
+        return self.r > 0 and self.size == self.r
+
+
+def trace(
+    family: MatchingFamily, sigma: Permutation, windows: dict[int, Matching] | None = None
+) -> TraceResult:
+    """The members of family compatible with sigma, in canonical order.
+
+    `windows` is member_windows(n, r, family), for a caller that traces one
+    family at many permutations and builds the table once.
+    """
+    n = half_order(sigma)
+    if len(family) == 0:
+        return TraceResult(members=(), r=family.r or 0, center=None, katona_violation=False)
+    r = family.r
+    if not 1 <= r <= n - 1:
+        raise ValueError(f"family members must have size in 1..{n - 1}, got {r}")
+    if windows is None:
+        windows = member_windows(n, r, family)
+    found = compatible_member_keys(sigma.images, n, r, windows)
+    members = tuple(member for mask, member in windows.items() if mask in found)
+    intersecting = family.is_intersecting
+    center = trace_center(n, found) if intersecting and len(found) == r else None
+    violation = intersecting and center is None and len(found) >= r
+    return TraceResult(members=members, r=r, center=center, katona_violation=violation)
 
 
 def naive_trace(
@@ -213,8 +267,10 @@ def full_graph_search(params: Parameters, budget: SearchBudget | None = None) ->
 
     The same searches from the same seed, with rows of chi bits instead of
     |N[v0]| bits: the bound search inside N(v0), then, if the budget asks,
-    the non-star search through v0 and the distinct stars of the optimum
-    size.  The budget must be large enough for both searches to finish.
+    the non-star search through v0.  If that finds nothing, the centres
+    come from filing every matching into the star of each of its edges:
+    the least edge of each distinct star of the optimum size.  The budget
+    must be large enough for both searches to finish.
     """
     budget = budget or SearchBudget()
     counter = _Counter(budget)
@@ -232,27 +288,28 @@ def full_graph_search(params: Parameters, budget: SearchBudget | None = None) ->
         return MatchingFamily(matchings[v] for v in indices)
 
     max_size = len(best[0])
-    witnesses = (family(best[0]),)
-    count = all_stars = None
+    witness = family(best[0])
+    centers = all_stars = None
     if budget.enumerate_all_maximum:
         two_n = 2 * params.n
         non_star = _non_star_through_v0(matchings, two_n, masks, adjacency, max_size, counter)
         all_stars = non_star is None
         if all_stars:
-            distinct = {tuple(indices) for indices in stars.values() if len(indices) == max_size}
-            families = (family(indices) for indices in distinct)
-            witnesses = tuple(sorted(families, key=lambda f: [m.edges for m in f]))
-            count = len(witnesses)
+            least: dict[tuple[int, ...], tuple[int, int]] = {}
+            for edge in sorted(stars):
+                if len(stars[edge]) == max_size:
+                    least.setdefault(tuple(stars[edge]), edge)
+            centers = tuple(least.values())  # first filed from the least edge, so in order
         else:
-            witnesses = (family(non_star),)
+            witness = family(non_star)
     return EkrReport(
         n=params.n,
         r=params.r,
         max_size=max_size,
         phi_value=phi(params),
         status=STATUS_PROVEN,
-        witnesses=witnesses,
-        maximum_family_count=count,
+        witness=witness,
+        centers=centers,
         all_maximum_are_stars=all_stars,
         search_nodes=counter.nodes,
     )

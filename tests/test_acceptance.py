@@ -30,13 +30,15 @@ from ekr_matchings.ekr_search import (
     kneser_complement_bridge,
     max_intersecting,
 )
-from ekr_matchings.katona import q_bruteforce, q_formula, trace, verify_double_count
+from ekr_matchings.katona import member_windows, q_bruteforce, q_formula, verify_double_count
 from ekr_matchings.kneser import (
     HamPowerCertificate,
     ham_power_certificate,
     verify_ham_power,
 )
 from ekr_matchings.transposition_lab import center_map, swap_identities
+
+from oracles import trace
 
 
 def _verdict(number, label, problems, elapsed, limit=None, note=""):
@@ -104,7 +106,7 @@ def test_criterion_04_shift_relabeling_and_trace():
     start = time.perf_counter()
     problems = []
 
-    def check(pi, c, family):
+    def check(pi, c, family, windows):
         shifted = shift(pi, c)
         base_order = rooted_order(pi)
         new_order = rooted_order(shifted)
@@ -112,21 +114,23 @@ def test_criterion_04_shift_relabeling_and_trace():
         for i in range(1, 2 * n):
             if new_order.part(i) != base_order.part(i + c):
                 return f"part mismatch images={pi.images} c={c} i={i}"
-        if trace(family, shifted).members != trace(family, pi).members:
+        if trace(family, shifted, windows).members != trace(family, pi, windows).members:
             return f"trace mismatch images={pi.images} c={c}"
         return None
 
     family3 = star_family(Parameters(3, 2), (1, 2))
+    windows3 = member_windows(3, 2, family3)
     for pi in all_permutations(6):
         for c in range(1, 6):
-            problem = check(pi, c, family3)
+            problem = check(pi, c, family3, windows3)
             if problem:
                 problems.append(problem)
     for n in (4, 5):
         family = star_family(Parameters(n, 2), (1, 2))
+        windows = member_windows(n, 2, family)
         rng = random.Random(211 + n)
         for pi in sample_permutations(2 * n, 1000, seed=211 + n):
-            problem = check(pi, rng.randint(1, 2 * n - 1), family)
+            problem = check(pi, rng.randint(1, 2 * n - 1), family, windows)
             if problem:
                 problems.append(problem)
     _verdict(4, "shift relabeling and trace", problems, time.perf_counter() - start)

@@ -12,6 +12,7 @@ from ekr_matchings.core import (
     Matching,
     MatchingFamily,
     Parameters,
+    all_edges,
     enumerate_matchings,
     first_matching,
     intersects,
@@ -37,6 +38,11 @@ from ekr_matchings.ekr_search import (
 )
 from ekr_matchings.kneser import kneser_graph
 from oracles import full_graph_search, naive_cliques_through, naive_matchings
+
+
+def star_sets(params, centers):
+    """The stars at the centres, each a frozenset of edge sets: the format of the oracles."""
+    return {frozenset(frozenset(m.edges) for m in star_family(params, c)) for c in centers}
 
 
 @pytest.mark.parametrize(
@@ -67,7 +73,7 @@ def test_max_is_phi_small(n, r):
     report = max_intersecting(params)
     assert report.status == STATUS_PROVEN
     assert report.max_size == phi(params)
-    witness = report.witnesses[0]
+    witness = report.witness
     assert len(witness) == report.max_size
     assert witness.is_intersecting
 
@@ -99,7 +105,8 @@ def test_count_prune_skips_colourings(n, r, nodes, colourings, monkeypatch):
 )
 def test_reduced_search_matches_unreduced(n, r):
     # the full-graph search, unseeded, is the oracle for the search inside N(v0);
-    # every maximum clique contains exactly one least member, naive[i]
+    # every maximum clique contains exactly one least member, naive[i], and the
+    # stars at the reported centres are exactly those cliques
     params = Parameters(n, r)
     matchings = enumerate_matchings(params)
     adjacency = intersection_graph(matchings)
@@ -116,7 +123,7 @@ def test_reduced_search_matches_unreduced(n, r):
     assert report.status == STATUS_PROVEN
     assert report.max_size == len(best[0])
     assert report.maximum_family_count == len(cliques) == len(set(cliques))
-    assert {frozenset(frozenset(m.edges) for m in fam) for fam in report.witnesses} == set(cliques)
+    assert star_sets(params, report.centers) == set(cliques)
 
 
 @pytest.mark.parametrize("n,r", [(n, r) for n in range(1, 7) for r in range(1, n + 1)])
@@ -155,9 +162,9 @@ def test_non_star_maxima_are_reported(planted_non_star):
     assert report.uniqueness_confirmed is False
     # the witness is the non-star family through v0 that the search found
     v0 = enumerate_matchings(params)[0]
-    assert len(report.witnesses) == 1
-    assert all(v0 in fam.members and len(fam) == report.max_size == 3 for fam in report.witnesses)
-    assert is_star(report.witnesses[0]) is None
+    assert report.centers is None
+    assert v0 in report.witness and len(report.witness) == report.max_size == 3
+    assert is_star(report.witness) is None
 
 
 def _graph(params):
@@ -171,7 +178,8 @@ def _graph(params):
     "n,r", [(n, r) for n in range(1, 5) for r in range(1, n + 1)] + [(5, 2), (5, 3)]
 )
 def test_non_star_search_matches_oracle(n, r):
-    # the oracle lists every maximum family through v0; all of them are stars
+    # the oracle lists every maximum family through v0; all of them are stars,
+    # and they are the stars at the reported centres that hold v0
     params = Parameters(n, r)
     report = max_intersecting(params, SearchBudget(enumerate_all_maximum=True))
     naive = naive_matchings(2 * n, r)
@@ -180,9 +188,7 @@ def test_non_star_search_matches_oracle(n, r):
     families = {frozenset(f) for f in naive_cliques_through(naive, report.max_size)}
     assert report.all_maximum_are_stars is all(frozenset.intersection(*f) for f in families)
     assert report.all_maximum_are_stars
-    through_v0 = {
-        frozenset(frozenset(m.edges) for m in fam) for fam in report.witnesses if v0 in fam
-    }
+    through_v0 = {star for star in star_sets(params, report.centers) if naive[0] in star}
     assert through_v0 == families
 
 
@@ -294,9 +300,25 @@ def test_enumeration_n3_all_stars():
     assert report.maximum_family_count == report.expected_maximum_count
     assert report.all_maximum_are_stars
     assert report.uniqueness_confirmed
-    centers = {is_star(fam) for fam in report.witnesses}
-    assert len(centers) == 15  # one star per edge of K_6
-    assert None not in centers
+    assert report.centers == tuple(all_edges(3))
+    stars = {star_family(Parameters(3, 2), center) for center in report.centers}
+    assert len(stars) == 15  # one star per edge of K_6
+    assert all(len(star) == report.max_size for star in stars)
+
+
+@pytest.mark.parametrize(
+    "n,r,centers",
+    [(1, 1, ((1, 2),)), (2, 2, ((1, 2), (1, 3), (1, 4))), (3, 3, tuple(all_edges(3)))],
+)
+def test_degenerate_star_centres(n, r, centers):
+    # at r = n = 2 the star at an edge is the star at its complement; at n = 1 there is
+    # one matching; at r = n = 3 every edge spans its own star of three perfect matchings
+    # (test_reduced_search_matches_unreduced checks these stars against the oracle)
+    params = Parameters(n, r)
+    report = max_intersecting(params, SearchBudget(enumerate_all_maximum=True))
+    assert report.proven and report.all_maximum_are_stars
+    assert report.centers == centers
+    assert len(star_sets(params, centers)) == len(centers)
 
 
 def test_enumeration_trivial_r1():
@@ -312,7 +334,7 @@ def test_budget_exhaustion_reports_partial():
     report = max_intersecting(Parameters(5, 5), SearchBudget(max_nodes=5))
     assert report.status == STATUS_BUDGET
     assert report.max_size >= phi(Parameters(5, 5))  # star seed incumbent
-    assert report.witnesses[0].is_intersecting
+    assert report.witness.is_intersecting
     assert not report.proven
 
 
@@ -338,7 +360,8 @@ def test_deadline_binds_graph_build():
 
 
 def test_deadline_binds_witness_rechecks(monkeypatch):
-    # the clock runs out once the non-star search has ended, before any star is built
+    # the clock runs out once the non-star search has ended; nothing after it reads
+    # the clock, so the report is proven, and only the best witness is re-checked
     now = [0.0]
     monkeypatch.setattr(ekr_search, "time", types.SimpleNamespace(monotonic=lambda: now[0]))
     search = ekr_search._non_star_through_v0
@@ -358,73 +381,49 @@ def test_deadline_binds_witness_rechecks(monkeypatch):
     monkeypatch.setattr(ekr_search, "MatchingFamily", counted_family)
     params = Parameters(4, 2)
     report = max_intersecting(params, SearchBudget(enumerate_all_maximum=True))
-    assert report.status == STATUS_BUDGET
-    assert report.maximum_family_count is None
-    assert report.all_maximum_are_stars is None
-    assert report.witnesses == (star_family(params, (1, 2)),)
+    assert report.status == STATUS_PROVEN
+    assert report.maximum_family_count == 28
+    assert report.all_maximum_are_stars
+    assert report.witness == star_family(params, (1, 2))
     assert len(rechecks) == 1  # the best witness only
 
 
-def test_deadline_binds_witness_enumeration(monkeypatch):
-    # at (9,3) listing all 278 460 matchings for the witness stars takes about a second;
-    # once the non-star search has ended, the clock is moved so that 0.3 s of budget remain
+def test_uniqueness_needs_no_budget_after_the_non_star_search(monkeypatch):
+    # 0.3 s of budget is left once the non-star search ends, less than listing all
+    # 278 460 matchings of (9,3) takes; the maximum families need no such listing
     offset = [0.0]
     clock = time.monotonic
     monkeypatch.setattr(ekr_search, "time", types.SimpleNamespace(monotonic=lambda: clock() + offset[0]))
     search = ekr_search._non_star_through_v0
-    shortened = []
 
     def search_then_shorten(*args):
         result = search(*args)
         counter = args[-1]
         offset[0] = counter.deadline - 0.3 - clock()
-        shortened.append(clock())
         return result
 
-    built = []
-
-    def counted_family(members):
-        if shortened:  # a star, built after the non-star search
-            built.append(1)
-        return MatchingFamily(members)
-
     monkeypatch.setattr(ekr_search, "_non_star_through_v0", search_then_shorten)
-    monkeypatch.setattr(ekr_search, "MatchingFamily", counted_family)
     params = Parameters(9, 3)
     report = max_intersecting(params, SearchBudget(enumerate_all_maximum=True))
-    assert clock() - shortened[0] < 0.8
-    assert built == []  # the listing ran out of time before the first star was built
-    assert report.status == STATUS_BUDGET
-    assert report.maximum_family_count is None
-    assert report.all_maximum_are_stars is None
-    (witness,) = report.witnesses  # the star at (1, 2), which seeded the search
-    assert is_star(witness) == (1, 2) and len(witness) == phi(params)
+    assert report.status == STATUS_PROVEN
+    assert report.all_maximum_are_stars
+    assert report.maximum_family_count == 153 == len(set(report.centers))
+    assert is_star(report.witness) == (1, 2) and len(report.witness) == phi(params)
 
 
-@pytest.mark.parametrize("corruption", ["dropped", "misfiled"])
-def test_a_star_off_its_closed_form_is_an_internal_error(corruption, monkeypatch):
-    # the stars are checked against their size and centre, not filtered by them
-    stars = ekr_search._stars
+def test_enumerate_max_lists_the_matchings_once(monkeypatch, capsys):
+    # N[v0] is the only listing: the maximum families come from their centres
+    calls = []
+    listed = ekr_search.iter_matchings
 
-    def corrupted(matchings):
-        buckets = stars(matchings)
-        if corruption == "dropped":
-            buckets[(1, 2)].pop()
-        else:  # filed under (1, 2), which it does not hold
-            buckets[(1, 2)][-1] = next(m for m in buckets[(3, 4)] if (1, 2) not in m.edges)
-        return buckets
+    def counted(*args):
+        calls.append(args)
+        return listed(*args)
 
-    monkeypatch.setattr(ekr_search, "_stars", corrupted)
-    with pytest.raises(ArithmeticError):
-        max_intersecting(Parameters(4, 2), SearchBudget(enumerate_all_maximum=True))
-    assert cli.main(["ekr-search", "--n", "4", "--r", "2", "--enumerate-max"]) == cli.EXIT_INTERNAL
-
-
-def test_witness_stars_build_no_member_keys():
-    # the witness stars are intersecting by construction, one per edge of K_10
-    report = max_intersecting(Parameters(5, 3), SearchBudget(enumerate_all_maximum=True))
-    assert report.maximum_family_count == 45
-    assert all(is_star(witness) is not None for witness in report.witnesses)
+    monkeypatch.setattr(ekr_search, "iter_matchings", counted)
+    assert cli.main(["ekr-search", "--n", "5", "--r", "3", "--enumerate-max"]) == cli.EXIT_PASS
+    assert '"maximum_families": 45' in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_graph_rows_check_the_deadline():

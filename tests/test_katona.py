@@ -26,7 +26,6 @@ from ekr_matchings.katona import (
     member_windows,
     q_bruteforce,
     q_formula,
-    trace,
     verify_double_count,
 )
 
@@ -36,6 +35,7 @@ from oracles import (
     naive_q,
     naive_q_counts,
     naive_trace,
+    trace,
 )
 
 
@@ -184,9 +184,10 @@ def test_interval_positions_hit_distinct_matchings(n, r):
     # the n(2n-1) r-intervals of a cyclic order are pairwise distinct as sets
     params = Parameters(n, r)
     family = MatchingFamily(enumerate_matchings(params))
+    windows = member_windows(n, r, family)
     sigmas = [Permutation.identity(2 * n), *sample_permutations(2 * n, 5, seed=23)]
     for sigma in sigmas:
-        assert trace(family, sigma).size == n * (2 * n - 1)
+        assert trace(family, sigma, windows).size == n * (2 * n - 1)
 
 
 def test_q_bruteforce_matches_naive_oracle():
@@ -253,8 +254,9 @@ def test_trace_full_family_has_no_violation_flag():
 def test_trace_members_are_compatible():
     params = Parameters(3, 2)
     family = star_family(params, (2, 4))
+    windows = member_windows(params.n, params.r, family)
     for sigma in sample_permutations(6, 40, seed=5):
-        result = trace(family, sigma)
+        result = trace(family, sigma, windows)
         assert result.size <= params.r  # Katona bound for intersecting families
         for member in result.members:
             assert naive_compatible(member.edges, sigma.images, params.n)
@@ -267,10 +269,11 @@ def test_trace_members_are_compatible():
 def test_trace_center_matches_the_common_edge_rule(n, r):
     # the AND of the hit masks against the common edges of the traced members
     families = trace_families(Parameters(n, r))
+    tables = [member_windows(n, r, family) for family in families]
     for images in rotation_classes(2 * n):
         sigma = Permutation(images)
-        for family in families:
-            result = trace(family, sigma)
+        for family, windows in zip(families, tables):
+            result = trace(family, sigma, windows)
             common = common_edges(result.members) if result.size == r else ()
             expected = common[0] if family.is_intersecting and len(common) == 1 else None
             assert result.center == expected

@@ -14,7 +14,7 @@ from ekr_matchings.baranyai import (
 )
 from ekr_matchings.core import Matching, MatchingFamily, Parameters, star_family
 from ekr_matchings import transposition_lab
-from ekr_matchings.katona import compatible_member_keys, member_windows, trace
+from ekr_matchings.katona import compatible_member_keys, member_windows
 from ekr_matchings.transposition_lab import (
     SWAP_IDENTITIES,
     center_map,
@@ -23,6 +23,8 @@ from ekr_matchings.transposition_lab import (
     swap_identities,
     transpose_adjacent,
 )
+
+from oracles import trace
 
 
 def permutations_of(two_n):
@@ -134,11 +136,12 @@ def test_adjacent_swaps_preserve_centers():
     # pairwise form of the center argument: sigma and T_j(sigma) agree
     params = Parameters(3, 2)
     family = star_family(params, (2, 4))
+    windows = member_windows(params.n, params.r, family)
     for sigma in sample_permutations(6, 30, seed=59):
-        base = trace(family, sigma)
+        base = trace(family, sigma, windows)
         assert base.saturated
         for j in range(1, 6):
-            moved = trace(family, transpose_adjacent(sigma, j))
+            moved = trace(family, transpose_adjacent(sigma, j), windows)
             assert moved.saturated
             assert moved.center == base.center
 
