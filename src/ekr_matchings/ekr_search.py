@@ -3,8 +3,8 @@
 The r-matchings of K_{2n} form an intersection graph (vertices are
 matchings, edges join pairs sharing an edge of K_{2n}); an intersecting
 family is a clique.  The search is a branch-and-bound maximum-clique
-solver over bitset adjacency rows: greedy coloring gives the upper bound
-at every node and a star provides the initial incumbent.
+solver over bitsets: greedy coloring gives the upper bound at every node
+and a star provides the initial incumbent.
 
 S_{2n} acts transitively on the r-matchings and preserves intersection,
 so every maximum clique has an image through the first matching
@@ -12,8 +12,10 @@ v0 = {(1, 2), (3, 4), ..., (2r-1, 2r)}.  The search therefore only looks
 inside N(v0): the optimum is omega = 1 + omega(N(v0)).  The graph is
 built on the closed neighbourhood N[v0] alone, the matchings that share
 an edge with v0, enumerated directly and counted against inclusion-
-exclusion over the edges of v0; its rows take |N[v0]|^2/8 bytes instead
-of chi^2/8, so (7,4) needs 320 MiB of rows instead of 11.6 GiB.  Star
+exclusion over the edges of v0.  The graph is kept as its edge masks (the
+matchings through each edge of K_{2n}) and, per matching, the masks of its
+r edges; a neighbourhood is their union less the matching's own bit.  At
+(8,4) the masks take 2.5 MiB, where adjacency rows would take 3.5 GiB.  Star
 uniqueness asks one more question: is there a clique of size omega
 through v0 whose members share no edge?  A second search looks for one.
 While the family S built so far has a common edge
@@ -38,6 +40,8 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator, Sequence, TypeVar
 
 from .core import (
@@ -141,20 +145,9 @@ class EkrReport:
         return self.proven and self.max_size == self.phi_value
 
     @property
-    def expected_maximum_count(self) -> int:
-        """One maximum family per edge of K_{2n} when stars are the only ones."""
-        return math.comb(2 * self.n, 2)
-
-    @property
     def uniqueness_confirmed(self) -> bool | None:
-        if self.all_maximum_are_stars is False:
-            return False
-        if self.maximum_family_count is None:
-            return None
-        return (
-            bool(self.all_maximum_are_stars)
-            and self.maximum_family_count == self.expected_maximum_count
-        )
+        """Every maximum family is a star; None when the search for a non-star one did not end."""
+        return self.all_maximum_are_stars
 
 
 T = TypeVar("T")
@@ -215,7 +208,8 @@ def intersection_graph(
     Row i is the union of the masks of the edges of matching i, less bit i;
     `masks` comes from _edge_masks when the caller already has it.  Both
     passes run through _clocked, so the deadline is checked once per
-    matching and once per row.
+    matching and once per row.  The search reads neighbourhoods from
+    _mask_table instead; the rows are the tests' reference for them.
     """
     if masks is None:
         masks = _edge_masks(matchings, deadline)
@@ -228,7 +222,27 @@ def intersection_graph(
     return rows
 
 
-def _color_order(candidates: int, adjacency: list[int]) -> tuple[list[int], list[int]]:
+def _mask_table(
+    matchings: Sequence[Matching], masks: dict[Edge, int], deadline: float = math.inf
+) -> list[tuple[int, ...]]:
+    """The masks of each matching's edges, in edge order; the deadline is checked once per matching."""
+    return [tuple(map(masks.__getitem__, m.edges)) for m in _clocked(matchings, deadline)]
+
+
+def _members(mask: int) -> Iterator[int]:
+    """The indices of the set bits of `mask`, in ascending order."""
+    while mask:
+        bit = mask & -mask
+        yield bit.bit_length() - 1
+        mask ^= bit
+
+
+def _neighbours(table: list[tuple[int, ...]], v: int) -> int:
+    """The neighbourhood of vertex v: the union of the masks of its edges, less bit v."""
+    return reduce(or_, table[v]) ^ 1 << v
+
+
+def _color_order(candidates: int, table: list[tuple[int, ...]]) -> tuple[list[int], list[int]]:
     """Greedy coloring of the candidate set; vertices come back sorted by color."""
     order: list[int] = []
     bounds: list[int] = []
@@ -243,12 +257,12 @@ def _color_order(candidates: int, adjacency: list[int]) -> tuple[list[int], list
             order.append(v)
             bounds.append(color)
             uncolored ^= bit
-            group = (group ^ bit) & ~adjacency[v]
+            group ^= group & reduce(or_, table[v])  # v leaves too: each of its masks holds v
     return order, bounds
 
 
 def _expand(
-    adjacency: list[int],
+    table: list[tuple[int, ...]],
     stack: list[int],
     candidates: int,
     best: list[list[int]],
@@ -257,19 +271,19 @@ def _expand(
     counter.tick()
     if len(stack) + candidates.bit_count() <= len(best[0]):
         return
-    order, bounds = _color_order(candidates, adjacency)
+    order, bounds = _color_order(candidates, table)
     for t in range(len(order) - 1, -1, -1):
         if len(stack) + bounds[t] <= len(best[0]):
             return
         v = order[t]
+        candidates ^= 1 << v  # first, so that the union of v's masks needs no clear of bit v
         stack.append(v)
-        narrowed = candidates & adjacency[v]
+        narrowed = candidates & reduce(or_, table[v])
         if narrowed:
-            _expand(adjacency, stack, narrowed, best, counter)
+            _expand(table, stack, narrowed, best, counter)
         elif len(stack) > len(best[0]):
             best[0] = stack.copy()
         stack.pop()
-        candidates &= ~(1 << v)
 
 
 def _first_level_orbits(
@@ -298,11 +312,7 @@ def _first_level_orbits(
         + [swap((2 * i - 1, 2 * i + 1), (2 * i, 2 * i + 2)) for i in range(2, r)]
         + [swap((x, x + 1)) for x in range(2 * r + 1, two_n)]
     )
-    members = []
-    while candidates:
-        bit = candidates & -candidates
-        members.append(bit.bit_length() - 1)
-        candidates ^= bit
+    members = list(_members(candidates))
     index_of = {matchings[w].edges: w for w in members}
     orbits: list[tuple[int, int]] = []
     seen: set[int] = set()
@@ -326,20 +336,20 @@ def _first_level_orbits(
 
 
 def _non_star_clique(
-    adjacency: list[int],
-    edge_masks: list[int],
+    table: list[tuple[int, ...]],
     edge_bits: list[int],
     family: list[int],
     candidates: int,
     common: int,
     size: int,
     counter: _Counter,
-    branches: list[tuple[int, int]] | None = None,
+    branches: Iterable[tuple[int, int]] | None = None,
 ) -> list[int] | None:
     """A clique of `size` vertices whose members share no edge, or None.
 
-    The clique extends `family`, whose members share exactly the edges in
-    the bitmask `common`, by vertices of `candidates`.  While an edge e is
+    The clique extends `family`, whose first member is vertex 0 and whose
+    members share exactly the edges in the bitmask `common` (bit j for the
+    j-th edge of vertex 0), by vertices of `candidates`.  While an edge e is
     common, such a clique has a member avoiding e, so the search branches
     on each candidate w that avoids the least common edge and drops w from
     the candidates before the next branch.  Every branch removes an edge
@@ -353,44 +363,39 @@ def _non_star_clique(
         if need == 0:
             return family
         best = [[0] * (need - 1)]  # sentinel: any clique of `need` vertices beats it
-        _expand(adjacency, [], candidates, best, counter)
+        _expand(table, [], candidates, best, counter)
         return family + best[0][:need] if len(best[0]) >= need else None
     counter.tick()
     if need == 0 or candidates.bit_count() < need:
         return None
-    _, bounds = _color_order(candidates, adjacency)
+    _, bounds = _color_order(candidates, table)
     if bounds[-1] < need:
         return None
     if branches is None:
         e = (common & -common).bit_length() - 1
-        avoiding = candidates & ~edge_masks[e]
-        branches = []
-        while avoiding:
-            bit = avoiding & -avoiding
-            branches.append((bit.bit_length() - 1, bit))
-            avoiding ^= bit
+        avoiding = candidates ^ (candidates & table[0][e])
+        # one single-bit mask at a time: a list of them would take |avoiding| |N[v0]|/16 bytes
+        branches = ((w, 1 << w) for w in _members(avoiding))
     for w, dropped in branches:
         found = _non_star_clique(
-            adjacency,
-            edge_masks,
+            table,
             edge_bits,
             family + [w],
-            candidates & adjacency[w],
+            candidates & _neighbours(table, w),
             common & edge_bits[w],
             size,
             counter,
         )
         if found is not None:
             return found
-        candidates &= ~dropped
+        candidates ^= candidates & dropped
     return None
 
 
 def _non_star_through_v0(
     matchings: Sequence[Matching],
     two_n: int,
-    masks: dict[Edge, int],
-    adjacency: list[int],
+    table: list[tuple[int, ...]],
     size: int,
     counter: _Counter,
 ) -> list[int] | None:
@@ -407,18 +412,9 @@ def _non_star_through_v0(
     """
     own = matchings[0].edges
     edge_bits = [sum(1 << j for j, e in enumerate(own) if e in m.edges) for m in matchings]
-    orbits = _first_level_orbits(matchings, adjacency[0] & ~masks[own[0]], two_n, counter.deadline)
-    return _non_star_clique(
-        adjacency,
-        [masks[e] for e in own],
-        edge_bits,
-        [0],
-        adjacency[0],
-        edge_bits[0],
-        size,
-        counter,
-        orbits,
-    )
+    near = _neighbours(table, 0)
+    orbits = _first_level_orbits(matchings, near ^ (near & table[0][0]), two_n, counter.deadline)
+    return _non_star_clique(table, edge_bits, [0], near, edge_bits[0], size, counter, orbits)
 
 
 def max_intersecting(params: Parameters, budget: SearchBudget | None = None) -> EkrReport:
@@ -429,8 +425,9 @@ def max_intersecting(params: Parameters, budget: SearchBudget | None = None) -> 
     optimality inside N(v0) only, with the star at the edge (1, 2), which
     contains v0, as the incumbent.  Only the closed neighbourhood N[v0] is
     enumerated and indexed, in lexicographic order, so v0 is index 0 and
-    the star at (1, 2) is its first phi members; the adjacency rows take
-    |N[v0]|^2/8 bytes.  When the budget asks for every maximum family, a
+    the star at (1, 2) is its first phi members; the searches read each
+    neighbourhood from the masks of the matching's edges, so no row of
+    |N[v0]| bits is built.  When the budget asks for every maximum family, a
     second search looks for a maximum family through v0 with no common
     edge.  If there is none, S_{2n} maps stars to stars, so every maximum
     family is a star of size phi: the report gives their centres from
@@ -459,8 +456,8 @@ def max_intersecting(params: Parameters, budget: SearchBudget | None = None) -> 
         masks = _edge_masks(matchings, counter.deadline)
         if masks[(1, 2)] != (1 << phi_value) - 1:
             raise ArithmeticError("star seed size does not match phi")
-        adjacency = intersection_graph(matchings, counter.deadline, masks)
-        _expand(adjacency, [0], adjacency[0], best, counter)
+        table = _mask_table(matchings, masks, counter.deadline)
+        _expand(table, [0], _neighbours(table, 0), best, counter)
     except _BudgetExceeded:
         status = STATUS_BUDGET
 
@@ -479,9 +476,7 @@ def max_intersecting(params: Parameters, budget: SearchBudget | None = None) -> 
     all_stars: bool | None = None
     if budget.enumerate_all_maximum and status == STATUS_PROVEN:
         try:
-            non_star = _non_star_through_v0(
-                matchings, 2 * params.n, masks, adjacency, max_size, counter
-            )
+            non_star = _non_star_through_v0(matchings, 2 * params.n, table, max_size, counter)
         except _BudgetExceeded:
             status = STATUS_BUDGET
         else:

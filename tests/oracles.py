@@ -26,8 +26,9 @@ from ekr_matchings.ekr_search import (
     _Counter,
     _edge_masks,
     _expand,
+    _mask_table,
+    _neighbours,
     _non_star_through_v0,
-    intersection_graph,
 )
 from ekr_matchings.katona import compatible_member_keys, member_windows, trace_center
 
@@ -265,12 +266,13 @@ def naive_cliques_through(
 def full_graph_search(params: Parameters, budget: SearchBudget | None = None) -> EkrReport:
     """max_intersecting on the intersection graph of all chi matchings.
 
-    The same searches from the same seed, with rows of chi bits instead of
-    |N[v0]| bits: the bound search inside N(v0), then, if the budget asks,
-    the non-star search through v0.  If that finds nothing, the centres
-    come from filing every matching into the star of each of its edges:
-    the least edge of each distinct star of the optimum size.  The budget
-    must be large enough for both searches to finish.
+    The same searches from the same seed, on the mask table of all chi
+    matchings instead of the |N[v0]| that meet v0: the bound search inside
+    N(v0), then, if the budget asks, the non-star search through v0.  If
+    that finds nothing, the centres come from filing every matching into
+    the star of each of its edges: the least edge of each distinct star of
+    the optimum size.  The budget must be large enough for both searches
+    to finish.
     """
     budget = budget or SearchBudget()
     counter = _Counter(budget)
@@ -279,10 +281,9 @@ def full_graph_search(params: Parameters, budget: SearchBudget | None = None) ->
     for idx, matching in enumerate(matchings):
         for edge in matching.edges:
             stars.setdefault(edge, []).append(idx)
-    masks = _edge_masks(matchings)
-    adjacency = intersection_graph(matchings, masks=masks)
+    table = _mask_table(matchings, _edge_masks(matchings))
     best = [stars[(1, 2)]]
-    _expand(adjacency, [0], adjacency[0], best, counter)
+    _expand(table, [0], _neighbours(table, 0), best, counter)
 
     def family(indices: Sequence[int]) -> MatchingFamily:
         return MatchingFamily(matchings[v] for v in indices)
@@ -292,7 +293,7 @@ def full_graph_search(params: Parameters, budget: SearchBudget | None = None) ->
     centers = all_stars = None
     if budget.enumerate_all_maximum:
         two_n = 2 * params.n
-        non_star = _non_star_through_v0(matchings, two_n, masks, adjacency, max_size, counter)
+        non_star = _non_star_through_v0(matchings, two_n, table, max_size, counter)
         all_stars = non_star is None
         if all_stars:
             least: dict[tuple[int, ...], tuple[int, int]] = {}

@@ -28,6 +28,8 @@ from ekr_matchings.ekr_search import (
     _edge_masks,
     _expand,
     _first_level_orbits,
+    _mask_table,
+    _neighbours,
     _neighbourhood_size,
     _non_star_through_v0,
     intersection_graph,
@@ -65,6 +67,18 @@ def test_intersection_graph_degrees():
             expected = i != j and intersects(a, b)
             assert bool(adjacency[i] >> j & 1) == expected
     assert intersection_graph(matchings, masks=_edge_masks(matchings)) == adjacency
+
+
+@pytest.mark.parametrize(
+    "n,r", [(n, r) for n in range(1, 6) for r in range(1, n + 1)]
+)
+def test_mask_table_neighbourhoods_are_the_rows(n, r):
+    # the search reads each neighbourhood from the vertex's edge masks; the rows are the reference
+    params = Parameters(n, r)
+    for matchings in (enumerate_matchings(params), list(iter_matchings(params, first_matching(r)))):
+        table = _mask_table(matchings, _edge_masks(matchings))
+        rows = intersection_graph(matchings)
+        assert [_neighbours(table, v) for v in range(len(matchings))] == rows
 
 
 @pytest.mark.parametrize("n,r", [(2, 1), (3, 1), (3, 2), (4, 1)])
@@ -109,9 +123,9 @@ def test_reduced_search_matches_unreduced(n, r):
     # stars at the reported centres are exactly those cliques
     params = Parameters(n, r)
     matchings = enumerate_matchings(params)
-    adjacency = intersection_graph(matchings)
+    table = _mask_table(matchings, _edge_masks(matchings))
     best: list[list[int]] = [[]]
-    _expand(adjacency, [], (1 << len(matchings)) - 1, best, _Counter(SearchBudget()))
+    _expand(table, [], (1 << len(matchings)) - 1, best, _Counter(SearchBudget()))
     naive = naive_matchings(2 * n, r)
     cliques = [
         frozenset(clique)
@@ -168,10 +182,9 @@ def test_non_star_maxima_are_reported(planted_non_star):
 
 
 def _graph(params):
-    # the graph the search runs on: the closed neighbourhood N[v0]
+    # the graph the search runs on: the mask table of the closed neighbourhood N[v0]
     matchings = list(iter_matchings(params, first_matching(params.r)))
-    masks = _edge_masks(matchings)
-    return matchings, masks, intersection_graph(matchings, masks=masks)
+    return matchings, _mask_table(matchings, _edge_masks(matchings))
 
 
 @pytest.mark.parametrize(
@@ -197,15 +210,13 @@ def test_non_star_search_matches_oracle(n, r):
 )
 def test_non_star_search_at_lowered_targets(n, r, top):
     params = Parameters(n, r)
-    matchings, masks, adjacency = _graph(params)
+    matchings, table = _graph(params)
     naive = naive_matchings(2 * n, r)
     for target in range(1, top + 1):
         expected = any(
             not frozenset.intersection(*f) for f in naive_cliques_through(naive, target)
         )
-        found = _non_star_through_v0(
-            matchings, 2 * n, masks, adjacency, target, _Counter(SearchBudget())
-        )
+        found = _non_star_through_v0(matchings, 2 * n, table, target, _Counter(SearchBudget()))
         assert (found is not None) == expected, target
         if found is not None:
             family = MatchingFamily(matchings[v] for v in found)
@@ -217,8 +228,8 @@ def test_non_star_search_at_lowered_targets(n, r, top):
 
 @pytest.mark.parametrize("n,r,target", [(5, 3, 40), (5, 4, 100)])
 def test_non_star_search_finds_large_lowered_targets(n, r, target):
-    matchings, masks, adjacency = _graph(Parameters(n, r))
-    found = _non_star_through_v0(matchings, 2 * n, masks, adjacency, target, _Counter(SearchBudget()))
+    matchings, table = _graph(Parameters(n, r))
+    found = _non_star_through_v0(matchings, 2 * n, table, target, _Counter(SearchBudget()))
     family = MatchingFamily(matchings[v] for v in found)
     assert len(family) == target and matchings[0] in family
     assert family.is_intersecting
@@ -228,8 +239,8 @@ def test_non_star_search_finds_large_lowered_targets(n, r, target):
 @pytest.mark.parametrize("n,r", [(2, 1), (2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4)])
 def test_first_level_orbits_are_stabiliser_orbits(n, r):
     # the stabiliser of v0 and e1 = (1, 2), by brute force over S_{2n}
-    matchings, masks, adjacency = _graph(Parameters(n, r))
-    first = adjacency[0] & ~masks[(1, 2)]
+    matchings, table = _graph(Parameters(n, r))
+    first = _neighbours(table, 0) & ~table[0][0]  # table[0][0] is the mask of (1, 2)
     orbits = _first_level_orbits(matchings, first, 2 * n, math.inf)
     covered = 0
     for rep, mask in orbits:
@@ -278,9 +289,9 @@ def test_non_star_search_nests_at_most_r_plus_one_levels(monkeypatch):
             report = max_intersecting(Parameters(n, r), SearchBudget(enumerate_all_maximum=True))
             assert report.all_maximum_are_stars
         else:
-            matchings, masks, adjacency = _graph(Parameters(n, r))
+            matchings, table = _graph(Parameters(n, r))
             counter = _Counter(SearchBudget())
-            assert _non_star_through_v0(matchings, 2 * n, masks, adjacency, target, counter)
+            assert _non_star_through_v0(matchings, 2 * n, table, target, counter)
         assert 2 <= deepest <= r + 1
         if target == 3:
             assert deepest == r + 1  # the triangle {12 34, 34 56, 12 56} needs every level
@@ -296,8 +307,7 @@ def test_enumeration_n3_all_stars():
     report = verify_theorem(Parameters(3, 2))
     assert report.status == STATUS_PROVEN
     assert report.max_size == 6
-    assert report.maximum_family_count == 15
-    assert report.maximum_family_count == report.expected_maximum_count
+    assert report.maximum_family_count == math.comb(6, 2)  # one star per edge of K_6
     assert report.all_maximum_are_stars
     assert report.uniqueness_confirmed
     assert report.centers == tuple(all_edges(3))
@@ -350,10 +360,10 @@ def test_deadline_binds_enumeration():
 
 
 def test_deadline_binds_graph_build():
-    # at (7,4) listing N[v0] takes about 0.3 s and building its graph on 51 771 matchings
-    # about 0.6 s more, so the deadline passes during the build
+    # at (7,4) listing N[v0] takes about 0.2 s and building the edge masks and mask table
+    # of its 51 771 matchings about 0.2 s more, so the deadline passes during the build
     start = time.monotonic()
-    report = max_intersecting(Parameters(7, 4), SearchBudget(max_seconds=0.5))
+    report = max_intersecting(Parameters(7, 4), SearchBudget(max_seconds=0.3))
     assert report.status == STATUS_BUDGET
     assert time.monotonic() - start < 1.0
     assert report.max_size == phi(Parameters(7, 4))
@@ -432,6 +442,13 @@ def test_graph_rows_check_the_deadline():
     masks = _edge_masks(matchings)
     with pytest.raises(ekr_search._BudgetExceeded):
         intersection_graph(matchings, time.monotonic() - 1.0, masks)
+
+
+def test_mask_table_checks_the_deadline():
+    matchings = enumerate_matchings(Parameters(3, 2))
+    masks = _edge_masks(matchings)
+    with pytest.raises(ekr_search._BudgetExceeded):
+        _mask_table(matchings, masks, time.monotonic() - 1.0)
 
 
 def test_budget_validation():
