@@ -21,7 +21,6 @@ from .core import (
     star_family,
 )
 from .baranyai import (
-    CyclicOrder,
     GoodnessReport,
     Permutation,
     RootedBaranyaiOrder,
@@ -57,7 +56,6 @@ from .kneser import (
     HamPowerCertificate,
     KneserGraph,
     certificate_from_json,
-    certificate_to_json,
     ham_power_certificate,
     kneser_graph,
     verify_ham_power,
@@ -87,7 +85,6 @@ __all__ = [
     "make_edge",
     "phi",
     "star_family",
-    "CyclicOrder",
     "GoodnessReport",
     "Permutation",
     "RootedBaranyaiOrder",
@@ -117,7 +114,6 @@ __all__ = [
     "HamPowerCertificate",
     "KneserGraph",
     "certificate_from_json",
-    "certificate_to_json",
     "ham_power_certificate",
     "kneser_graph",
     "verify_ham_power",

@@ -27,7 +27,6 @@ from .core import Edge, make_edge
 __all__ = [
     "Permutation",
     "RootedBaranyaiOrder",
-    "CyclicOrder",
     "GoodnessReport",
     "wrap_index",
     "half_order",
@@ -36,7 +35,6 @@ __all__ = [
     "cyclic_order",
     "position_pairs",
     "slot_positions",
-    "cyclic_edges",
     "shift",
     "verify_goodness",
     "all_permutations",
@@ -125,20 +123,9 @@ def rooted_order(sigma: Permutation) -> RootedBaranyaiOrder:
     longest rotation offset down to 1, then the spoke through the root.
     """
     n = half_order(sigma)
-    edges = cyclic_edges(sigma.images, n)
-    parts = tuple(tuple(edges[start : start + n]) for start in range(0, len(edges), n))
+    edges = cyclic_order(sigma)
+    parts = tuple(edges[start : start + n] for start in range(0, len(edges), n))
     return RootedBaranyaiOrder(root=sigma(2 * n), parts=parts)
-
-
-@dataclass(frozen=True)
-class CyclicOrder:
-    """The concatenation of the ordered parts: a cyclic order on all edges."""
-
-    n: int
-    sequence: tuple[Edge, ...]
-
-    def __len__(self) -> int:
-        return len(self.sequence)
 
 
 @lru_cache(maxsize=None)
@@ -176,25 +163,20 @@ def slot_positions(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, table))
 
 
-def cyclic_edges(images: tuple[int, ...], n: int) -> list[Edge]:
-    """Canonical edge at each cyclic position for a raw image tuple of length 2n.
+def cyclic_order(sigma: Permutation) -> tuple[Edge, ...]:
+    """The cyclic order on the n(2n-1) edges induced by sigma: the canonical edge at each position.
 
-    The one builder of the cyclic order as edges, for cyclic_order and
-    rooted_order.  The sweeps read position_pairs themselves:
-    verify_goodness needs only vertices, and katona.compatible_member_keys
-    turns each position's two ends straight into an edge bit.
+    The concatenation of the ordered parts, and the one builder of the
+    cyclic order as edges; rooted_order slices it into parts.  The sweeps
+    read position_pairs themselves: verify_goodness needs only vertices,
+    and katona.compatible_member_keys turns each position's two ends
+    straight into an edge bit.
     """
-    edges = []
-    for p, q in position_pairs(n):
-        a, b = images[p], images[q]
-        edges.append((a, b) if a < b else (b, a))
-    return edges
-
-
-def cyclic_order(sigma: Permutation) -> CyclicOrder:
-    """The cyclic order on the n(2n-1) edges induced by sigma."""
-    n = half_order(sigma)
-    return CyclicOrder(n=n, sequence=tuple(cyclic_edges(sigma.images, n)))
+    images = sigma.images
+    return tuple(
+        (a, b) if (a := images[p]) < (b := images[q]) else (b, a)
+        for p, q in position_pairs(half_order(sigma))
+    )
 
 
 def shift(pi: Permutation, c: int) -> Permutation:
@@ -254,20 +236,18 @@ class GoodnessReport:
         return not self.counterexamples
 
 
-def verify_goodness(
-    n: int,
-    sigmas: Iterable[tuple[int, ...]],
-    r: int | None = None,
-    max_counterexamples: int = 20,
-) -> GoodnessReport:
+MAX_COUNTEREXAMPLES = 20
+
+
+def verify_goodness(n: int, sigmas: Iterable[tuple[int, ...]], r: int | None = None) -> GoodnessReport:
     """Check every length-r interval of the cyclic order of each sigma.
 
     Each sigma is given by its image tuple, such as Permutation.images or
     a tuple from rotation_classes, and must have 2n images.  r defaults
     to n-1, the longest length for which every interval is a matching.
     Counterexamples are (images, start position) pairs, sigma
-    by sigma and by ascending start within one, capped at max_counterexamples,
-    which must be at least 1 so that passed cannot hide a failing window.
+    by sigma and by ascending start within one, the first MAX_COUNTEREXAMPLES
+    of them.
 
     A bijection puts distinct vertices in distinct slots of the image tuple,
     so a window repeats a vertex exactly when it repeats a slot of
@@ -281,16 +261,14 @@ def verify_goodness(
         r = n - 1 if n > 1 else 1
     if not 1 <= r <= total:
         raise ValueError(f"interval length must be in 1..{total}, got {r}")
-    if max_counterexamples < 1:
-        raise ValueError(f"max_counterexamples must be at least 1, got {max_counterexamples}")
-    failing = window_repeats(position_pairs(n), 2 * n, r, max_counterexamples)
+    failing = window_repeats(position_pairs(n), 2 * n, r, MAX_COUNTEREXAMPLES)
     counterexamples: list[tuple[tuple[int, ...], int]] = []
     permutations_checked = 0
     for images in sigmas:
         if len(images) != 2 * n:
             raise ValueError(f"permutation size {len(images)} does not match 2n = {2 * n}")
         permutations_checked += 1
-        room = max_counterexamples - len(counterexamples)
+        room = MAX_COUNTEREXAMPLES - len(counterexamples)
         if room > 0 and failing:
             counterexamples.extend((images, start) for start in failing[:room])
     return GoodnessReport(

@@ -34,7 +34,6 @@ __all__ = [
     "phi",
     "star_family",
     "iter_indented",
-    "dumps_indented",
 ]
 
 
@@ -283,11 +282,6 @@ def iter_indented(value: Any) -> Iterator[str]:
     """
     text = _leaf_text(value, "\n")
     return iter((text,)) if text is not None else _pieces(value, "\n")
-
-
-def dumps_indented(value: Any) -> str:
-    """Exactly json.dumps(value, indent=2): the pieces of iter_indented, joined."""
-    return "".join(iter_indented(value))
 
 
 def _leaf_text(value: Any, newline: str) -> str | None:

@@ -27,10 +27,11 @@ one member per orbit of the stabiliser of v0 and its least edge.  If there
 is no such clique, stars go to stars under S_{2n}, so every maximum family
 is a star, and the maximum families are the distinct stars of size omega.
 Their centres follow in closed form (_star_centers), so no matching
-outside N[v0] is ever listed.  Budgets (node count and wall clock, checked
-at every node against one deadline for all phases, the listing of N[v0]
-included) are first-class: blowing one yields status "budget_exhausted"
-with the best witness found so far, never a silently weaker answer.
+outside N[v0] is ever listed.  Budgets (node count, and one deadline for
+all phases checked at every node, every color class, and every matching
+as N[v0] is listed, indexed and split into orbits) are first-class:
+blowing one yields status "budget_exhausted" with the best witness found
+so far, never a silently weaker answer.
 """
 
 from __future__ import annotations
@@ -144,11 +145,6 @@ class EkrReport:
         """The search optimum equals the star size phi(n, r)."""
         return self.proven and self.max_size == self.phi_value
 
-    @property
-    def uniqueness_confirmed(self) -> bool | None:
-        """Every maximum family is a star; None when the search for a non-star one did not end."""
-        return self.all_maximum_are_stars
-
 
 T = TypeVar("T")
 
@@ -198,23 +194,16 @@ def _edge_masks(matchings: Sequence[Matching], deadline: float = math.inf) -> di
     return masks
 
 
-def intersection_graph(
-    matchings: Sequence[Matching],
-    deadline: float = math.inf,
-    masks: dict[Edge, int] | None = None,
-) -> list[int]:
+def intersection_graph(matchings: Sequence[Matching]) -> list[int]:
     """Bitset adjacency rows: i and j are adjacent iff the matchings share an edge.
 
-    Row i is the union of the masks of the edges of matching i, less bit i;
-    `masks` comes from _edge_masks when the caller already has it.  Both
-    passes run through _clocked, so the deadline is checked once per
-    matching and once per row.  The search reads neighbourhoods from
-    _mask_table instead; the rows are the tests' reference for them.
+    Row i is the union of the masks of the edges of matching i, less bit i.
+    The search reads neighbourhoods from _mask_table instead and builds no
+    rows; the rows are the tests' reference for them.
     """
-    if masks is None:
-        masks = _edge_masks(matchings, deadline)
+    masks = _edge_masks(matchings)
     rows: list[int] = []
-    for i, matching in enumerate(_clocked(matchings, deadline)):
+    for i, matching in enumerate(matchings):
         row = 0
         for edge in matching.edges:
             row |= masks[edge]
@@ -242,13 +231,20 @@ def _neighbours(table: list[tuple[int, ...]], v: int) -> int:
     return reduce(or_, table[v]) ^ 1 << v
 
 
-def _color_order(candidates: int, table: list[tuple[int, ...]]) -> tuple[list[int], list[int]]:
-    """Greedy coloring of the candidate set; vertices come back sorted by color."""
+def _color_order(
+    candidates: int, table: list[tuple[int, ...]], deadline: float
+) -> tuple[list[int], list[int]]:
+    """Greedy coloring of the candidate set; vertices come back sorted by color.
+
+    The deadline is checked once per color class.
+    """
     order: list[int] = []
     bounds: list[int] = []
     uncolored = candidates
     color = 0
     while uncolored:
+        if time.monotonic() > deadline:
+            raise _BudgetExceeded
         color += 1
         group = uncolored
         while group:
@@ -271,7 +267,7 @@ def _expand(
     counter.tick()
     if len(stack) + candidates.bit_count() <= len(best[0]):
         return
-    order, bounds = _color_order(candidates, table)
+    order, bounds = _color_order(candidates, table, counter.deadline)
     for t in range(len(order) - 1, -1, -1):
         if len(stack) + bounds[t] <= len(best[0]):
             return
@@ -368,7 +364,7 @@ def _non_star_clique(
     counter.tick()
     if need == 0 or candidates.bit_count() < need:
         return None
-    _, bounds = _color_order(candidates, table)
+    _, bounds = _color_order(candidates, table, counter.deadline)
     if bounds[-1] < need:
         return None
     if branches is None:
@@ -522,7 +518,7 @@ def verify_theorem(params: Parameters, budget: SearchBudget | None = None) -> Ek
 
     Requires r <= n-1.  Runs the exact search (with the search for a
     non-star maximum family unless the caller's budget says otherwise) and
-    returns the report; bound_confirmed and uniqueness_confirmed summarize
+    returns the report; bound_confirmed and all_maximum_are_stars summarize
     the claims.
     """
     if params.r > params.n - 1:
@@ -549,7 +545,7 @@ class BridgeReport:
     @property
     def strictly_ekr(self) -> bool | None:
         """Stars attain the maximum and nothing else does, on the complement graph."""
-        uniqueness = self.theorem.uniqueness_confirmed
+        uniqueness = self.theorem.all_maximum_are_stars
         if not self.theorem.proven or uniqueness is None:
             return None
         return self.theorem.bound_confirmed and uniqueness

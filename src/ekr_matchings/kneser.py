@@ -4,7 +4,9 @@ K(m, 2) has the 2-subsets of {1..m} as vertices, adjacent when disjoint.
 A cyclic edge order of K_{2n} is exactly a cyclic vertex order of
 K(2n, 2), and because every run of up to n-1 consecutive edges is a
 matching, that order witnesses the (n-2)-nd power of a Hamiltonian cycle
-inside K(2n, 2).  Certificates are just (m, k, order) triples.  Any third
+inside K(2n, 2).  Certificates are just (m, k, order) triples.  The CLI
+writes one as the JSON object {"m", "k", "order"} through its one report
+writer, cli.emit_report, and certificate_from_json reads it back.  Any third
 party can re-verify one from the order alone: it is a k-th power exactly
 when every k+1 consecutive pairs are pairwise disjoint, the window check
 of verify_goodness, so both run baranyai.window_repeats and build no graph.
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .baranyai import Permutation, cyclic_order, window_repeats
-from .core import dumps_indented, lists_each_edge_once
+from .core import lists_each_edge_once
 
 __all__ = [
     "KneserGraph",
@@ -26,7 +28,6 @@ __all__ = [
     "kneser_graph",
     "ham_power_certificate",
     "verify_ham_power",
-    "certificate_to_json",
     "certificate_from_json",
 ]
 
@@ -97,7 +98,7 @@ def ham_power_certificate(
         sigma = Permutation.identity(2 * n)
     if sigma.size != 2 * n:
         raise ValueError(f"permutation size {sigma.size} does not match 2n = {2 * n}")
-    return HamPowerCertificate(m=2 * n, k=k, order=cyclic_order(sigma).sequence)
+    return HamPowerCertificate(m=2 * n, k=k, order=cyclic_order(sigma))
 
 
 def verify_ham_power(m: int, certificate: HamPowerCertificate) -> bool:
@@ -127,12 +128,6 @@ def _check_power(k: int) -> None:
     """The one rule on a claimed power: it is at least 1."""
     if k < 1:
         raise ValueError(f"claimed power must be at least 1, got {k}")
-
-
-def certificate_to_json(certificate: HamPowerCertificate) -> str:
-    """Serialize to the interchange schema {"m", "k", "order"} (1-based)."""
-    payload = {"m": certificate.m, "k": certificate.k, "order": certificate.order}
-    return dumps_indented(payload) + "\n"
 
 
 def certificate_from_json(text: str) -> HamPowerCertificate:

@@ -160,12 +160,10 @@ class CenterMap:
         return self.constant_edge is not None
 
 
-def center_map(
-    family: MatchingFamily,
-    params: Parameters,
-    limit: int = 10,
-    max_recorded: int = 10,
-) -> CenterMap:
+MAX_RECORDED_VIOLATIONS = 10
+
+
+def center_map(family: MatchingFamily, params: Parameters, limit: int = 10) -> CenterMap:
     """Trace every permutation of S_{2n} against a maximum family.
 
     Each permutation must be saturated (trace size exactly r) with a single
@@ -173,7 +171,8 @@ def center_map(
     family the map is constant, and for a star its value is the star's
     edge.  Traces are constant on a shift orbit, so one permutation per
     rotation class is traced and counted 2n-1 times, and violations are
-    recorded per class, one representative for each of the first few.
+    recorded per class, one representative for each of the first
+    MAX_RECORDED_VIOLATIONS.
     """
     n, r = params.n, params.r
     two_n = 2 * n
@@ -206,7 +205,7 @@ def center_map(
                 continue
             reason = "no common edge"
         violation_count += weight
-        if len(violations) < max_recorded:
+        if len(violations) < MAX_RECORDED_VIOLATIONS:
             violations.append(CenterViolation(images, reason, len(found)))
     return CenterMap(
         r=r,

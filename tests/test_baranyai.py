@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ekr_matchings.baranyai import (
+    MAX_COUNTEREXAMPLES,
     GoodnessReport,
     Permutation,
     all_permutations,
@@ -109,16 +110,16 @@ def test_parts_form_a_one_factorization(sigma):
 def test_cyclic_order_matches_definition(sigma):
     n = half_order(sigma)
     psi = cyclic_order(sigma)
-    assert list(psi.sequence) == naive_cyclic_sequence(sigma.images, n)
+    assert list(psi) == naive_cyclic_sequence(sigma.images, n)
     assert len(psi) == n * (2 * n - 1)
 
 
 def test_cyclic_order_worked_position():
     # positions 10 and 12 of the identity order for n = 4, 13 and 14 for n = 3
-    sequence = cyclic_order(Permutation.identity(8)).sequence
+    sequence = cyclic_order(Permutation.identity(8))
     assert sequence[9] == (1, 5)
     assert sequence[11] == (3, 8)  # spoke of part 3
-    assert cyclic_order(Permutation.identity(6)).sequence[12:14] == ((2, 3), (1, 4))
+    assert cyclic_order(Permutation.identity(6))[12:14] == ((2, 3), (1, 4))
 
 
 def test_slot_positions_inverts_position_pairs():
@@ -132,7 +133,7 @@ def test_slot_positions_inverts_position_pairs():
 
 def test_short_intervals_are_matchings_identity():
     for n in (3, 4, 5):
-        sequence = cyclic_order(Permutation.identity(2 * n)).sequence
+        sequence = cyclic_order(Permutation.identity(2 * n))
         wrapped = sequence + sequence[: n - 2]
         for start in range(len(sequence)):
             vertices = [x for edge in wrapped[start : start + n - 1] for x in edge]
@@ -153,9 +154,9 @@ def test_shift_relabels_parts():
 def test_shift_rotates_cyclic_order():
     pi = Permutation((4, 1, 6, 3, 2, 5, 8, 7))
     n = half_order(pi)
-    base = cyclic_order(pi).sequence
+    base = cyclic_order(pi)
     for c in range(1, 2 * n):
-        rotated = cyclic_order(shift(pi, c)).sequence
+        rotated = cyclic_order(shift(pi, c))
         assert rotated == base[c * n :] + base[: c * n]
 
 
@@ -213,36 +214,27 @@ def test_verify_goodness_matches_window_oracle(n):
     assert cut_inside_a_permutation == (n >= 2)
 
 
-@pytest.mark.parametrize("cap", [0, 1, 7, 1000])
+@pytest.mark.parametrize("count", [0, 1, 7, 1000])
 @pytest.mark.parametrize("n", range(2, 6))
-def test_verify_goodness_cap_matches_window_oracle(n, cap):
+def test_verify_goodness_cap_matches_window_oracle(n, count):
     # the failing starts are found once for all sigmas; the cap must still
-    # cut the oracle's sigma-by-sigma list at the same entry
+    # cut the oracle's sigma-by-sigma list at the same entry, over sweeps of
+    # no permutation, one, a few and many
+    assert MAX_COUNTEREXAMPLES == 20
     total = n * (2 * n - 1)
-    sigmas = [Permutation.identity(2 * n)] + sample_permutations(2 * n, 20, seed=100 + n)
+    sigmas = sample_permutations(2 * n, count, seed=100 + n)
     for r in (n - 1, n, n + 1, 2 * n):
-        if cap == 0:
-            with pytest.raises(ValueError, match="at least 1"):
-                verify_goodness(n, [sigma.images for sigma in sigmas], r=r, max_counterexamples=cap)
-            continue
-        failures = [(sigma.images, start) for sigma in sigmas for start in naive_goodness_failures(sigma.images, n, r)]
-        report = verify_goodness(n, [sigma.images for sigma in sigmas], r=r, max_counterexamples=cap)
+        failures = (
+            (sigma.images, start) for sigma in sigmas for start in naive_goodness_failures(sigma.images, n, r)
+        )
+        report = verify_goodness(n, [sigma.images for sigma in sigmas], r=r)
         assert report == GoodnessReport(
             n=n,
             r=r,
-            permutations_checked=len(sigmas),
-            intervals_checked=len(sigmas) * total,
-            counterexamples=tuple(failures[:cap]),
+            permutations_checked=count,
+            intervals_checked=count * total,
+            counterexamples=tuple(itertools.islice(failures, MAX_COUNTEREXAMPLES)),
         )
-
-
-def test_verify_goodness_rejects_a_cap_below_1():
-    # a cap of 0 kept no counterexample, so passed read True while windows failed
-    identity = Permutation.identity(8).images
-    assert not verify_goodness(4, [identity], r=4).passed
-    for cap in (0, -1):
-        with pytest.raises(ValueError, match="at least 1"):
-            verify_goodness(4, [identity], r=4, max_counterexamples=cap)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -269,9 +261,11 @@ def test_verify_goodness_rejects_size_mismatch():
     with pytest.raises(ValueError):
         verify_goodness(3, [Permutation.identity(8).images])
     # every sigma is still checked once the counterexample cap is full
-    sigmas = [Permutation.identity(6)] * 3 + [Permutation.identity(8)]
+    sigmas = [Permutation.identity(6)] * MAX_COUNTEREXAMPLES
+    assert len(verify_goodness(3, [sigma.images for sigma in sigmas], r=3).counterexamples) == MAX_COUNTEREXAMPLES
+    sigmas.append(Permutation.identity(8))
     with pytest.raises(ValueError, match="does not match 2n = 6"):
-        verify_goodness(3, [sigma.images for sigma in sigmas], r=3, max_counterexamples=1)
+        verify_goodness(3, [sigma.images for sigma in sigmas], r=3)
 
 
 def test_verify_goodness_of_no_permutations():

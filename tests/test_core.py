@@ -16,9 +16,9 @@ from ekr_matchings.core import (
     all_edges,
     chi,
     common_edges,
-    dumps_indented,
     enumerate_matchings,
     intersects,
+    iter_indented,
     make_edge,
     phi,
     star_family,
@@ -279,15 +279,16 @@ _json_trees = st.recursive(
 @example({1: [[-(10**50), 10**50]], 2.5: {}, True: [], None: ()})
 @example({"rows": [[1, 2], [3], [], (4, 5, 6), [7, 8], [9], (10, 11)]})
 def test_dumps_indented_matches_json(value):
+    # the pieces of iter_indented, joined, are exactly json.dumps(value, indent=2)
     expected = json.dumps(value, indent=2)
-    assert dumps_indented(value) == expected
+    assert "".join(iter_indented(value)) == expected
     # three rows per block puts block boundaries inside the short row lists drawn here
     with mock.patch.object(core, "_BLOCK_ROWS", 3):
-        assert dumps_indented(value) == expected
+        assert "".join(iter_indented(value)) == expected
 
 
 def test_dumps_indented_rejects_keys_json_rejects():
     with pytest.raises(TypeError):
         json.dumps({(1, 2): 0}, indent=2)
     with pytest.raises(TypeError):
-        dumps_indented({(1, 2): 0})
+        "".join(iter_indented({(1, 2): 0}))

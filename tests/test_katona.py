@@ -57,7 +57,7 @@ def edge_sets(members):
 
 def order_windows(sigma, r):
     """The n(2n-1) runs of r consecutive edges of sigma's cyclic order, wrapping, as matchings."""
-    order = cyclic_order(sigma).sequence
+    order = cyclic_order(sigma)
     wrapped = order + order[: r - 1]
     return [Matching.from_edges(wrapped[start : start + r]) for start in range(len(order))]
 

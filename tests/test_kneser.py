@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from ekr_matchings import cli
 from ekr_matchings.baranyai import (
     Permutation,
     cyclic_order,
@@ -16,7 +17,6 @@ from ekr_matchings.baranyai import (
 from ekr_matchings.kneser import (
     HamPowerCertificate,
     certificate_from_json,
-    certificate_to_json,
     ham_power_certificate,
     kneser_graph,
     verify_ham_power,
@@ -53,7 +53,7 @@ def test_certificate_matches_cyclic_order():
     certificate = ham_power_certificate(4)
     assert certificate.m == 8
     assert certificate.k == 2
-    assert certificate.order == cyclic_order(Permutation.identity(8)).sequence
+    assert certificate.order == cyclic_order(Permutation.identity(8))
 
 
 def test_certificate_needs_n_at_least_3():
@@ -146,7 +146,7 @@ def test_power_claims_are_goodness_checks(n):
     # holds exactly when every window of min(k, total - 1) + 1 edges is a matching
     total = n * (2 * n - 1)
     for sigma in [Permutation.identity(2 * n)] + sample_permutations(2 * n, 3, seed=70 + n):
-        order = cyclic_order(sigma).sequence
+        order = cyclic_order(sigma)
         for k in range(1, total + 1):
             power = verify_ham_power(2 * n, HamPowerCertificate(2 * n, k, order))
             goodness = verify_goodness(n, [sigma.images], r=min(k, total - 1) + 1)
@@ -213,23 +213,29 @@ def test_verifier_degenerate_sizes():
             assert not naive_power_valid(k, order)
 
 
-def test_json_roundtrip():
-    certificate = ham_power_certificate(4)
-    text = certificate_to_json(certificate)
-    assert certificate_from_json(text) == certificate
+def written_certificate(tmp_path, argv):
+    """The text of the certificate file that the kneser-cert subcommand writes."""
+    path = tmp_path / "cert.json"
+    assert cli.main(["kneser-cert", *argv, "--out", str(path)]) == cli.EXIT_PASS
+    text = path.read_text(encoding="utf-8")
+    with path.open(encoding="utf-8") as handle:
+        assert text == json.dumps(json.load(handle), indent=2) + "\n"
+    return text
+
+
+def test_json_roundtrip(tmp_path):
+    text = written_certificate(tmp_path, ["--n", "4"])
+    assert certificate_from_json(text) == ham_power_certificate(4)
     payload = json.loads(text)
     assert set(payload) == {"m", "k", "order"}
     assert payload["order"][0] == [4, 5]
-    assert text == json.dumps(payload, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_json_roundtrip_of_shuffled_orders(seed):
+def test_json_roundtrip_of_shuffled_orders(tmp_path, seed):
     sigma = sample_permutations(12, 1, seed)[0]
-    certificate = ham_power_certificate(6, sigma)
-    text = certificate_to_json(certificate)
-    assert certificate_from_json(text) == certificate
-    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    text = written_certificate(tmp_path, ["--n", "6", "--sigma", ",".join(map(str, sigma.images))])
+    assert certificate_from_json(text) == ham_power_certificate(6, sigma)
 
 
 def test_json_parse_rejects_malformed():
@@ -250,8 +256,8 @@ def test_json_parse_rejects_malformed():
 def test_json_parse_keeps_bools_and_reports_the_first_bad_entry():
     # isinstance(True, int) holds, so JSON true parses as a vertex label 1
     certificate = ham_power_certificate(4)
-    payload = json.loads(certificate_to_json(certificate))
-    payload["order"] = [[True if x == 1 else x for x in pair] for pair in payload["order"]]
+    order = [[True if x == 1 else x for x in pair] for pair in certificate.order]
+    payload = {"m": certificate.m, "k": certificate.k, "order": order}
     parsed = certificate_from_json(json.dumps(payload))
     assert parsed == certificate
     assert verify_ham_power(8, parsed)

@@ -1,5 +1,6 @@
-"""The package surface: exported names and the names the benchmark tracer wraps."""
+"""The package surface: exported names, the names the benchmark tracer wraps, and imports."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -36,3 +37,57 @@ def test_every_exported_name_resolves():
     namespace: dict = {}
     exec("from ekr_matchings import *", namespace)
     assert set(ekr_matchings.__all__) <= set(namespace)
+
+
+def unread_imports(source: str) -> list[str]:
+    """The names a module imports and never reads, with their line numbers.
+
+    A name counts as read where the module loads it or lists it in
+    __all__.  Imports from __future__, and imports on a line marked
+    "# noqa: F401" (kept for the benchmark tracer to look up), are skipped.
+    """
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported: dict[str, int] = {}
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    imported.setdefault(alias.asname or alias.name.partition(".")[0], alias.lineno)
+        elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            read.update(item.value for item in ast.walk(node.value) if isinstance(item, ast.Constant))
+    return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    root = Path(__file__).resolve().parents[1]
+    modules = sorted((root / "src" / "ekr_matchings").glob("*.py")) + sorted((root / "tests").glob("*.py"))
+    unread = {
+        str(path.relative_to(root)): names
+        for path in modules
+        if (names := unread_imports(path.read_text(encoding="utf-8")))
+    }
+    assert unread == {}
+
+
+def test_unread_imports_sees_what_it_must():
+    source = "\n".join(
+        [
+            "from __future__ import annotations",
+            "import os.path",
+            "import sys",
+            "from json import dumps, loads as parse",
+            "from math import comb  # noqa: F401",
+            "from re import sub",
+            '__all__ = ["sub"]',
+            "print(sys.argv)",
+        ]
+    )
+    assert unread_imports(source) == ["dumps (line 4)", "os (line 2)", "parse (line 4)"]
