@@ -111,10 +111,6 @@ class RootedBaranyaiOrder:
     root: int
     parts: tuple[tuple[Edge, ...], ...]
 
-    def part(self, i: int) -> tuple[Edge, ...]:
-        """Part i, 1-based, wrapping modulo 2n-1."""
-        return self.parts[(i - 1) % len(self.parts)]
-
 
 def rooted_order(sigma: Permutation) -> RootedBaranyaiOrder:
     """All parts of the rotational partition for sigma.
@@ -223,36 +219,33 @@ def window_repeats(pairs: Sequence[tuple[int, int]], labels: int, width: int, ca
 
 @dataclass(frozen=True)
 class GoodnessReport:
-    """Result of checking that short intervals of cyclic orders are matchings."""
+    """The length-r windows of one scan, n(2n-1) of them, and the first failing starts.
+
+    failing holds the ascending 1-based starts of the windows that repeat a
+    vertex, at most MAX_COUNTEREXAMPLES; they are the same for every sigma.
+    """
 
     n: int
     r: int
-    permutations_checked: int
     intervals_checked: int
-    counterexamples: tuple[tuple[tuple[int, ...], int], ...]
+    failing: tuple[int, ...]
 
     @property
     def passed(self) -> bool:
-        return not self.counterexamples
+        return not self.failing
 
 
 MAX_COUNTEREXAMPLES = 20
 
 
-def verify_goodness(n: int, sigmas: Iterable[tuple[int, ...]], r: int | None = None) -> GoodnessReport:
-    """Check every length-r interval of the cyclic order of each sigma.
+def verify_goodness(n: int, r: int | None = None) -> GoodnessReport:
+    """Check every length-r interval of the cyclic order, for every sigma at once.
 
-    Each sigma is given by its image tuple, such as Permutation.images or
-    a tuple from rotation_classes, and must have 2n images.  r defaults
-    to n-1, the longest length for which every interval is a matching.
-    Counterexamples are (images, start position) pairs, sigma
-    by sigma and by ascending start within one, the first MAX_COUNTEREXAMPLES
-    of them.
-
-    A bijection puts distinct vertices in distinct slots of the image tuple,
-    so a window repeats a vertex exactly when it repeats a slot of
-    position_pairs, and fails the same way for every sigma, so window_repeats
-    reads position_pairs once and each sigma is only size-checked and counted.
+    r defaults to n-1, the longest length for which every interval is a
+    matching.  A bijection puts distinct vertices in distinct slots of the
+    image tuple, so a window repeats a vertex exactly when it repeats a slot
+    of position_pairs, at the same starts for every sigma: one window_repeats
+    scan of position_pairs decides the claim for all of S_{2n}.
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
@@ -262,22 +255,7 @@ def verify_goodness(n: int, sigmas: Iterable[tuple[int, ...]], r: int | None = N
     if not 1 <= r <= total:
         raise ValueError(f"interval length must be in 1..{total}, got {r}")
     failing = window_repeats(position_pairs(n), 2 * n, r, MAX_COUNTEREXAMPLES)
-    counterexamples: list[tuple[tuple[int, ...], int]] = []
-    permutations_checked = 0
-    for images in sigmas:
-        if len(images) != 2 * n:
-            raise ValueError(f"permutation size {len(images)} does not match 2n = {2 * n}")
-        permutations_checked += 1
-        room = MAX_COUNTEREXAMPLES - len(counterexamples)
-        if room > 0 and failing:
-            counterexamples.extend((images, start) for start in failing[:room])
-    return GoodnessReport(
-        n=n,
-        r=r,
-        permutations_checked=permutations_checked,
-        intervals_checked=permutations_checked * total,
-        counterexamples=tuple(counterexamples),
-    )
+    return GoodnessReport(n=n, r=r, intervals_checked=total, failing=tuple(failing[:MAX_COUNTEREXAMPLES]))
 
 
 def all_permutations(two_n: int) -> Iterable[Permutation]:
@@ -300,12 +278,14 @@ def rotation_classes(two_n: int) -> Iterator[tuple[int, ...]]:
             yield (least, *tail, last)
 
 
-def sample_permutations(two_n: int, count: int, seed: int) -> list[Permutation]:
-    """Deterministic sample of permutations of 1..two_n from a seeded RNG."""
+def sample_permutations(two_n: int, count: int, seed: int) -> Iterator[Permutation]:
+    """Deterministic sample of permutations of 1..two_n from a seeded RNG.
+
+    Each sample is drawn when it is read, as one more shuffle of the same
+    list, so a prefix of the stream does not depend on how much is read.
+    """
     rng = random.Random(seed)
     base = list(range(1, two_n + 1))
-    out = []
     for _ in range(count):
         rng.shuffle(base)
-        out.append(Permutation(tuple(base)))
-    return out
+        yield Permutation(tuple(base))

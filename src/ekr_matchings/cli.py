@@ -18,9 +18,10 @@ import csv
 import io
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from .core import (
     Edge,
@@ -35,6 +36,7 @@ from .core import (
     star_family,
 )
 from .baranyai import (
+    MAX_COUNTEREXAMPLES,
     Permutation,
     rooted_order,
     rotation_classes,
@@ -164,7 +166,10 @@ def _over_instances(
 def _sigma_sample(
     config: argparse.Namespace, two_n: int, auto_samples: int
 ) -> tuple[Iterable[tuple[int, ...]], str, int]:
-    """Image tuples of the permutations to sweep, a label, and how many permutations each stands for."""
+    """Image tuples of the permutations swept, drawn as read, a label, and their count.
+
+    An exhaustive sweep streams one tuple per shift orbit and counts (2n)!.
+    """
     if config.sigma is not None:
         return [_parse_sigma(config.sigma, two_n).images], "given", 1
     samples = config.samples
@@ -176,10 +181,22 @@ def _sigma_sample(
                 f"exhaustive sweep with 2n = {two_n} exceeds --limit-perms {config.limit_perms}; "
                 "pass --samples to sample instead"
             )
-        return rotation_classes(two_n), "exhaustive", two_n - 1
+        return rotation_classes(two_n), "exhaustive", math.factorial(two_n)
     if samples < 0:
         raise ValueError(f"--samples must be nonnegative, got {samples}")
-    return (sigma.images for sigma in sample_permutations(two_n, samples, config.seed)), "sampled", 1
+    return (sigma.images for sigma in sample_permutations(two_n, samples, config.seed)), "sampled", samples
+
+
+def _first_failures(
+    sigmas: Iterable[tuple[int, ...]], failing: Sequence[Any], cap: int
+) -> list[tuple[tuple[int, ...], Any]]:
+    """(images, item) for each failing item at each permutation in turn, the first cap pairs.
+
+    Reads only the permutations it names, and none when nothing fails.
+    """
+    if not failing:
+        return []
+    return list(itertools.islice(((images, item) for images in sigmas for item in failing), cap))
 
 
 def _cmd_construct(config: argparse.Namespace) -> CommandResult:
@@ -204,19 +221,19 @@ def _cmd_construct(config: argparse.Namespace) -> CommandResult:
 
 def _cmd_verify_goodness(config: argparse.Namespace) -> CommandResult:
     n = _require_n(config)
-    sigmas, mode, weight = _sigma_sample(config, 2 * n, auto_samples=1000)
-    report = verify_goodness(n, sigmas, r=config.r)
+    sigmas, mode, count = _sigma_sample(config, 2 * n, auto_samples=1000)
+    report = verify_goodness(n, r=config.r)
     payload = {
         "command": "verify-goodness",
         "n": n,
         "r": report.r,
         "mode": mode,
         "seed": config.seed if mode == "sampled" else None,
-        "permutations_checked": report.permutations_checked * weight,
-        "intervals_checked": report.intervals_checked * weight,
+        "permutations_checked": count,
+        "intervals_checked": count * report.intervals_checked,
         "counterexamples": [
             {"sigma": list(images), "position": position}
-            for images, position in report.counterexamples
+            for images, position in _first_failures(sigmas, report.failing, MAX_COUNTEREXAMPLES)
         ],
     }
     return CommandResult(payload, {"all_intervals_are_matchings": report.passed})
@@ -352,29 +369,26 @@ def _cmd_center_map(config: argparse.Namespace) -> CommandResult:
 
 def _cmd_lemma_identities(config: argparse.Namespace) -> CommandResult:
     n = _require_n(config)
-    sigmas, mode, weight = _sigma_sample(config, 2 * n, auto_samples=200)
+    sigmas, mode, count = _sigma_sample(config, 2 * n, auto_samples=200)
     if config.j is not None and not 1 <= config.j <= 2 * n - 1:
         raise ValueError(f"--j {config.j} is outside every identity's index range for n={n}")
     # the outcomes compare position maps only, so they are the same for every sigma
     outcomes = list(swap_identities(Permutation.identity(2 * n), config.j))
     failing = [(name, j) for name, j, holds in outcomes if not holds]
-    failures: list[dict[str, Any]] = []
-    permutations_checked = 0
-    for images in sigmas:
-        permutations_checked += weight
-        for name, j in failing[: 10 - len(failures)]:
-            failures.append({"identity": name, "sigma": list(images), "j": j})
     counts = dict.fromkeys(SWAP_IDENTITIES, 0)
     for name, _, _ in outcomes:
-        counts[name] += permutations_checked
+        counts[name] += count
     payload = {
         "command": "lemma-identities",
         "n": n,
         "mode": mode,
         "seed": config.seed if mode == "sampled" else None,
-        "permutations_checked": permutations_checked,
+        "permutations_checked": count,
         "checks_run": counts,
-        "failures": failures,
+        "failures": [
+            {"identity": name, "sigma": list(images), "j": j}
+            for images, (name, j) in _first_failures(sigmas, failing, 10)
+        ],
     }
     checks = {name: name not in dict(failing) for name, ran in counts.items() if ran}
     return CommandResult(payload, checks)

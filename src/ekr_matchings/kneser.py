@@ -49,13 +49,6 @@ class KneserGraph:
     def adjacent(self, a: Vertex, b: Vertex) -> bool:
         return bool(self.adjacency[self.index[a]] >> self.index[b] & 1)
 
-    @property
-    def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adjacency) // 2
-
-    def degree(self, v: Vertex) -> int:
-        return self.adjacency[self.index[v]].bit_count()
-
 
 def kneser_graph(m: int) -> KneserGraph:
     """Build K(m, 2): 2-subsets of {1..m}, adjacent iff disjoint."""
@@ -131,7 +124,11 @@ def _check_power(k: int) -> None:
 
 
 def certificate_from_json(text: str) -> HamPowerCertificate:
-    """Parse the interchange schema, validating shape but not the claim."""
+    """Parse the interchange schema, validating shape but not the claim.
+
+    m, k and the pair ends must be JSON integers, not true or false, which
+    isinstance(x, int) would pass as 1 and 0.
+    """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -142,14 +139,14 @@ def certificate_from_json(text: str) -> HamPowerCertificate:
     if missing:
         raise ValueError(f"certificate is missing fields: {sorted(missing)}")
     m, k, order = payload["m"], payload["k"], payload["order"]
-    if not isinstance(m, int) or not isinstance(k, int) or not isinstance(order, list):
+    if type(m) is not int or type(k) is not int or not isinstance(order, list):
         raise ValueError("certificate fields have the wrong types")
     vertices = []
     append = vertices.append
     for item in order:
         if isinstance(item, list) and len(item) == 2:
             a, b = item
-            if isinstance(a, int) and isinstance(b, int):
+            if type(a) is int and type(b) is int:
                 if not 1 <= a < b <= m:
                     raise ValueError(f"order entry {item!r} is not a canonical 2-subset of 1..{m}")
                 append((a, b))

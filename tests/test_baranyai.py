@@ -25,6 +25,7 @@ from ekr_matchings.baranyai import (
     window_repeats,
     wrap_index,
 )
+from ekr_matchings.cli import _first_failures
 from ekr_matchings.core import all_edges
 
 from oracles import naive_cyclic_sequence, naive_goodness_failures
@@ -72,12 +73,12 @@ def test_rooted_order_identity_n2():
         ((1, 3), (2, 4)),
         ((1, 2), (3, 4)),
     )
-    assert order.part(1) == order.part(4)  # wraps modulo 2n-1
+    assert order.parts[(4 - 1) % 3] == order.parts[0]  # part 4 wraps to part 1 modulo 2n-1
 
 
 def test_rooted_order_identity_n4_first_part():
     order = rooted_order(Permutation.identity(8))
-    assert order.part(1) == ((4, 5), (3, 6), (2, 7), (1, 8))
+    assert order.parts[0] == ((4, 5), (3, 6), (2, 7), (1, 8))
 
 
 def test_baranyai_edge_worked_example():
@@ -148,7 +149,7 @@ def test_shift_relabels_parts():
         for c in range(1, 2 * n):
             shifted = rooted_order(shift(pi, c))
             for i in range(1, 2 * n):
-                assert shifted.part(i) == base.part(i + c)
+                assert shifted.parts[i - 1] == base.parts[(i + c - 1) % (2 * n - 1)]
 
 
 def test_shift_rotates_cyclic_order():
@@ -170,71 +171,59 @@ def test_shift_full_turn_is_identity_map():
 
 
 def test_verify_goodness_exhaustive_n3():
-    report = verify_goodness(3, (sigma.images for sigma in all_permutations(6)))
+    report = verify_goodness(3)
+    assert report == GoodnessReport(n=3, r=2, intervals_checked=15, failing=())
     assert report.passed
-    assert report.r == 2
-    assert report.permutations_checked == 720
-    assert report.intervals_checked == 720 * 15
+    # the one scan decides the claim for every sigma, as the oracle finds sigma by sigma
+    assert not any(naive_goodness_failures(sigma.images, 3, 2) for sigma in all_permutations(6))
 
 
 def test_verify_goodness_sampled_n5():
-    sigmas = sample_permutations(10, 50, seed=7)
-    report = verify_goodness(5, (sigma.images for sigma in sigmas))
+    report = verify_goodness(5)
     assert report.passed
     assert report.r == 4
-    assert report.permutations_checked == 50
+    assert not any(naive_goodness_failures(sigma.images, 5, 4) for sigma in sample_permutations(10, 50, seed=7))
 
 
 def test_goodness_fails_for_full_part_length():
     # length-n windows straddling part boundaries are not matchings
-    report = verify_goodness(3, [Permutation.identity(6).images], r=3)
+    report = verify_goodness(3, r=3)
     assert not report.passed
-    assert (tuple(range(1, 7)), 2) in report.counterexamples
+    assert 2 in report.failing
+    assert list(report.failing) == naive_goodness_failures(Permutation.identity(6).images, 3, 3)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_verify_goodness_matches_window_oracle(n):
-    # the one-pass scan against every window rebuilt from the definition,
-    # including the order of the counterexamples and where the cap cuts
+    # the one-pass scan against every window rebuilt from the definition, at
+    # the identity and at sampled sigmas, where the failing starts are the same
     total = n * (2 * n - 1)
-    sigmas = [Permutation.identity(2 * n)] + sample_permutations(2 * n, 50, seed=n)
-    cut_inside_a_permutation = False
+    sigmas = [Permutation.identity(2 * n), *sample_permutations(2 * n, 50, seed=n)]
     for r in sorted({1, n - 1, n, n + 1, 2 * n, total} & set(range(1, total + 1))):
-        failures = [(sigma.images, start) for sigma in sigmas for start in naive_goodness_failures(sigma.images, n, r)]
-        report = verify_goodness(n, [sigma.images for sigma in sigmas], r=r)
-        assert report == GoodnessReport(
-            n=n,
-            r=r,
-            permutations_checked=len(sigmas),
-            intervals_checked=len(sigmas) * total,
-            counterexamples=tuple(failures[:20]),
+        failing = naive_goodness_failures(sigmas[0].images, n, r)
+        assert verify_goodness(n, r=r) == GoodnessReport(
+            n=n, r=r, intervals_checked=total, failing=tuple(failing[:MAX_COUNTEREXAMPLES])
         )
-        if len(failures) > 20 and failures[19][0] == failures[20][0]:
-            cut_inside_a_permutation = True
-    assert cut_inside_a_permutation == (n >= 2)
+        for sigma in sigmas[1:]:
+            assert naive_goodness_failures(sigma.images, n, r) == failing
 
 
 @pytest.mark.parametrize("count", [0, 1, 7, 1000])
 @pytest.mark.parametrize("n", range(2, 6))
 def test_verify_goodness_cap_matches_window_oracle(n, count):
-    # the failing starts are found once for all sigmas; the cap must still
-    # cut the oracle's sigma-by-sigma list at the same entry, over sweeps of
-    # no permutation, one, a few and many
+    # the failing starts are found once for all sigmas; naming them at each
+    # sigma in turn must still cut the oracle's sigma-by-sigma list at the
+    # same entry, over sweeps of no permutation, one, a few and many
     assert MAX_COUNTEREXAMPLES == 20
-    total = n * (2 * n - 1)
-    sigmas = sample_permutations(2 * n, count, seed=100 + n)
     for r in (n - 1, n, n + 1, 2 * n):
         failures = (
-            (sigma.images, start) for sigma in sigmas for start in naive_goodness_failures(sigma.images, n, r)
+            (sigma.images, start)
+            for sigma in sample_permutations(2 * n, count, seed=100 + n)
+            for start in naive_goodness_failures(sigma.images, n, r)
         )
-        report = verify_goodness(n, [sigma.images for sigma in sigmas], r=r)
-        assert report == GoodnessReport(
-            n=n,
-            r=r,
-            permutations_checked=count,
-            intervals_checked=count * total,
-            counterexamples=tuple(itertools.islice(failures, MAX_COUNTEREXAMPLES)),
-        )
+        sigmas = (sigma.images for sigma in sample_permutations(2 * n, count, seed=100 + n))
+        named = _first_failures(sigmas, verify_goodness(n, r=r).failing, MAX_COUNTEREXAMPLES)
+        assert named == list(itertools.islice(failures, MAX_COUNTEREXAMPLES))
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -257,27 +246,11 @@ def test_window_repeats_matches_every_window(seed):
             assert found == failing or len(found) >= cap
 
 
-def test_verify_goodness_rejects_size_mismatch():
-    with pytest.raises(ValueError):
-        verify_goodness(3, [Permutation.identity(8).images])
-    # every sigma is still checked once the counterexample cap is full
-    sigmas = [Permutation.identity(6)] * MAX_COUNTEREXAMPLES
-    assert len(verify_goodness(3, [sigma.images for sigma in sigmas], r=3).counterexamples) == MAX_COUNTEREXAMPLES
-    sigmas.append(Permutation.identity(8))
-    with pytest.raises(ValueError, match="does not match 2n = 6"):
-        verify_goodness(3, [sigma.images for sigma in sigmas], r=3)
-
-
-def test_verify_goodness_of_no_permutations():
-    for r in (2, 3):
-        assert verify_goodness(3, [], r=r) == GoodnessReport(
-            n=3, r=r, permutations_checked=0, intervals_checked=0, counterexamples=()
-        )
-
-
 def test_sample_permutations_deterministic():
-    assert sample_permutations(8, 5, seed=3) == sample_permutations(8, 5, seed=3)
-    assert sample_permutations(8, 5, seed=3) != sample_permutations(8, 5, seed=4)
+    assert list(sample_permutations(8, 5, seed=3)) == list(sample_permutations(8, 5, seed=3))
+    assert list(sample_permutations(8, 5, seed=3)) != list(sample_permutations(8, 5, seed=4))
+    # samples are drawn as they are read, and a prefix does not depend on the count
+    assert list(itertools.islice(sample_permutations(8, 10**12, seed=3), 5)) == list(sample_permutations(8, 5, seed=3))
 
 
 @pytest.mark.parametrize("two_n", [2, 4, 6, 8])

@@ -9,14 +9,16 @@ import pytest
 
 from ekr_matchings import cli, transposition_lab
 from ekr_matchings.baranyai import (
+    MAX_COUNTEREXAMPLES,
     Permutation,
     all_permutations,
     rooted_order,
     sample_permutations,
-    verify_goodness,
 )
 from ekr_matchings.cli import EXIT_INTERNAL, main
 from ekr_matchings.transposition_lab import SWAP_IDENTITIES, swap_identities
+
+from oracles import naive_goodness_failures
 
 
 def run(capsys, *argv):
@@ -116,10 +118,90 @@ def test_exhaustive_goodness_matches_full_sweep(capsys):
     code, payload = run_json(capsys, "verify-goodness", "--n", "3")
     assert code == 0
     assert payload["mode"] == "exhaustive"
-    report = verify_goodness(3, (sigma.images for sigma in all_permutations(6)))
-    assert payload["permutations_checked"] == report.permutations_checked == 720
-    assert payload["intervals_checked"] == report.intervals_checked
-    assert payload["counterexamples"] == list(report.counterexamples) == []
+    failures = []
+    permutations = 0
+    for sigma in all_permutations(6):
+        permutations += 1
+        failures.extend(naive_goodness_failures(sigma.images, 3, 2))
+    assert payload["permutations_checked"] == permutations == 720
+    assert payload["intervals_checked"] == permutations * 15
+    assert payload["counterexamples"] == failures == []
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_verify_goodness_counterexamples_match_window_oracle_per_sigma(capsys, n):
+    # the windows are scanned once; the report must still name the failures
+    # the oracle finds sigma by sigma, in its order, cut where the cap cuts
+    total = n * (2 * n - 1)
+    cut_inside_a_permutation = False
+    for r in sorted({1, n - 1, n, n + 1, 2 * n, total} & set(range(1, total + 1))):
+        failures = [
+            {"sigma": list(sigma.images), "position": start}
+            for sigma in sample_permutations(2 * n, 50, seed=n)
+            for start in naive_goodness_failures(sigma.images, n, r)
+        ]
+        argv = ["verify-goodness", "--n", str(n), "--r", str(r), "--samples", "50", "--seed", str(n)]
+        code, payload = run_json(capsys, *argv)
+        assert code == (1 if failures else 0)
+        assert payload["intervals_checked"] == 50 * total
+        assert payload["counterexamples"] == failures[:MAX_COUNTEREXAMPLES]
+        if len(failures) > 20 and failures[19]["sigma"] == failures[20]["sigma"]:
+            cut_inside_a_permutation = True
+    assert cut_inside_a_permutation == (n >= 2)
+
+
+def count_reads(monkeypatch, name):
+    """Replace cli.<name> by a generator that records every item read from it."""
+    reads = []
+    original = getattr(cli, name)
+
+    def recorded(*args):
+        for item in original(*args):
+            reads.append(item)
+            yield item
+
+    monkeypatch.setattr(cli, name, recorded)
+    return reads
+
+
+@pytest.mark.parametrize(
+    "argv, mode, permutations",
+    [
+        (("verify-goodness", "--n", "4"), "exhaustive", 40320),
+        (("verify-goodness", "--n", "30", "--samples", "1000"), "sampled", 1000),
+        (("lemma-identities", "--n", "4", "--samples", "0"), "exhaustive", 40320),
+        (("lemma-identities", "--n", "20", "--samples", "1000"), "sampled", 1000),
+    ],
+)
+def test_passing_sweeps_read_no_permutation(capsys, monkeypatch, argv, mode, permutations):
+    # the claims do not depend on sigma, so the permutations are only counted
+    exhaustive = count_reads(monkeypatch, "rotation_classes")
+    sampled = count_reads(monkeypatch, "sample_permutations")
+    code, payload = run_json(capsys, *argv)
+    assert (code, payload["mode"], payload["permutations_checked"]) == (0, mode, permutations)
+    assert exhaustive == sampled == []
+
+
+def test_failing_sweeps_read_only_the_permutations_they_name(capsys, monkeypatch):
+    exhaustive = count_reads(monkeypatch, "rotation_classes")
+    sampled = count_reads(monkeypatch, "sample_permutations")
+
+    def named(entries):
+        return list(dict.fromkeys(tuple(entry["sigma"]) for entry in entries))
+
+    # ten windows of length 3 fail at n = 3, so the 20 counterexamples name two sigmas
+    code, payload = run_json(capsys, "verify-goodness", "--n", "3", "--r", "3")
+    assert (code, payload["permutations_checked"]) == (1, 720)
+    assert named(payload["counterexamples"]) == exhaustive and len(exhaustive) == 2
+    # fifteen of length 4 fail, so the cap cuts inside the second sigma
+    code, payload = run_json(capsys, "verify-goodness", "--n", "3", "--r", "4", "--samples", "100")
+    assert (code, payload["permutations_checked"]) == (1, 100)
+    assert named(payload["counterexamples"]) == [sigma.images for sigma in sampled] and len(sampled) == 2
+    monkeypatch.setattr(transposition_lab, "composition_identity", lambda sigma, j: False)
+    del sampled[:]
+    code, payload = run_json(capsys, "lemma-identities", "--n", "5", "--samples", "30")
+    assert (code, payload["permutations_checked"]) == (1, 30)
+    assert named(payload["failures"]) == [sigma.images for sigma in sampled] and len(sampled) == 5
 
 
 def test_exhaustive_lemma_identities_match_full_sweep(capsys):
@@ -251,7 +333,7 @@ def test_lemma_identities_report_failures_per_sigma(capsys, monkeypatch):
     assert code == 1
     assert payload["checks"]["composition"] is False
     assert all(payload["checks"][name] for name in SWAP_IDENTITIES if name != "composition")
-    sigmas = sample_permutations(10, 30, cli.DEFAULT_SEED)
+    sigmas = list(sample_permutations(10, 30, cli.DEFAULT_SEED))
     # composition runs at j = 6 and 7, so the first ten failures span five sigmas
     expected = [
         {"identity": "composition", "sigma": list(sigma.images), "j": j}
@@ -326,6 +408,22 @@ def test_kneser_verify_checks_a_loaded_certificate_against_n(tmp_path, capsys):
     assert matched[0] == 0 and json.loads(matched[1])["valid"] is True
 
 
+@pytest.mark.parametrize("field", ["m", "k", "vertex"])
+def test_kneser_verify_rejects_json_booleans(tmp_path, capsys, field):
+    # json reads true as a bool, which is an int to isinstance; it must not pass as 1
+    target = tmp_path / "cert.json"
+    run(capsys, "kneser-cert", "--n", "3", "--out", str(target))
+    payload = json.loads(target.read_text())
+    if field == "vertex":
+        payload["order"] = [[True if x == 1 else x for x in pair] for pair in payload["order"]]
+        message = "error: order entries must be integer pairs, got [True, 6]\n"
+    else:
+        payload[field] = True
+        message = "error: certificate fields have the wrong types\n"
+    target.write_text(json.dumps(payload))
+    assert run(capsys, "kneser-verify", "--cert", str(target)) == (2, "", message)
+
+
 @pytest.mark.parametrize("k", [0, -3])
 def test_kneser_cert_refuses_power_below_1(tmp_path, capsys, k):
     target = tmp_path / "cert.json"
@@ -382,6 +480,9 @@ def test_usage_errors_exit_2(capsys):
 
     code, out, err = run(capsys, "construct", "--n", "3", "--sigma", "1,2,3")
     assert code == 2
+
+    code, out, err = run(capsys, "verify-goodness", "--n", "3", "--sigma", "1,2,3,4,5,6,7,8")
+    assert (code, out, err) == (2, "", "error: sigma has 8 images, expected 2n = 6\n")
 
     code, out, err = run(capsys, "kneser-verify", "--cert", "/nonexistent/cert.json")
     assert code == 2

@@ -129,7 +129,7 @@ def test_window_reader_matches_oracles_on_every_rotation_class(n, r):
 
 @pytest.mark.parametrize("n", [6, 7])
 def test_window_reader_matches_oracles_on_sampled_permutations(n):
-    sigmas = sample_permutations(2 * n, 6, seed=n)
+    sigmas = list(sample_permutations(2 * n, 6, seed=n))
     for r in (1, n - 1):
         seen = MatchingFamily(a for sigma in sigmas[:2] for a in order_windows(sigma, r))
         substar = MatchingFamily((m for m in seen if (1, 2) in m), r=r)

@@ -8,22 +8,58 @@ import sys
 from pathlib import Path
 
 import ekr_matchings
+from ekr_matchings.baranyai import verify_goodness
+from ekr_matchings.core import Parameters, first_matching
+from ekr_matchings.ekr_search import SearchBudget, max_intersecting
+from ekr_matchings.katona import q_bruteforce
+from ekr_matchings.kneser import ham_power_certificate, verify_ham_power
 
 
-def test_every_name_the_benchmark_tracer_wraps_resolves(monkeypatch):
-    # the traced pass of bench/run.py looks each name up with getattr and
-    # raises on a missing one; the bench suite itself is not part of these tests
+def load_spans(monkeypatch):
+    """bench/spans.py, the benchmark tracer, loaded as a module of its own."""
     path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
     spec = importlib.util.spec_from_file_location("bench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look the module up
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_name_the_benchmark_tracer_wraps_resolves(monkeypatch):
+    # the traced pass of bench/run.py looks each name up with getattr and
+    # raises on a missing one; the bench suite itself is not part of these tests
+    spans = load_spans(monkeypatch)
     missing = [
         (module, name)
         for module, name, _, _ in spans.ENTRY_POINTS
         if not callable(getattr(importlib.import_module(f"ekr_matchings.{module}"), name, None))
     ]
     assert missing == []
+
+
+def test_every_tracer_info_hook_reads_a_real_result(monkeypatch):
+    # each INFO hook reads fields of the wrapped call's arguments and result;
+    # call it on what the CLI passes and gets back, so a renamed field fails here
+    spans = load_spans(monkeypatch)
+    params = Parameters(3, 2)
+    budget = SearchBudget(enumerate_all_maximum=True)
+    certificate = ham_power_certificate(4)
+    calls = {
+        "ekr_search.max_intersecting": ((params, budget), max_intersecting(params, budget)),
+        "katona.q_bruteforce": ((first_matching(2), params), q_bruteforce(first_matching(2), params)),
+        "baranyai.verify_goodness": ((3,), verify_goodness(3)),
+        "kneser.verify_ham_power": ((8, certificate), verify_ham_power(8, certificate)),
+        "cli.all_permutations": ((6,), None),
+    }
+    assert set(calls) == set(spans.INFO)
+    info = {name: spans.INFO[name](*calls[name]) for name in calls}
+    assert info == {
+        "ekr_search.max_intersecting": {"nodes": 5, "maximum_families": 15},
+        "katona.q_bruteforce": {"permutations": 720},
+        "baranyai.verify_goodness": {"intervals": 15},
+        "kneser.verify_ham_power": {"adjacency_checks": 28 * 2},
+        "cli.all_permutations": {"two_n": 6},
+    }
 
 
 def test_every_exported_name_resolves():
