@@ -269,7 +269,9 @@ def rotation_classes(two_n: int) -> Iterator[tuple[int, ...]]:
 
     shift() rotates the 2n-1 corners and fixes the root; each orbit is
     streamed as its member with the least corner at position 1.  Windows
-    are constant on an orbit, so a sweep weights each tuple 2n-1.
+    are constant on an orbit, so a tuple stands for 2n-1 permutations.
+    The one caller is cli._sigma_sample, whose exhaustive sweeps read
+    tuples only to name the permutations of a failure.
     """
     vertices = range(1, two_n + 1)
     for last in vertices:

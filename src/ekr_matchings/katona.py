@@ -17,6 +17,11 @@ for edge k of core.all_edges, member_windows maps each member's edge mask to
 the member, and the trace is the set of sigma's n(2n-1) windows, each the OR
 of r consecutive edge bits, found among those masks (compatible_member_keys).
 The centre of a saturated trace is the one bit its masks share (trace_center).
+A sweep of S_{2n} against a whole star with edge e traces one permutation per
+cyclic position of e (star_placements): relabelling the vertices by any
+permutation that fixes the set e maps the star onto itself and the trace at
+sigma onto the trace at the relabelled sigma, so each traced permutation
+stands for the 2(2n-2)! that put e at the same position.
 
 The number of compatible permutations is the same for every r-matching:
 
@@ -43,10 +48,10 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .core import Edge, Matching, MatchingFamily, Parameters, all_edges
-from .baranyai import position_pairs, rotation_classes, slot_positions
+from .core import Edge, Matching, MatchingFamily, Parameters, all_edges, phi
+from .baranyai import position_pairs, slot_positions
 
 __all__ = [
     "CompatibilityCount",
@@ -57,6 +62,8 @@ __all__ = [
     "member_windows",
     "compatible_member_keys",
     "trace_center",
+    "star_windows",
+    "star_placements",
 ]
 
 
@@ -115,6 +122,39 @@ def member_windows(n: int, r: int, members: Iterable[Matching]) -> dict[int, Mat
 def trace_center(n: int, masks: Iterable[int]) -> Edge | None:
     """The one edge that every mask of a nonempty set holds, or None if none or several are."""
     return _bit_edges(n).get(reduce(operator.and_, masks))
+
+
+def star_windows(n: int, r: int, family: Iterable[Matching]) -> tuple[dict[int, Matching], Edge]:
+    """member_windows of a whole star, and the star's edge.
+
+    A whole star is phi(n, r) distinct members sharing one edge: every
+    r-matching through that edge.  Any other family raises ValueError, so a
+    family that passes is intersecting.
+    """
+    windows = member_windows(n, r, family)
+    expected = phi(Parameters(n, r))
+    edge = trace_center(n, windows) if len(windows) == expected else None
+    if edge is None:
+        raise ValueError(
+            f"family is not a whole star: the sweep needs the {expected} r-matchings through one edge"
+        )
+    return windows, edge
+
+
+def star_placements(n: int, edge: Edge) -> Iterator[tuple[int, ...]]:
+    """One raw image tuple per cyclic position of edge, in position order.
+
+    The tuple for position (p, q) of position_pairs(n) puts edge's ends on
+    slots p and q and the other vertices on the other slots in ascending
+    order.  Relabelling by the 2(2n-2)! permutations that fix the set edge
+    turns it into every permutation with edge at that position, so the
+    n(2n-1) tuples stand for all of S_{2n}.
+    """
+    a, b = edge
+    rest = [v for v in range(1, 2 * n + 1) if v != a and v != b]
+    for p, q in position_pairs(n):
+        others = iter(rest)
+        yield tuple(a if s == p else b if s == q else next(others) for s in range(2 * n))
 
 
 @lru_cache(maxsize=None)
@@ -272,20 +312,31 @@ def verify_double_count(
     params: Parameters,
     limit: int = 10,
 ) -> DoubleCountReport:
-    """Check the double-counting inequality for an intersecting family.
+    """Check the double-counting inequality for a whole star.
 
     Always compares q * |family| against r * (2n)!.  When 2n <= limit,
     additionally sweeps S_{2n}, summing trace sizes (which must equal
     q * |family|), verifying every trace has at most r members, and
     counting compatible permutations per member (each must equal the
-    closed-form q).  The sweep weights one permutation per rotation class 2n-1.
+    closed-form q).  family must be a whole star (star_windows), else
+    ValueError.
+
+    The sweep traces one permutation per cyclic position of the star's
+    edge e (star_placements) and weights each 2(2n-2)!.  This is exact:
+    the permutations tau fixing the set e form a group G of that order
+    which maps the star onto itself, and the windows of tau o sigma are
+    tau applied to those of sigma, so the trace at tau o sigma is tau
+    applied to the trace at sigma, of the same size.  The permutations
+    putting e at one position are one coset of G, and the n(2n-1) cosets
+    cover S_{2n}.  G is transitive on the star, so each member lies in
+    total / |family| traces; a remainder gives uneven counts, which fail
+    the per-member check.
     """
     n, r = params.n, params.r
     if family.r != r:
         raise ValueError(f"family has r={family.r}, parameters say r={r}")
-    if not family.is_intersecting:
-        raise ValueError("family is not intersecting; the bound only applies to intersecting families")
     q = q_formula(params).formula_value
+    windows, edge = star_windows(n, r, family)
     weighted = q * len(family)
     bound = r * math.factorial(2 * n)
     report = DoubleCountReport(
@@ -298,20 +349,16 @@ def verify_double_count(
     )
     if 2 * n > limit:
         return report
-    weight = 2 * n - 1
-    windows = member_windows(n, r, family)
-    per_member = dict.fromkeys(windows, 0)
+    weight = 2 * math.factorial(2 * n - 2)
     total = 0
     max_trace = 0
-    for images in rotation_classes(2 * n):
-        found = compatible_member_keys(images, n, r, windows)
-        size = len(found)
+    for images in star_placements(n, edge):
+        size = len(compatible_member_keys(images, n, r, windows))
         total += size * weight
         if size > max_trace:
             max_trace = size
-        for mask in found:
-            per_member[mask] += weight
-    member_counts = tuple(per_member.values())
+    quotient, remainder = divmod(total, len(windows))
+    member_counts = (quotient + 1,) * remainder + (quotient,) * (len(windows) - remainder)
     return replace(
         report,
         sweep_total=total,

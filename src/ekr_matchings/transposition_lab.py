@@ -14,12 +14,13 @@ evaluate the suite once per n and apply it to every permutation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import Edge, MatchingFamily, Parameters, phi
-from .baranyai import Permutation, half_order, position_pairs, rotation_classes
-from .katona import compatible_member_keys, member_windows, trace_center
+from .core import Edge, MatchingFamily, Parameters
+from .baranyai import Permutation, half_order, position_pairs
+from .katona import compatible_member_keys, star_placements, star_windows, trace_center
 
 __all__ = [
     "CenterMap",
@@ -164,14 +165,22 @@ MAX_RECORDED_VIOLATIONS = 10
 
 
 def center_map(family: MatchingFamily, params: Parameters, limit: int = 10) -> CenterMap:
-    """Trace every permutation of S_{2n} against a maximum family.
+    """Trace every permutation of S_{2n} against a whole star.
 
     Each permutation must be saturated (trace size exactly r) with a single
     common edge; the map records that edge.  For a maximum intersecting
     family the map is constant, and for a star its value is the star's
-    edge.  Traces are constant on a shift orbit, so one permutation per
-    rotation class is traced and counted 2n-1 times, and violations are
-    recorded per class, one representative for each of the first
+    edge.  family must be a whole star (katona.star_windows), else
+    ValueError.
+
+    One permutation per cyclic position of the star's edge e is traced
+    (katona.star_placements) and counted 2(2n-2)! times.  The permutations
+    tau fixing the set e map the star onto itself, and the trace at
+    tau o sigma is tau applied to the trace at sigma: the same size, with
+    the common edges moved by tau, so e stays the one common edge exactly
+    when it was.  The permutations putting e at one position are one coset
+    of that group, and the n(2n-1) cosets cover S_{2n}.  Violations are
+    recorded per position, one representative for each of the first
     MAX_RECORDED_VIOLATIONS.
     """
     n, r = params.n, params.r
@@ -182,18 +191,13 @@ def center_map(family: MatchingFamily, params: Parameters, limit: int = 10) -> C
         raise ValueError(f"tracing needs r <= n-1, got r={r}, n={n}")
     if family.r != r:
         raise ValueError(f"family has r={family.r}, parameters say r={r}")
-    expected = phi(params)
-    if len(family) != expected:
-        raise ValueError(f"family has {len(family)} members, a maximum family has {expected}")
-    if not family.is_intersecting:
-        raise ValueError("family is not intersecting")
-    weight = two_n - 1
-    windows = member_windows(n, r, family)
+    windows, edge = star_windows(n, r, family)
+    weight = 2 * math.factorial(two_n - 2)
     saturated = 0
     centers: set[Edge] = set()
     violations: list[CenterViolation] = []
     violation_count = 0
-    for images in rotation_classes(two_n):
+    for images in star_placements(n, edge):
         found = compatible_member_keys(images, n, r, windows)
         if len(found) != r:
             reason = "unsaturated"

@@ -2,13 +2,16 @@
 
 Everything here recomputes results straight from definitions with
 itertools and sets, sharing no logic with the package internals, except
-two.  full_graph_search runs the package's own search routines on the
+three.  full_graph_search runs the package's own search routines on the
 graph of every matching, so that it pins exactly what narrowing the
 graph to N[v0] may change; it files the stars by index itself.  trace
 reads one family at one permutation through the package's window scan,
 so that tests can check the scan's hits, centres and the Katona bound
-member by member.  The real implementations must agree with these on
-every instance small enough to sweep.
+member by member.  full_sweep reads one family through the same scan at
+every permutation of S_{2n}, with no symmetry quotient, so that tests
+can check the quotient of the star sweeps; it finds common edges with
+sets.  The real implementations must agree with these on every instance
+small enough to sweep.
 """
 
 from __future__ import annotations
@@ -169,6 +172,44 @@ def frozenset_window_scan(
     extended = seq + seq[: r - 1]
     windows = (frozenset(extended[start : start + r]) for start in range(len(seq)))
     return {key for key in windows if key in member_keys}
+
+
+@dataclass(frozen=True)
+class FullSweep:
+    """Trace counts of one family over every permutation of S_{2n}.
+
+    total sums the trace sizes, largest is the largest trace, member_counts
+    holds each member's compatible permutations in family order, saturated
+    counts the traces of size r with exactly one common edge, and centers
+    holds those common edges.
+    """
+
+    total: int
+    largest: int
+    member_counts: tuple[int, ...]
+    saturated: int
+    centers: frozenset[Edge]
+
+
+def full_sweep(family: MatchingFamily, n: int, r: int) -> FullSweep:
+    """Trace family at each of the (2n)! permutations, one at a time."""
+    windows = member_windows(n, r, family)
+    edge_sets = {mask: frozenset(member.edges) for mask, member in windows.items()}
+    per_member = dict.fromkeys(windows, 0)
+    total = largest = saturated = 0
+    centers: set[Edge] = set()
+    for images in itertools.permutations(range(1, 2 * n + 1)):
+        found = compatible_member_keys(images, n, r, windows)
+        total += len(found)
+        largest = max(largest, len(found))
+        for mask in found:
+            per_member[mask] += 1
+        if len(found) == r:
+            common = frozenset.intersection(*(edge_sets[mask] for mask in found))
+            if len(common) == 1:
+                saturated += 1
+                centers |= common
+    return FullSweep(total, largest, tuple(per_member.values()), saturated, frozenset(centers))
 
 
 def naive_power_valid(

@@ -3,11 +3,12 @@
 import csv
 import io
 import json
+import math
 from dataclasses import replace
 
 import pytest
 
-from ekr_matchings import cli, transposition_lab
+from ekr_matchings import baranyai, cli, katona, transposition_lab
 from ekr_matchings.baranyai import (
     MAX_COUNTEREXAMPLES,
     Permutation,
@@ -150,17 +151,17 @@ def test_verify_goodness_counterexamples_match_window_oracle_per_sigma(capsys, n
     assert cut_inside_a_permutation == (n >= 2)
 
 
-def count_reads(monkeypatch, name):
-    """Replace cli.<name> by a generator that records every item read from it."""
-    reads = []
-    original = getattr(cli, name)
+def count_reads(monkeypatch, name, module=cli, reads=None):
+    """Replace module.<name> by a generator that records every item read from it in reads."""
+    reads = [] if reads is None else reads
+    original = getattr(module, name)
 
     def recorded(*args):
         for item in original(*args):
             reads.append(item)
             yield item
 
-    monkeypatch.setattr(cli, name, recorded)
+    monkeypatch.setattr(module, name, recorded)
     return reads
 
 
@@ -202,6 +203,37 @@ def test_failing_sweeps_read_only_the_permutations_they_name(capsys, monkeypatch
     code, payload = run_json(capsys, "lemma-identities", "--n", "5", "--samples", "30")
     assert (code, payload["permutations_checked"]) == (1, 30)
     assert named(payload["failures"]) == [sigma.images for sigma in sampled] and len(sampled) == 5
+
+
+@pytest.mark.parametrize("command", ["double-count", "center-map"])
+@pytest.mark.parametrize("n,r", [(3, 2), (4, 3), (5, 2)])
+def test_star_sweeps_trace_one_permutation_per_position(capsys, monkeypatch, command, n, r):
+    # the relabellings fixing the star's edge leave one trace per cyclic position
+    calls = []
+
+    def counted(original):
+        def wrapper(*args):
+            calls.append(args[0])
+            return original(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(katona, "compatible_member_keys", counted(katona.compatible_member_keys))
+    monkeypatch.setattr(
+        transposition_lab, "compatible_member_keys", counted(transposition_lab.compatible_member_keys)
+    )
+    classes = []
+    for module in (baranyai, cli, katona, transposition_lab):
+        if hasattr(module, "rotation_classes"):
+            count_reads(monkeypatch, "rotation_classes", module, classes)
+    code, payload = run_json(capsys, command, "--n", str(n), "--r", str(r), "--edge", "2,3")
+    assert code == 0
+    assert len(calls) == len(set(calls)) == n * (2 * n - 1)
+    assert classes == []
+    if command == "double-count":
+        assert payload["sweep_total"] == payload["weighted_count"]
+    else:
+        assert payload["saturated"] == math.factorial(2 * n)
 
 
 def test_exhaustive_lemma_identities_match_full_sweep(capsys):

@@ -1,6 +1,5 @@
 """Compatibility, traces, the closed-form count, and the double count."""
 
-import itertools
 import math
 
 import pytest
@@ -21,6 +20,7 @@ from ekr_matchings.core import (
     enumerate_matchings,
     star_family,
 )
+from ekr_matchings import katona
 from ekr_matchings.katona import (
     compatible_member_keys,
     member_windows,
@@ -28,9 +28,11 @@ from ekr_matchings.katona import (
     q_formula,
     verify_double_count,
 )
+from ekr_matchings.transposition_lab import center_map
 
 from oracles import (
     frozenset_window_scan,
+    full_sweep,
     naive_compatible,
     naive_q,
     naive_q_counts,
@@ -300,13 +302,15 @@ def test_double_count_star_tight():
 
 
 def test_double_count_triangle_not_tight():
+    # the quotient sweep takes only a whole star, so the triangle is swept in full
     params = Parameters(3, 2)
-    report = verify_double_count(triangle_family(), params)
-    assert report.weighted_count == 720
-    assert report.bound_holds and not report.tight
-    assert report.sweep_total == 720
-    assert report.sweep_max_trace <= 2
-    assert report.passed
+    with pytest.raises(ValueError):
+        verify_double_count(triangle_family(), params)
+    full = full_sweep(triangle_family(), 3, 2)
+    assert full.total == 3 * q_formula(params).formula_value == 720
+    assert full.total < 2 * math.factorial(6)  # the bound holds and is not tight
+    assert full.largest <= 2
+    assert full.member_counts == (240,) * 3
 
 
 def test_double_count_rejects_non_intersecting():
@@ -328,38 +332,108 @@ def test_double_count_without_sweep():
 @settings(max_examples=15, deadline=None)
 @given(st.sets(st.integers(0, 5), min_size=1, max_size=6))
 def test_double_count_substars(indices):
-    # arbitrary subfamilies of a star stay intersecting; the sweep totals
-    # must match q times the subfamily size exactly
+    # arbitrary subfamilies of a star stay intersecting; the full sweep's totals
+    # match q times the subfamily size exactly, and only the whole star is swept
+    # by verify_double_count
     params = Parameters(3, 2)
     star = star_family(params, (1, 2))
     family = MatchingFamily([star.members[i] for i in sorted(indices)])
-    report = verify_double_count(family, params)
-    assert report.sweep_total == 240 * len(family)
-    assert report.passed
-
-
-def full_sweep_counts(family, n, r):
-    """Trace total, largest trace and per-member counts over every permutation."""
-    per_member = dict.fromkeys(family, 0)
-    windows = member_windows(n, r, family)
-    total = largest = 0
-    for images in itertools.permutations(range(1, 2 * n + 1)):
-        found = compatible_member_keys(images, n, r, windows)
-        total += len(found)
-        largest = max(largest, len(found))
-        for mask in found:
-            per_member[windows[mask]] += 1
-    return total, largest, tuple(per_member[m] for m in family)
+    full = full_sweep(family, 3, 2)
+    assert full.total == 240 * len(family)
+    assert full.largest <= 2
+    assert full.member_counts == (240,) * len(family)
+    if family == star:
+        report = verify_double_count(family, params)
+        assert (report.sweep_total, report.member_counts) == (full.total, full.member_counts)
+        assert report.passed
+    else:
+        with pytest.raises(ValueError):
+            verify_double_count(family, params)
 
 
 @pytest.mark.parametrize("n,r", [(3, 2), (4, 2)])
-def test_rotation_quotient_matches_full_sweep(n, r):
+def test_position_quotient_matches_full_sweep(n, r):
     params = Parameters(n, r)
     matchings = [Matching.from_edges([(1, 2), (3, 4)]), Matching.from_edges([(2, 5), (3, 2 * n)])]
     assert [q_bruteforce(a, params) for a in matchings] == naive_q_counts([a.edges for a in matchings], n)
-    for family in (star_family(params, (1, 2 * n)), triangle_family()):
-        report = verify_double_count(family, params)
-        total, largest, per_member = full_sweep_counts(family, n, r)
-        assert report.sweep_total == total
-        assert report.sweep_max_trace == largest
-        assert report.member_counts == per_member
+    star = star_family(params, (1, 2 * n))
+    report = verify_double_count(star, params)
+    full = full_sweep(star, n, r)
+    assert report.sweep_total == full.total
+    assert report.sweep_max_trace == full.largest
+    assert report.member_counts == full.member_counts
+    # no star, so only the full sweep reads it
+    q = q_formula(params).formula_value
+    triangle = full_sweep(triangle_family(), n, r)
+    assert (triangle.total, triangle.member_counts) == (3 * q, (q,) * 3)
+    assert triangle.largest <= r
+
+
+# stars at (1, 2), (2, 2n-1) and (3, 2n): the last runs through the root vertex 2n
+STAR_SWEEP_CASES = [
+    (n, r, edge) for n in (2, 3, 4) for r in range(1, n) for edge in ((1, 2), (2, 2 * n - 1), (3, 2 * n))
+]
+
+
+@pytest.mark.parametrize(
+    "n,r,edge", STAR_SWEEP_CASES, ids=[f"{n}-{r}-{a},{b}" for n, r, (a, b) in STAR_SWEEP_CASES]
+)
+def test_star_sweeps_match_full_sweep(n, r, edge):
+    # one traced permutation per position of the star's edge stands for all of S_{2n}
+    params = Parameters(n, r)
+    family = star_family(params, edge)
+    full = full_sweep(family, n, r)
+    report = verify_double_count(family, params)
+    assert report.sweep_total == full.total == report.weighted_count
+    assert report.sweep_max_trace == full.largest == r
+    assert report.member_counts == full.member_counts == (report.q_value,) * len(family)
+    assert report.passed
+    result = center_map(family, params)
+    assert result.saturated == full.saturated == math.factorial(2 * n)
+    assert result.violation_count == 0
+    assert result.centers == full.centers == {edge}
+
+
+def test_double_count_uneven_member_counts_fail_without_raising(monkeypatch):
+    # each member lies in total / |table| traces; a seventh table entry that no
+    # window has, 0, leaves a remainder, which must fail the per-member check
+    params = Parameters(3, 2)
+    star = star_family(params, (1, 2))
+    windows, edge = katona.star_windows(3, 2, star)
+    monkeypatch.setattr(katona, "star_windows", lambda *args: ({**windows, 0: star.members[0]}, edge))
+    report = verify_double_count(star, params)
+    assert report.sweep_total == report.weighted_count == 1440
+    assert report.member_counts == (206,) * 5 + (205,) * 2
+    assert report.sweep_matches and not report.member_counts_match
+    assert not report.passed
+
+
+def not_whole_stars(params):
+    """Families that are no whole star: each raises in both star sweeps.
+
+    The star at (1, 2) less one member, a non-star intersecting family, that
+    star with one member swapped for a matching that avoids (1, 2), and the
+    empty family.
+    """
+    star = star_family(params, (1, 2))
+    avoiding = next(m for m in enumerate_matchings(params) if not {1, 2} & {v for e in m.edges for v in e})
+    return {
+        "star-less-one": MatchingFamily(star.members[1:], r=params.r),
+        "two-of-triangle": two_of_triangle(params),
+        "star-with-one-swapped": MatchingFamily([*star.members[1:], avoiding], r=params.r),
+        "empty": MatchingFamily([], r=params.r),
+    }
+
+
+@pytest.mark.parametrize("n,r", [(3, 2), (4, 3)])
+@pytest.mark.parametrize("kind", ["star-less-one", "two-of-triangle", "star-with-one-swapped", "empty"])
+def test_star_sweeps_reject_anything_but_a_whole_star(n, r, kind):
+    params = Parameters(n, r)
+    family = not_whole_stars(params)[kind]
+    if kind == "star-with-one-swapped":
+        assert len(family) == len(star_family(params, (1, 2)))
+    for limit in (10, 2 * n - 1):
+        with pytest.raises(ValueError, match="not a whole star"):
+            verify_double_count(family, params, limit=limit)
+    with pytest.raises(ValueError, match="not a whole star"):
+        center_map(family, params)

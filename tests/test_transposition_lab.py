@@ -14,7 +14,7 @@ from ekr_matchings.baranyai import (
 )
 from ekr_matchings.core import Matching, MatchingFamily, Parameters, star_family
 from ekr_matchings import transposition_lab
-from ekr_matchings.katona import compatible_member_keys, member_windows
+from ekr_matchings.katona import member_windows
 from ekr_matchings.transposition_lab import (
     SWAP_IDENTITIES,
     center_map,
@@ -24,7 +24,7 @@ from ekr_matchings.transposition_lab import (
     transpose_adjacent,
 )
 
-from oracles import trace
+from oracles import full_sweep, trace
 
 
 def permutations_of(two_n):
@@ -175,20 +175,11 @@ def test_center_map_respects_limit():
 def test_center_map_quotient_matches_full_sweep(n, r):
     params = Parameters(n, r)
     family = star_family(params, (2, 2 * n - 1))
-    windows = member_windows(n, r, family)
-    saturated = 0
-    centers = set()
-    for images in itertools.permutations(range(1, 2 * n + 1)):
-        hits = compatible_member_keys(images, n, r, windows)
-        found = [frozenset(windows[mask].edges) for mask in hits]
-        common = frozenset.intersection(*found) if len(found) == r else frozenset()
-        if len(common) == 1:
-            saturated += 1
-            centers |= common
+    full = full_sweep(family, n, r)
     result = center_map(family, params)
-    assert result.saturated == saturated == math.factorial(2 * n)
+    assert result.saturated == full.saturated == math.factorial(2 * n)
     assert result.violation_count == 0
-    assert result.centers == centers == {(2, 2 * n - 1)}
+    assert result.centers == full.centers == {(2, 2 * n - 1)}
 
 
 def test_center_map_counts_each_violating_class_in_full(monkeypatch):
