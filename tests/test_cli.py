@@ -151,9 +151,9 @@ def test_verify_goodness_counterexamples_match_window_oracle_per_sigma(capsys, n
     assert cut_inside_a_permutation == (n >= 2)
 
 
-def count_reads(monkeypatch, name, module=cli, reads=None):
-    """Replace module.<name> by a generator that records every item read from it in reads."""
-    reads = [] if reads is None else reads
+def count_reads(monkeypatch, name, module=cli):
+    """Replace module.<name> by a generator that records every item read from it."""
+    reads = []
     original = getattr(module, name)
 
     def recorded(*args):
@@ -210,26 +210,23 @@ def test_failing_sweeps_read_only_the_permutations_they_name(capsys, monkeypatch
 def test_star_sweeps_trace_one_permutation_per_position(capsys, monkeypatch, command, n, r):
     # the relabellings fixing the star's edge leave one trace per cyclic position
     calls = []
+    original = katona.compatible_member_keys
 
-    def counted(original):
-        def wrapper(*args):
-            calls.append(args[0])
-            return original(*args)
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
 
-        return wrapper
-
-    monkeypatch.setattr(katona, "compatible_member_keys", counted(katona.compatible_member_keys))
-    monkeypatch.setattr(
-        transposition_lab, "compatible_member_keys", counted(transposition_lab.compatible_member_keys)
-    )
-    classes = []
-    for module in (baranyai, cli, katona, transposition_lab):
-        if hasattr(module, "rotation_classes"):
-            count_reads(monkeypatch, "rotation_classes", module, classes)
+    for module in (katona, transposition_lab):
+        monkeypatch.setattr(module, "compatible_member_keys", counted)
+    classes = [
+        count_reads(monkeypatch, "rotation_classes", module)
+        for module in (baranyai, cli, katona, transposition_lab)
+        if hasattr(module, "rotation_classes")
+    ]
     code, payload = run_json(capsys, command, "--n", str(n), "--r", str(r), "--edge", "2,3")
     assert code == 0
     assert len(calls) == len(set(calls)) == n * (2 * n - 1)
-    assert classes == []
+    assert not any(classes)
     if command == "double-count":
         assert payload["sweep_total"] == payload["weighted_count"]
     else:
