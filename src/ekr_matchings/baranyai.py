@@ -46,8 +46,9 @@ __all__ = [
 def wrap_index(a: int, modulus: int) -> int:
     """Reduce a to the representative in 1..modulus.
 
-    All index arithmetic on the polygon corners goes through this single
-    helper so that 0 never appears as an index.
+    Arithmetic on the 1-based polygon corners goes through this helper so
+    that 0 never appears as a corner; position_pairs works on 0-based
+    tuple slots and reduces with % directly.
     """
     return (a - 1) % modulus + 1
 
@@ -134,12 +135,10 @@ def position_pairs(n: int) -> tuple[tuple[int, int], ...]:
     """
     m = 2 * n - 1
     pairs: list[tuple[int, int]] = []
-    for i in range(1, m + 1):
-        for j in range(n - 1, -1, -1):
-            if j == 0:
-                pairs.append((i - 1, 2 * n - 1))
-            else:
-                pairs.append((wrap_index(i + j, m) - 1, wrap_index(i - j + m, m) - 1))
+    for i in range(m):
+        # part i+1: the chords, longest first, then the spoke to slot 2n-1
+        pairs += [((i + j) % m, (i - j) % m) for j in range(n - 1, 0, -1)]
+        pairs.append((i, m))
     return tuple(pairs)
 
 

@@ -544,92 +544,101 @@ def dispatch(config: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     return code, payload
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One subparser per subcommand, built from one declaration of each option.
+OPTIONS: dict[str, dict[str, Any]] = {
+    "--n": {"type": int, "help": "half the number of vertices"},
+    "--r": {"type": int, "help": "edges per matching"},
+    "--sigma": {"help": "comma-separated images, default identity"},
+    "--c": {"type": int, "help": "rotate the polygon positions by c first"},
+    "--j": {"type": int, "help": "restrict to one swap index"},
+    "--samples": {
+        "type": int,
+        "help": "random permutations to check; 0 forces the exhaustive sweep (auto by size)",
+    },
+    "--seed": {"type": int, "default": DEFAULT_SEED, "help": "sampling seed"},
+    "--limit-perms": {"type": int, "default": 10, "help": "largest 2n allowed for exhaustive sweeps"},
+    "--pairs": {"help": "sweep instances, e.g. '2:1,3:1,3:2'"},
+    "--edge": {"help": "star edge as 'a,b', default 1,2"},
+    "--enumerate-max": {
+        "action": "store_true",
+        "help": "enumerate every maximum family, not just one witness",
+    },
+    "--max-nodes": {"type": int, "default": SearchBudget.max_nodes, "help": "search node budget"},
+    "--max-seconds": {
+        "type": float,
+        "default": SearchBudget.max_seconds,
+        "help": "search wall-clock budget",
+    },
+    "--k": {"type": int, "help": "claimed power, default n-2"},
+    "--cert": {"help": "certificate file, '-' for stdin"},
+    "--format": {"choices": FORMATS, "default": "json", "help": "report format"},
+    "--out": {"help": "write the report to this file"},
+}
+COMMANDS: dict[str, tuple[str, list[str | tuple[str, str]]]] = {
+    "construct": ("rotational partition and cyclic edge order", ["--sigma", "--c"]),
+    "verify-goodness": (
+        "check that short cyclic-order intervals are matchings",
+        [("--r", "interval length, default n-1"), ("--sigma", "check a single permutation"),
+         "--samples", "--seed", "--limit-perms"],
+    ),
+    "count": (
+        "matching counts and the compatibility constant",
+        ["--r", "--pairs", ("--limit-perms", "largest 2n for the brute-force oracle")],
+    ),
+    "double-count": (
+        "the counting bound for a star family, with exhaustive sweep",
+        ["--r", "--edge", ("--limit-perms", "largest 2n for the exhaustive sweep")],
+    ),
+    "ekr-search": (
+        "exact maximum intersecting family search",
+        ["--r", "--pairs", "--enumerate-max", "--max-nodes", "--max-seconds"],
+    ),
+    "center-map": (
+        "trace every permutation against a star family",
+        ["--r", "--edge", ("--limit-perms", "largest 2n allowed for the sweep")],
+    ),
+    "lemma-identities": (
+        "involution and composition identities",
+        [("--sigma", "check a single permutation"), "--j", "--samples", "--seed", "--limit-perms"],
+    ),
+    "kneser-cert": ("emit a Hamiltonian-power certificate", ["--sigma", "--k"]),
+    "kneser-verify": (
+        "verify a Hamiltonian-power certificate",
+        ["--cert", ("--sigma", "generate from this permutation instead"), "--k"],
+    ),
+}
 
-    Every subcommand takes --n, --format and --out, and lists the other
-    flags it takes; a (flag, help) entry keeps the flag's declaration and
-    gives it that subcommand's help text.  Argparse derives each dest from
-    the flag.
+
+def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser for argv: every subcommand, with its options declared only if argv names it.
+
+    OPTIONS declares each flag once.  COMMANDS gives each subcommand its
+    summary and the other flags it takes beside --n, --format and --out;
+    a (flag, help) entry keeps the flag's declaration and gives it that
+    subcommand's help text.  Argparse derives each dest from the flag.
+    Every subcommand is added, so the top-level usage, help and choice
+    errors list them all, but only the one argv dispatches to gets its
+    arguments: the first token not starting with "-", since no top-level
+    option takes a value.
     """
-    options: dict[str, dict[str, Any]] = {
-        "--n": {"type": int, "help": "half the number of vertices"},
-        "--r": {"type": int, "help": "edges per matching"},
-        "--sigma": {"help": "comma-separated images, default identity"},
-        "--c": {"type": int, "help": "rotate the polygon positions by c first"},
-        "--j": {"type": int, "help": "restrict to one swap index"},
-        "--samples": {
-            "type": int,
-            "help": "random permutations to check; 0 forces the exhaustive sweep (auto by size)",
-        },
-        "--seed": {"type": int, "default": DEFAULT_SEED, "help": "sampling seed"},
-        "--limit-perms": {"type": int, "default": 10, "help": "largest 2n allowed for exhaustive sweeps"},
-        "--pairs": {"help": "sweep instances, e.g. '2:1,3:1,3:2'"},
-        "--edge": {"help": "star edge as 'a,b', default 1,2"},
-        "--enumerate-max": {
-            "action": "store_true",
-            "help": "enumerate every maximum family, not just one witness",
-        },
-        "--max-nodes": {"type": int, "default": SearchBudget.max_nodes, "help": "search node budget"},
-        "--max-seconds": {
-            "type": float,
-            "default": SearchBudget.max_seconds,
-            "help": "search wall-clock budget",
-        },
-        "--k": {"type": int, "help": "claimed power, default n-2"},
-        "--cert": {"help": "certificate file, '-' for stdin"},
-        "--format": {"choices": FORMATS, "default": "json", "help": "report format"},
-        "--out": {"help": "write the report to this file"},
-    }
-    commands: dict[str, tuple[str, list[str | tuple[str, str]]]] = {
-        "construct": ("rotational partition and cyclic edge order", ["--sigma", "--c"]),
-        "verify-goodness": (
-            "check that short cyclic-order intervals are matchings",
-            [("--r", "interval length, default n-1"), ("--sigma", "check a single permutation"),
-             "--samples", "--seed", "--limit-perms"],
-        ),
-        "count": (
-            "matching counts and the compatibility constant",
-            ["--r", "--pairs", ("--limit-perms", "largest 2n for the brute-force oracle")],
-        ),
-        "double-count": (
-            "the counting bound for a star family, with exhaustive sweep",
-            ["--r", "--edge", ("--limit-perms", "largest 2n for the exhaustive sweep")],
-        ),
-        "ekr-search": (
-            "exact maximum intersecting family search",
-            ["--r", "--pairs", "--enumerate-max", "--max-nodes", "--max-seconds"],
-        ),
-        "center-map": (
-            "trace every permutation against a star family",
-            ["--r", "--edge", ("--limit-perms", "largest 2n allowed for the sweep")],
-        ),
-        "lemma-identities": (
-            "involution and composition identities",
-            [("--sigma", "check a single permutation"), "--j", "--samples", "--seed", "--limit-perms"],
-        ),
-        "kneser-cert": ("emit a Hamiltonian-power certificate", ["--sigma", "--k"]),
-        "kneser-verify": (
-            "verify a Hamiltonian-power certificate",
-            ["--cert", ("--sigma", "generate from this permutation instead"), "--k"],
-        ),
-    }
+    named = next((token for token in argv if not token.startswith("-")), None)
     parser = argparse.ArgumentParser(
         prog="ekr-matchings",
         description="Construct and verify intersecting families of matchings in K_{2n}.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, flags) in commands.items():
+    for name, (summary, flags) in COMMANDS.items():
         sub = subparsers.add_parser(name, help=summary)
+        if name != named:
+            continue
         for entry in ["--n", *flags, "--format", "--out"]:
-            flag, help_text = entry if isinstance(entry, tuple) else (entry, options[entry]["help"])
-            sub.add_argument(flag, **{**options[flag], "help": help_text})
+            flag, help_text = entry if isinstance(entry, tuple) else (entry, OPTIONS[entry]["help"])
+            sub.add_argument(flag, **{**OPTIONS[flag], "help": help_text})
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    config = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    config = build_parser(argv).parse_args(argv)
     try:
         code, payload = dispatch(config)
         emit_report(payload, config.format, config.out)

@@ -84,7 +84,8 @@ def lists_each_edge_once(vertex_count: int, edges: Sequence[Any]) -> bool:
         if not (isinstance(edge, tuple) and len(edge) == 2):
             return False
         u, v = edge
-        if not (isinstance(u, int) and isinstance(v, int) and 1 <= u < v <= vertex_count):
+        # type(), not isinstance(): True and False are ints too, and would pass as 1 and 0
+        if not (type(u) is int and type(v) is int and 1 <= u < v <= vertex_count):
             return False
         slot = u * vertex_count + v
         if seen[slot]:

@@ -2,12 +2,13 @@
 
 Everything here recomputes results straight from definitions with
 itertools and sets, sharing no logic with the package internals, except
-three.  full_graph_search runs the package's own search routines on the
-graph of every matching, so that it pins exactly what narrowing the
-graph to N[v0] may change; it files the stars by index itself.  trace
-reads one family at one permutation through the package's window scan,
-so that tests can check the scan's hits, centres and the Katona bound
-member by member.  full_sweep reads one family through the same scan at
+wrap_index, the 1..m reduction the circle construction is written in,
+and three routines.  full_graph_search runs the package's own search
+routines on the graph of every matching, so that it pins exactly what
+narrowing the graph to N[v0] may change; it files the stars by index
+itself.  trace reads one family at one permutation through the
+package's window scan, so that tests can check the scan's hits, centres
+and the Katona bound member by member.  full_sweep reads one family through the same scan at
 every permutation of S_{2n}, with no symmetry quotient, so that tests
 can check the quotient of the star sweeps; it finds common edges with
 sets.  The real implementations must agree with these on every instance
@@ -20,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from ekr_matchings.baranyai import Permutation, half_order
+from ekr_matchings.baranyai import Permutation, half_order, wrap_index
 from ekr_matchings.core import Edge, Matching, MatchingFamily, Parameters, enumerate_matchings, phi
 from ekr_matchings.ekr_search import (
     STATUS_PROVEN,
@@ -69,6 +70,21 @@ def naive_cyclic_sequence(images: Sequence[int], n: int) -> list[tuple[int, int]
         u, v = at(wrap(i)), images[2 * n - 1]
         seq.append((min(u, v), max(u, v)))
     return seq
+
+
+def naive_position_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """The 0-based image-slot pairs of every cyclic position, from the baranyai module's formula.
+
+    Part i is the chords {sigma(i+j), sigma(i-j+2n-1)} for j = n-1 down to
+    1, positions reduced into 1..2n-1, then the spoke {sigma(i), sigma(2n)}.
+    """
+    m = 2 * n - 1
+    pairs: list[tuple[int, int]] = []
+    for i in range(1, m + 1):
+        for j in range(n - 1, 0, -1):
+            pairs.append((wrap_index(i + j, m) - 1, wrap_index(i - j + 2 * n - 1, m) - 1))
+        pairs.append((i - 1, 2 * n - 1))
+    return tuple(pairs)
 
 
 def naive_occurs(target: set[tuple[int, int]], seq: Sequence[tuple[int, int]]) -> bool:

@@ -28,7 +28,7 @@ from ekr_matchings.baranyai import (
 from ekr_matchings.cli import _first_failures
 from ekr_matchings.core import all_edges
 
-from oracles import naive_cyclic_sequence, naive_goodness_failures
+from oracles import naive_cyclic_sequence, naive_goodness_failures, naive_position_pairs
 
 
 def permutations_of(two_n):
@@ -130,6 +130,11 @@ def test_slot_positions_inverts_position_pairs():
         assert [table[p][q] for p, q in pairs] == list(range(n * (2 * n - 1)))
         assert [table[q][p] for p, q in pairs] == list(range(n * (2 * n - 1)))
         assert [table[s][s] for s in range(2 * n)] == [-1] * (2 * n)
+
+
+def test_position_pairs_match_the_circle_formula():
+    for n in range(1, 41):
+        assert position_pairs(n) == naive_position_pairs(n)
 
 
 def test_short_intervals_are_matchings_identity():

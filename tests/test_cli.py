@@ -1,10 +1,12 @@
 """End-to-end CLI behavior: payloads, formats, determinism, exit codes."""
 
+import argparse
 import csv
 import io
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -486,7 +488,7 @@ def test_json_reports_cover_every_subcommand():
 
 @pytest.mark.parametrize("argv", JSON_REPORTS, ids=" ".join)
 def test_json_report_equals_json_dumps(tmp_path, capsys, argv):
-    expected = json.dumps(cli.dispatch(cli.build_parser().parse_args(argv))[1], indent=2) + "\n"
+    expected = json.dumps(cli.dispatch(cli.build_parser(argv).parse_args(argv))[1], indent=2) + "\n"
     code, out, err = run(capsys, *argv)
     assert out == expected
     target = tmp_path / "report.json"
@@ -540,3 +542,30 @@ def test_argparse_rejects_unknown(capsys):
     assert info.value.code == 2
     with pytest.raises(SystemExit):
         main(["no-such-command"])
+
+
+# stdout, stderr and exit code of every help text and of the top-level and
+# subcommand parse errors, recorded from the parser that declared every option
+PARSER_TEXT = json.loads((Path(__file__).parent / "parser_text.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", PARSER_TEXT, ids=lambda case: " ".join(case["argv"]))
+def test_parser_text_is_pinned(capsys, monkeypatch, case):
+    # argparse wraps usage and help at the terminal width, read from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as info:
+        main(case["argv"])
+    captured = capsys.readouterr()
+    assert (info.value.code, captured.out, captured.err) == (case["exit"], case["stdout"], case["stderr"])
+
+
+def test_parser_declares_only_the_named_subcommand():
+    parser = cli.build_parser(["count", "--n", "3", "--r", "2"])
+    (commands,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    assert list(commands.choices) == list(cli.COMMANDS)
+    for name, sub in commands.choices.items():
+        flags = [action.option_strings for action in sub._actions]
+        if name == "count":
+            assert flags == [["-h", "--help"], ["--n"], ["--r"], ["--pairs"], ["--limit-perms"], ["--format"], ["--out"]]
+        else:
+            assert flags == [["-h", "--help"]]

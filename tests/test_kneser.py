@@ -187,6 +187,7 @@ def _with_entry(entry):
         pytest.param(_with_entry((1.0, 2.0)), id="floats"),
         pytest.param(tuple(list(pair) for pair in CYCLIC_8), id="lists"),
         pytest.param(_with_entry(CYCLIC_8[9]), id="duplicate-and-missing"),
+        pytest.param(tuple((True, 8) if pair == (1, 8) else pair for pair in CYCLIC_8), id="bool-end"),
     ],
 )
 def test_verifier_rejects_orders_that_are_not_each_pair_once(order):
