@@ -163,9 +163,10 @@ def cyclic_order(sigma: Permutation) -> tuple[Edge, ...]:
 
     The concatenation of the ordered parts, and the one builder of the
     cyclic order as edges; rooted_order slices it into parts.  The sweeps
-    read position_pairs themselves: verify_goodness needs only vertices,
-    and katona.compatible_member_keys turns each position's two ends
-    straight into an edge bit.
+    read position_pairs themselves: verify_goodness and
+    katona.star_trace_sizes scan its slots with window_repeats, for every
+    sigma at once, and katona.compatible_member_keys, the trace of any
+    family at one sigma, turns each position's two ends into an edge bit.
     """
     images = sigma.images
     return tuple(

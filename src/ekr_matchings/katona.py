@@ -17,11 +17,16 @@ for edge k of core.all_edges, member_windows maps each member's edge mask to
 the member, and the trace is the set of sigma's n(2n-1) windows, each the OR
 of r consecutive edge bits, found among those masks (compatible_member_keys).
 The centre of a saturated trace is the one bit its masks share (trace_center).
-A sweep of S_{2n} against a whole star with edge e traces one permutation per
-cyclic position of e (star_placements): relabelling the vertices by any
-permutation that fixes the set e maps the star onto itself and the trace at
-sigma onto the trace at the relabelled sigma, so each traced permutation
-stands for the 2(2n-2)! that put e at the same position.
+A whole star with edge e needs no trace at all.  Its members are the
+r-matchings through e, so its trace at sigma is the set of windows that
+cover e's position and repeat no vertex.  A window repeats a vertex at the
+same starts for every sigma, so one baranyai.window_repeats scan of
+position_pairs gives the trace size at each position (star_trace_sizes),
+and each position stands for the 2(2n-2)! permutations that put e there.
+For r <= n-1 no window repeats a vertex, so every trace holds the r
+windows through e's position, and for r >= 2 the first and the last of
+them, [p-r+1, p] and [p, p+r-1], share only e: every trace is saturated
+with the one centre e.
 
 The number of compatible permutations is the same for every r-matching:
 
@@ -50,8 +55,8 @@ from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from typing import Iterable, Iterator
 
-from .core import Edge, Matching, MatchingFamily, Parameters, all_edges, phi
-from .baranyai import position_pairs, slot_positions
+from .core import Edge, Matching, Parameters, all_edges, make_edge, phi
+from .baranyai import position_pairs, slot_positions, window_repeats
 
 __all__ = [
     "CompatibilityCount",
@@ -62,7 +67,7 @@ __all__ = [
     "member_windows",
     "compatible_member_keys",
     "trace_center",
-    "star_windows",
+    "star_trace_sizes",
     "star_placements",
 ]
 
@@ -124,21 +129,20 @@ def trace_center(n: int, masks: Iterable[int]) -> Edge | None:
     return _bit_edges(n).get(reduce(operator.and_, masks))
 
 
-def star_windows(n: int, r: int, family: Iterable[Matching]) -> tuple[dict[int, Matching], Edge]:
-    """member_windows of a whole star, and the star's edge.
+def star_trace_sizes(n: int, r: int) -> tuple[int, ...]:
+    """The trace size of a whole star at each cyclic position of its edge, in position order.
 
-    A whole star is phi(n, r) distinct members sharing one edge: every
-    r-matching through that edge.  Any other family raises ValueError, so a
-    family that passes is intersecting.
+    Entry p counts the length-r windows that cover position p and repeat no
+    vertex: the star's members compatible with any permutation that puts
+    the star's edge at p.  The failing windows come from one
+    baranyai.window_repeats scan of position_pairs(n), which holds for
+    every sigma at once.
     """
-    windows = member_windows(n, r, family)
-    expected = phi(Parameters(n, r))
-    edge = trace_center(n, windows) if len(windows) == expected else None
-    if edge is None:
-        raise ValueError(
-            f"family is not a whole star: the sweep needs the {expected} r-matchings through one edge"
-        )
-    return windows, edge
+    total = n * (2 * n - 1)
+    fails = [0] * total
+    for start in window_repeats(position_pairs(n), 2 * n, r, total):
+        fails[start - 1] = 1
+    return tuple(r - sum(fails[(p - k) % total] for k in range(r)) for p in range(total))
 
 
 def star_placements(n: int, edge: Edge) -> Iterator[tuple[int, ...]]:
@@ -173,7 +177,7 @@ def compatible_member_keys(
 ) -> set[int]:
     """Edge masks of the members occurring as length-r windows of the cyclic order for images.
 
-    Shared hot path for traces and exhaustive sweeps; images is a raw
+    The trace of any family at one permutation; images is a raw
     permutation tuple and windows comes from member_windows(n, r, ...).
     The edge at each position, plus r-1 wrapped positions, becomes its bit;
     r shifted copies of that list ORed together are the n(2n-1) window
@@ -272,7 +276,6 @@ class DoubleCountReport:
     bound: int
     sweep_total: int | None = None
     sweep_max_trace: int | None = None
-    member_counts: tuple[int, ...] | None = None
 
     @property
     def bound_holds(self) -> bool:
@@ -296,72 +299,44 @@ class DoubleCountReport:
         return self.sweep_max_trace <= self.r
 
     @property
-    def member_counts_match(self) -> bool | None:
-        if self.member_counts is None:
-            return None
-        return all(count == self.q_value for count in self.member_counts)
-
-    @property
     def passed(self) -> bool:
-        checks = (self.bound_holds, self.sweep_matches, self.katona_bound_ok, self.member_counts_match)
+        checks = (self.bound_holds, self.sweep_matches, self.katona_bound_ok)
         return all(c is not False for c in checks)
 
 
-def verify_double_count(
-    family: MatchingFamily,
-    params: Parameters,
-    limit: int = 10,
-) -> DoubleCountReport:
-    """Check the double-counting inequality for a whole star.
+def verify_double_count(params: Parameters, edge: Edge, limit: int = 10) -> DoubleCountReport:
+    """Check the double-counting inequality for the star at edge.
 
-    Always compares q * |family| against r * (2n)!.  When 2n <= limit,
-    additionally sweeps S_{2n}, summing trace sizes (which must equal
-    q * |family|), verifying every trace has at most r members, and
-    counting compatible permutations per member (each must equal the
-    closed-form q).  family must be a whole star (star_windows), else
-    ValueError.
+    Always compares q * phi against r * (2n)!.  When 2n <= limit, also
+    sweeps S_{2n}: the sum of the trace sizes must equal q * phi, and no
+    trace may hold more than r members.  edge must be an edge of K_{2n},
+    else ValueError.
 
-    The sweep traces one permutation per cyclic position of the star's
-    edge e (star_placements) and weights each 2(2n-2)!.  This is exact:
-    the permutations tau fixing the set e form a group G of that order
-    which maps the star onto itself, and the windows of tau o sigma are
-    tau applied to those of sigma, so the trace at tau o sigma is tau
-    applied to the trace at sigma, of the same size.  The permutations
-    putting e at one position are one coset of G, and the n(2n-1) cosets
-    cover S_{2n}.  G is transitive on the star, so each member lies in
-    total / |family| traces; a remainder gives uneven counts, which fail
-    the per-member check.
+    The sweep reads the trace size at each cyclic position of the edge
+    (star_trace_sizes) and weights it 2(2n-2)!, the number of permutations
+    that put the edge at that position.  With no window repeating a vertex,
+    every trace holds r members, so the sum is r * (2n)!.  The permutations
+    fixing the set edge map the star onto itself and are transitive on it,
+    so each member lies in sum / phi traces, and that equals the closed-form
+    q exactly when the sum equals q * phi.
     """
     n, r = params.n, params.r
-    if family.r != r:
-        raise ValueError(f"family has r={family.r}, parameters say r={r}")
+    make_edge(edge[0], edge[1], 2 * n)
     q = q_formula(params).formula_value
-    windows, edge = star_windows(n, r, family)
-    weighted = q * len(family)
-    bound = r * math.factorial(2 * n)
+    size = phi(params)
     report = DoubleCountReport(
         n=n,
         r=r,
-        family_size=len(family),
+        family_size=size,
         q_value=q,
-        weighted_count=weighted,
-        bound=bound,
+        weighted_count=q * size,
+        bound=r * math.factorial(2 * n),
     )
     if 2 * n > limit:
         return report
-    weight = 2 * math.factorial(2 * n - 2)
-    total = 0
-    max_trace = 0
-    for images in star_placements(n, edge):
-        size = len(compatible_member_keys(images, n, r, windows))
-        total += size * weight
-        if size > max_trace:
-            max_trace = size
-    quotient, remainder = divmod(total, len(windows))
-    member_counts = (quotient + 1,) * remainder + (quotient,) * (len(windows) - remainder)
+    sizes = star_trace_sizes(n, r)
     return replace(
         report,
-        sweep_total=total,
-        sweep_max_trace=max_trace,
-        member_counts=member_counts,
+        sweep_total=sum(sizes) * 2 * math.factorial(2 * n - 2),
+        sweep_max_trace=max(sizes),
     )

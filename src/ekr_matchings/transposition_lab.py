@@ -14,13 +14,16 @@ evaluate the suite once per n and apply it to every permutation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import Edge, MatchingFamily, Parameters
+from .core import Edge, Parameters, make_edge
 from .baranyai import Permutation, half_order, position_pairs
-from .katona import compatible_member_keys, star_placements, star_windows, trace_center
+from .katona import star_placements, star_trace_sizes
+# looked up only by the benchmark tracer, see ENTRY_POINTS in bench/spans.py
+from .katona import compatible_member_keys  # noqa: F401
 
 __all__ = [
     "CenterMap",
@@ -131,12 +134,12 @@ class CenterViolation:
 
 @dataclass(frozen=True)
 class CenterMap:
-    """Center edges over S_{2n} for a maximum intersecting family.
+    """Center edges over S_{2n} for a star.
 
     saturated counts the permutations whose trace is saturated with a
     single common edge, and centers holds the distinct common edges seen.
-    violation_count totals permutations that failed saturation or had no
-    single common edge; the first few are kept.
+    violation_count totals the permutations whose trace is unsaturated;
+    the first few are kept.
     """
 
     r: int
@@ -164,57 +167,43 @@ class CenterMap:
 MAX_RECORDED_VIOLATIONS = 10
 
 
-def center_map(family: MatchingFamily, params: Parameters, limit: int = 10) -> CenterMap:
-    """Trace every permutation of S_{2n} against a whole star.
+def center_map(params: Parameters, edge: Edge, limit: int = 10) -> CenterMap:
+    """The centre of the star at edge's trace at every permutation of S_{2n}.
 
     Each permutation must be saturated (trace size exactly r) with a single
     common edge; the map records that edge.  For a maximum intersecting
     family the map is constant, and for a star its value is the star's
-    edge.  family must be a whole star (katona.star_windows), else
-    ValueError.
+    edge.  edge must be an edge of K_{2n}, else ValueError.
 
-    One permutation per cyclic position of the star's edge e is traced
-    (katona.star_placements) and counted 2(2n-2)! times.  The permutations
-    tau fixing the set e map the star onto itself, and the trace at
-    tau o sigma is tau applied to the trace at sigma: the same size, with
-    the common edges moved by tau, so e stays the one common edge exactly
-    when it was.  The permutations putting e at one position are one coset
-    of that group, and the n(2n-1) cosets cover S_{2n}.  Violations are
-    recorded per position, one representative for each of the first
-    MAX_RECORDED_VIOLATIONS.
+    The trace size at each cyclic position of the edge comes from one
+    window scan (katona.star_trace_sizes) and counts for the 2(2n-2)!
+    permutations that put the edge there.  A saturated trace is the r
+    windows through that position, and for r >= 2 the first and the last
+    of them share only the edge, so every saturated trace has the one
+    centre edge.  A position with fewer than r windows is an "unsaturated"
+    violation, named by its representative from katona.star_placements,
+    the first MAX_RECORDED_VIOLATIONS in position order.
     """
     n, r = params.n, params.r
     two_n = 2 * n
+    edge = make_edge(edge[0], edge[1], two_n)
     if two_n > limit:
         raise ValueError(f"2n = {two_n} exceeds the enumeration limit {limit}")
     if r > n - 1:
         raise ValueError(f"tracing needs r <= n-1, got r={r}, n={n}")
-    if family.r != r:
-        raise ValueError(f"family has r={family.r}, parameters say r={r}")
-    windows, edge = star_windows(n, r, family)
+    sizes = star_trace_sizes(n, r)
     weight = 2 * math.factorial(two_n - 2)
-    saturated = 0
-    centers: set[Edge] = set()
-    violations: list[CenterViolation] = []
-    violation_count = 0
-    for images in star_placements(n, edge):
-        found = compatible_member_keys(images, n, r, windows)
-        if len(found) != r:
-            reason = "unsaturated"
-        else:
-            center = trace_center(n, found)
-            if center is not None:
-                saturated += weight
-                centers.add(center)
-                continue
-            reason = "no common edge"
-        violation_count += weight
-        if len(violations) < MAX_RECORDED_VIOLATIONS:
-            violations.append(CenterViolation(images, reason, len(found)))
+    short = [size < r for size in sizes]
+    full = short.count(False)
+    # placements are built only to name the short positions
+    named = itertools.compress(zip(star_placements(n, edge), sizes), short) if full < len(short) else ()
     return CenterMap(
         r=r,
-        saturated=saturated,
-        centers=frozenset(centers),
-        violations=tuple(violations),
-        violation_count=violation_count,
+        saturated=full * weight,
+        centers=frozenset([edge] if full else []),
+        violations=tuple(
+            CenterViolation(images, "unsaturated", size)
+            for images, size in itertools.islice(named, MAX_RECORDED_VIOLATIONS)
+        ),
+        violation_count=(len(short) - full) * weight,
     )

@@ -10,8 +10,8 @@ itself.  trace reads one family at one permutation through the
 package's window scan, so that tests can check the scan's hits, centres
 and the Katona bound member by member.  full_sweep reads one family through the same scan at
 every permutation of S_{2n}, with no symmetry quotient, so that tests
-can check the quotient of the star sweeps; it finds common edges with
-sets.  The real implementations must agree with these on every instance
+can check the star sweeps, which read trace sizes off one window scan;
+it finds common edges with sets.  The real implementations must agree with these on every instance
 small enough to sweep.
 """
 

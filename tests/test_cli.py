@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ekr_matchings import baranyai, cli, katona, transposition_lab
+from ekr_matchings import baranyai, cli, core, katona, transposition_lab
 from ekr_matchings.baranyai import (
     MAX_COUNTEREXAMPLES,
     Permutation,
@@ -210,29 +210,51 @@ def test_failing_sweeps_read_only_the_permutations_they_name(capsys, monkeypatch
 @pytest.mark.parametrize("command", ["double-count", "center-map"])
 @pytest.mark.parametrize("n,r", [(3, 2), (4, 3), (5, 2)])
 def test_star_sweeps_trace_one_permutation_per_position(capsys, monkeypatch, command, n, r):
-    # the relabellings fixing the star's edge leave one trace per cyclic position
+    # each position of the star's edge stands for the 2(2n-2)! permutations that put
+    # the edge there, and the window scan gives its trace size: no permutation is
+    # traced, no star is built, and no rotation class or placement is read
     calls = []
-    original = katona.compatible_member_keys
 
-    def counted(*args):
-        calls.append(args[0])
-        return original(*args)
+    def counted(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapper
 
     for module in (katona, transposition_lab):
-        monkeypatch.setattr(module, "compatible_member_keys", counted)
+        monkeypatch.setattr(module, "compatible_member_keys", counted("trace", katona.compatible_member_keys))
+    for module in (core, cli):
+        monkeypatch.setattr(module, "star_family", counted("star", core.star_family))
     classes = [
         count_reads(monkeypatch, "rotation_classes", module)
         for module in (baranyai, cli, katona, transposition_lab)
         if hasattr(module, "rotation_classes")
     ]
+    placements = count_reads(monkeypatch, "star_placements", transposition_lab)
     code, payload = run_json(capsys, command, "--n", str(n), "--r", str(r), "--edge", "2,3")
     assert code == 0
-    assert len(calls) == len(set(calls)) == n * (2 * n - 1)
+    assert calls == []
     assert not any(classes)
+    assert placements == []
     if command == "double-count":
         assert payload["sweep_total"] == payload["weighted_count"]
     else:
         assert payload["saturated"] == math.factorial(2 * n)
+
+
+def test_double_count_fails_when_every_window_repeats(capsys, monkeypatch):
+    # a scan failing every window leaves every trace empty, so the sum is 0, not q * phi
+    monkeypatch.setattr(katona, "window_repeats", lambda pairs, *args: list(range(1, len(pairs) + 1)))
+    code, payload = run_json(capsys, "double-count", "--n", "3", "--r", "2")
+    assert code == 1
+    assert (payload["sweep_total"], payload["sweep_max_trace"], payload["weighted_count"]) == (0, 0, 1440)
+    assert payload["checks"] == {
+        "bound_holds": True,
+        "sweep_sum_matches": False,
+        "trace_sizes_bounded": True,
+        "member_counts_match_formula": False,
+    }
 
 
 def test_exhaustive_lemma_identities_match_full_sweep(capsys):
@@ -557,6 +579,16 @@ def test_parser_text_is_pinned(capsys, monkeypatch, case):
         main(case["argv"])
     captured = capsys.readouterr()
     assert (info.value.code, captured.out, captured.err) == (case["exit"], case["stdout"], case["stderr"])
+
+
+# stdout, stderr and exit code of double-count and center-map, recorded when both
+# built the star and traced one permutation per position of its edge
+STAR_REPORTS = json.loads((Path(__file__).parent / "star_reports.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", STAR_REPORTS, ids=lambda case: " ".join(case["argv"]))
+def test_star_reports_are_pinned(capsys, case):
+    assert run(capsys, *case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
 
 
 def test_parser_declares_only_the_named_subcommand():

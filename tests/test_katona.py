@@ -26,6 +26,8 @@ from ekr_matchings.katona import (
     member_windows,
     q_bruteforce,
     q_formula,
+    star_placements,
+    star_trace_sizes,
     verify_double_count,
 )
 from ekr_matchings.transposition_lab import center_map
@@ -289,23 +291,19 @@ def test_trace_empty_family():
 
 def test_double_count_star_tight():
     params = Parameters(3, 2)
-    family = star_family(params, (1, 2))
-    report = verify_double_count(family, params)
+    report = verify_double_count(params, (1, 2))
     assert report.q_value == 240
     assert report.weighted_count == 1440
     assert report.bound == 2 * math.factorial(6) == 1440
     assert report.tight
     assert report.sweep_total == 1440
     assert report.sweep_max_trace == 2
-    assert report.member_counts == (240,) * 6
     assert report.passed
 
 
 def test_double_count_triangle_not_tight():
-    # the quotient sweep takes only a whole star, so the triangle is swept in full
+    # the closed form is a whole star's, so the triangle is swept in full
     params = Parameters(3, 2)
-    with pytest.raises(ValueError):
-        verify_double_count(triangle_family(), params)
     full = full_sweep(triangle_family(), 3, 2)
     assert full.total == 3 * q_formula(params).formula_value == 720
     assert full.total < 2 * math.factorial(6)  # the bound holds and is not tight
@@ -313,17 +311,23 @@ def test_double_count_triangle_not_tight():
     assert full.member_counts == (240,) * 3
 
 
-def test_double_count_rejects_non_intersecting():
-    params = Parameters(3, 2)
-    family = MatchingFamily(enumerate_matchings(params))
-    with pytest.raises(ValueError):
-        verify_double_count(family, params)
+def test_double_count_rejects_edges_outside_the_graph():
+    # the edge is checked first, so a bad --edge is reported before r and the limit
+    for params, edge, message in (
+        (Parameters(3, 2), (1, 7), "out of range 1..6"),
+        (Parameters(3, 2), (0, 2), "1-based"),
+        (Parameters(3, 2), (4, 4), "loops"),
+        (Parameters(3, 3), (1, 99), "out of range 1..6"),
+    ):
+        for limit in (10, 4):
+            with pytest.raises(ValueError, match=message):
+                verify_double_count(params, edge, limit=limit)
 
 
 def test_double_count_without_sweep():
     # 2n = 6 exceeds the limit, so only the bound is checked
     params = Parameters(3, 2)
-    report = verify_double_count(star_family(params, (3, 4)), params, limit=4)
+    report = verify_double_count(params, (3, 4), limit=4)
     assert report.sweep_total is None
     assert report.sweep_matches is None
     assert report.passed  # bound alone
@@ -333,8 +337,8 @@ def test_double_count_without_sweep():
 @given(st.sets(st.integers(0, 5), min_size=1, max_size=6))
 def test_double_count_substars(indices):
     # arbitrary subfamilies of a star stay intersecting; the full sweep's totals
-    # match q times the subfamily size exactly, and only the whole star is swept
-    # by verify_double_count
+    # match q times the subfamily size exactly, and the whole star's total is
+    # verify_double_count's
     params = Parameters(3, 2)
     star = star_family(params, (1, 2))
     family = MatchingFamily([star.members[i] for i in sorted(indices)])
@@ -343,12 +347,9 @@ def test_double_count_substars(indices):
     assert full.largest <= 2
     assert full.member_counts == (240,) * len(family)
     if family == star:
-        report = verify_double_count(family, params)
-        assert (report.sweep_total, report.member_counts) == (full.total, full.member_counts)
+        report = verify_double_count(params, (1, 2))
+        assert report.sweep_total == full.total
         assert report.passed
-    else:
-        with pytest.raises(ValueError):
-            verify_double_count(family, params)
 
 
 @pytest.mark.parametrize("n,r", [(3, 2), (4, 2)])
@@ -357,11 +358,11 @@ def test_position_quotient_matches_full_sweep(n, r):
     matchings = [Matching.from_edges([(1, 2), (3, 4)]), Matching.from_edges([(2, 5), (3, 2 * n)])]
     assert [q_bruteforce(a, params) for a in matchings] == naive_q_counts([a.edges for a in matchings], n)
     star = star_family(params, (1, 2 * n))
-    report = verify_double_count(star, params)
+    report = verify_double_count(params, (1, 2 * n))
     full = full_sweep(star, n, r)
     assert report.sweep_total == full.total
     assert report.sweep_max_trace == full.largest
-    assert report.member_counts == full.member_counts
+    assert full.member_counts == (report.q_value,) * len(star)
     # no star, so only the full sweep reads it
     q = q_formula(params).formula_value
     triangle = full_sweep(triangle_family(), n, r)
@@ -379,37 +380,52 @@ STAR_SWEEP_CASES = [
     "n,r,edge", STAR_SWEEP_CASES, ids=[f"{n}-{r}-{a},{b}" for n, r, (a, b) in STAR_SWEEP_CASES]
 )
 def test_star_sweeps_match_full_sweep(n, r, edge):
-    # one traced permutation per position of the star's edge stands for all of S_{2n}
+    # the window scan's trace size at each position of the star's edge stands for all of S_{2n}
     params = Parameters(n, r)
     family = star_family(params, edge)
     full = full_sweep(family, n, r)
-    report = verify_double_count(family, params)
+    report = verify_double_count(params, edge)
     assert report.sweep_total == full.total == report.weighted_count
     assert report.sweep_max_trace == full.largest == r
-    assert report.member_counts == full.member_counts == (report.q_value,) * len(family)
+    assert full.member_counts == (report.q_value,) * len(family)
     assert report.passed
-    result = center_map(family, params)
+    result = center_map(params, edge)
     assert result.saturated == full.saturated == math.factorial(2 * n)
     assert result.violation_count == 0
     assert result.centers == full.centers == {edge}
 
 
-def test_double_count_uneven_member_counts_fail_without_raising(monkeypatch):
-    # each member lies in total / |table| traces; a seventh table entry that no
-    # window has, 0, leaves a remainder, which must fail the per-member check
-    params = Parameters(3, 2)
-    star = star_family(params, (1, 2))
-    windows, edge = katona.star_windows(3, 2, star)
-    monkeypatch.setattr(katona, "star_windows", lambda *args: ({**windows, 0: star.members[0]}, edge))
-    report = verify_double_count(star, params)
-    assert report.sweep_total == report.weighted_count == 1440
-    assert report.member_counts == (206,) * 5 + (205,) * 2
-    assert report.sweep_matches and not report.member_counts_match
-    assert not report.passed
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_star_trace_sizes_match_the_traces_at_each_placement(n):
+    # at r = n some windows repeat a vertex, so the scan's sizes fall short of r;
+    # at r <= n-1 none does
+    for r in range(1, n + 1):
+        params = Parameters(n, r)
+        edge = (2, 2 * n - 1)
+        family = star_family(params, edge)
+        windows = member_windows(n, r, family)
+        sizes = star_trace_sizes(n, r)
+        traced = [len(compatible_member_keys(images, n, r, windows)) for images in star_placements(n, edge)]
+        assert list(sizes) == traced
+        assert (min(sizes) == r) == (r < n)
+        if r == n:
+            assert sum(sizes) * 2 * math.factorial(2 * n - 2) == full_sweep(family, n, r).total
+
+
+def test_star_trace_sizes_drop_each_failing_window_from_the_positions_it_covers(monkeypatch):
+    n, r = 4, 3
+    total = n * (2 * n - 1)
+    for failing in ([1], [total], [2, 5, 6], list(range(1, total + 1))):
+        monkeypatch.setattr(katona, "window_repeats", lambda *args, failing=failing: failing)
+        covers = {s: {(s - 1 + k) % total for k in range(r)} for s in range(1, total + 1)}
+        expected = tuple(
+            sum(p in covers[s] for s in covers if s not in failing) for p in range(total)
+        )
+        assert star_trace_sizes(n, r) == expected
 
 
 def not_whole_stars(params):
-    """Families that are no whole star: each raises in both star sweeps.
+    """Families that are no whole star: none sweeps to a whole star's figures.
 
     The star at (1, 2) less one member, a non-star intersecting family, that
     star with one member swapped for a matching that avoids (1, 2), and the
@@ -428,12 +444,15 @@ def not_whole_stars(params):
 @pytest.mark.parametrize("n,r", [(3, 2), (4, 3)])
 @pytest.mark.parametrize("kind", ["star-less-one", "two-of-triangle", "star-with-one-swapped", "empty"])
 def test_star_sweeps_reject_anything_but_a_whole_star(n, r, kind):
+    # the star sweeps take an edge, not a family, and give the whole star's
+    # figures: any other family sweeps to another total, or leaves some
+    # permutation without a saturated trace
     params = Parameters(n, r)
     family = not_whole_stars(params)[kind]
     if kind == "star-with-one-swapped":
         assert len(family) == len(star_family(params, (1, 2)))
-    for limit in (10, 2 * n - 1):
-        with pytest.raises(ValueError, match="not a whole star"):
-            verify_double_count(family, params, limit=limit)
-    with pytest.raises(ValueError, match="not a whole star"):
-        center_map(family, params)
+    full = full_sweep(family, n, r)
+    report = verify_double_count(params, (1, 2))
+    result = center_map(params, (1, 2))
+    assert (report.sweep_total, result.saturated) == (report.weighted_count, math.factorial(2 * n))
+    assert (full.total, full.saturated) != (report.sweep_total, result.saturated)

@@ -12,8 +12,8 @@ from ekr_matchings.baranyai import (
     rotation_classes,
     sample_permutations,
 )
-from ekr_matchings.core import Matching, MatchingFamily, Parameters, star_family
-from ekr_matchings import transposition_lab
+from ekr_matchings.core import Parameters, star_family
+from ekr_matchings import katona, transposition_lab
 from ekr_matchings.katona import member_windows
 from ekr_matchings.transposition_lab import (
     SWAP_IDENTITIES,
@@ -110,7 +110,7 @@ def test_composition_identity_index_range():
 
 def test_center_map_star_n3_constant():
     params = Parameters(3, 2)
-    result = center_map(star_family(params, (1, 2)), params)
+    result = center_map(params, (1, 2))
     assert result.total == 720
     assert result.violation_count == 0
     assert result.is_constant
@@ -119,14 +119,14 @@ def test_center_map_star_n3_constant():
 
 def test_center_map_other_edge():
     params = Parameters(3, 2)
-    result = center_map(star_family(params, (5, 6)), params)
+    result = center_map(params, (5, 6))
     assert result.violation_count == 0
     assert result.constant_edge == (5, 6)
 
 
 def test_center_map_star_n4_constant():
     params = Parameters(4, 2)
-    result = center_map(star_family(params, (7, 8)), params)
+    result = center_map(params, (7, 8))
     assert result.total == 40320
     assert result.violation_count == 0
     assert result.constant_edge == (7, 8)
@@ -152,23 +152,23 @@ def test_composition_identity_sampled_n6():
             assert composition_identity(sigma, j)
 
 
-def test_center_map_rejects_undersized_family():
-    params = Parameters(3, 2)
-    family = MatchingFamily(
-        [
-            Matching.from_edges([(1, 2), (3, 4)]),
-            Matching.from_edges([(3, 4), (5, 6)]),
-            Matching.from_edges([(1, 2), (5, 6)]),
-        ]
-    )
-    with pytest.raises(ValueError):
-        center_map(family, params)
+def test_center_map_rejects_edges_outside_the_graph():
+    # the edge is checked first, so a bad --edge is reported before the limit and r
+    for params, edge, message in (
+        (Parameters(3, 2), (1, 7), "out of range 1..6"),
+        (Parameters(3, 2), (0, 2), "1-based"),
+        (Parameters(3, 2), (4, 4), "loops"),
+        (Parameters(3, 3), (1, 99), "out of range 1..6"),
+        (Parameters(7, 6), (1, 99), "out of range 1..14"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            center_map(params, edge)
 
 
 def test_center_map_respects_limit():
     params = Parameters(3, 2)
     with pytest.raises(ValueError):
-        center_map(star_family(params, (1, 2)), params, limit=4)
+        center_map(params, (1, 2), limit=4)
 
 
 @pytest.mark.parametrize("n,r", [(3, 2), (4, 2)])
@@ -176,35 +176,36 @@ def test_center_map_quotient_matches_full_sweep(n, r):
     params = Parameters(n, r)
     family = star_family(params, (2, 2 * n - 1))
     full = full_sweep(family, n, r)
-    result = center_map(family, params)
+    result = center_map(params, (2, 2 * n - 1))
     assert result.saturated == full.saturated == math.factorial(2 * n)
     assert result.violation_count == 0
     assert result.centers == full.centers == {(2, 2 * n - 1)}
 
 
 def test_center_map_counts_each_violating_class_in_full(monkeypatch):
-    # with every trace empty, all 6! permutations fail and ten classes are kept
-    monkeypatch.setattr(transposition_lab, "compatible_member_keys", lambda *args: set())
+    # with every window failing the scan, all 6! permutations fail and ten classes are kept
+    monkeypatch.setattr(katona, "window_repeats", lambda pairs, *args: list(range(1, len(pairs) + 1)))
     params = Parameters(3, 2)
-    result = center_map(star_family(params, (1, 2)), params)
+    result = center_map(params, (1, 2))
     assert result.saturated == 0
     assert result.violation_count == result.total == 720
+    assert result.centers == frozenset()
     assert len(result.violations) == 10
     assert len({v.images for v in result.violations}) == 10
     assert all(v.reason == "unsaturated" and v.trace_size == 0 for v in result.violations)
 
 
-def test_center_map_reports_saturated_traces_without_a_common_edge(monkeypatch):
-    # every trace is two edge-disjoint 2-matchings: saturated, with no centre
-    disjoint = [Matching.from_edges([(1, 2), (3, 4)]), Matching.from_edges([(1, 3), (2, 4)])]
-    masks = set(member_windows(3, 2, disjoint))
-    monkeypatch.setattr(transposition_lab, "compatible_member_keys", lambda *args: masks)
+def test_center_map_names_the_short_positions_in_order(monkeypatch):
+    # windows 1 and 3 fail at (3,2): positions 0 to 3 lose one window each, the rest keep both
+    monkeypatch.setattr(katona, "window_repeats", lambda *args: [1, 3])
     params = Parameters(3, 2)
-    result = center_map(star_family(params, (1, 2)), params)
-    assert result.saturated == 0
-    assert result.violation_count == result.total == 720
-    assert result.centers == frozenset()
-    assert all(v.reason == "no common edge" and v.trace_size == 2 for v in result.violations)
+    result = center_map(params, (1, 2))
+    placements = list(katona.star_placements(3, (1, 2)))
+    assert [(v.images, v.trace_size) for v in result.violations] == [(placements[p], 1) for p in range(4)]
+    assert result.violation_count == 4 * 48
+    assert result.saturated == 11 * 48
+    assert result.centers == {(1, 2)}
+    assert not result.is_constant
 
 
 def test_swap_identities_order_and_restriction():
