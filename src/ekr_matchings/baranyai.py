@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .core import Edge, make_edge
+from .core import Edge, _Frozen, make_edge
 
 __all__ = [
     "Permutation",
@@ -53,19 +52,20 @@ def wrap_index(a: int, modulus: int) -> int:
     return (a - 1) % modulus + 1
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(_Frozen):
     """A bijection on {1, ..., size}, stored as the tuple of images.
 
     images[i-1] is the image of i, so calling the permutation uses the
     same 1-based convention as the rest of the package.
     """
 
+    __slots__ = ("images",)
     images: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(self.images)}: {self.images}")
+    def __init__(self, images: tuple[int, ...]) -> None:
+        if sorted(images) != list(range(1, len(images) + 1)):
+            raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
+        object.__setattr__(self, "images", images)
 
     @classmethod
     def identity(cls, size: int) -> "Permutation":
@@ -105,8 +105,7 @@ def baranyai_edge(sigma: Permutation, i: int, j: int) -> Edge:
     return make_edge(sigma.images[p], sigma.images[q])
 
 
-@dataclass(frozen=True)
-class RootedBaranyaiOrder:
+class RootedBaranyaiOrder(NamedTuple):
     """The 2n-1 ordered parts of the partition, with the fixed root vertex."""
 
     root: int
@@ -217,8 +216,7 @@ def window_repeats(pairs: Sequence[tuple[int, int]], labels: int, width: int, ca
     return failing
 
 
-@dataclass(frozen=True)
-class GoodnessReport:
+class GoodnessReport(NamedTuple):
     """The length-r windows of one scan, n(2n-1) of them, and the first failing starts.
 
     failing holds the ascending 1-based starts of the windows that repeat a

@@ -20,8 +20,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from .core import (
     Edge,
@@ -43,7 +42,13 @@ from .baranyai import (
     verify_goodness,
 )
 from .katona import q_bruteforce, q_formula, verify_double_count
-from .ekr_search import STATUS_PROVEN, SearchBudget, max_intersecting
+from .ekr_search import (
+    DEFAULT_MAX_NODES,
+    DEFAULT_MAX_SECONDS,
+    STATUS_PROVEN,
+    SearchBudget,
+    max_intersecting,
+)
 from .kneser import (
     HamPowerCertificate,
     certificate_from_json,
@@ -74,8 +79,7 @@ EXHAUSTIVE_CUTOFF = 8
 FORMATS = ("json", "csv", "text")
 
 
-@dataclass
-class CommandResult:
+class CommandResult(NamedTuple):
     payload: dict[str, Any]
     checks: dict[str, bool]
     budget_exhausted: bool = False
@@ -422,7 +426,7 @@ def _cmd_kneser_verify(config: argparse.Namespace) -> CommandResult:
                 raise ValueError(f"cannot read certificate {config.cert!r}: {exc}") from exc
         certificate = certificate_from_json(text)
         if config.k is not None:
-            certificate = replace(certificate, k=config.k)
+            certificate = certificate._replace(k=config.k)
     else:
         certificate = _certificate_for(config)
     # --n with --cert names the m = 2n the loaded certificate must be for
@@ -564,10 +568,10 @@ OPTIONS: dict[str, dict[str, Any]] = {
         "action": "store_true",
         "help": "enumerate every maximum family, not just one witness",
     },
-    "--max-nodes": {"type": int, "default": SearchBudget.max_nodes, "help": "search node budget"},
+    "--max-nodes": {"type": int, "default": DEFAULT_MAX_NODES, "help": "search node budget"},
     "--max-seconds": {
         "type": float,
-        "default": SearchBudget.max_seconds,
+        "default": DEFAULT_MAX_SECONDS,
         "help": "search wall-clock budget",
     },
     "--k": {"type": int, "help": "claimed power, default n-2"},

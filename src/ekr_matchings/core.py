@@ -11,7 +11,6 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -37,18 +36,53 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Parameters:
+class _Frozen:
+    """Base of the immutable value types, whose fields are their __slots__.
+
+    Two values are equal when they are of one class with equal fields, the
+    hash is the hash of the field tuple, the repr reads Name(field=value, ...),
+    and assignment raises AttributeError.  A subclass's __init__ checks its
+    arguments and sets each field with object.__setattr__.
+    """
+
+    __slots__ = ()
+
+    def _key(self) -> tuple[Any, ...]:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Parameters(_Frozen):
     """Problem size: matchings with r edges inside K_{2n}, 1 <= r <= n."""
 
+    __slots__ = ("n", "r")
     n: int
     r: int
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if not 1 <= self.r <= self.n:
-            raise ValueError(f"r must satisfy 1 <= r <= n, got r={self.r}, n={self.n}")
+    def __init__(self, n: int, r: int) -> None:
+        if n < 1:
+            raise ValueError(f"n must be a positive integer, got {n!r}")
+        if not 1 <= r <= n:
+            raise ValueError(f"r must satisfy 1 <= r <= n, got r={r}, n={n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "r", r)
 
     @property
     def vertex_count(self) -> int:
@@ -94,20 +128,20 @@ def lists_each_edge_once(vertex_count: int, edges: Sequence[Any]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(_Frozen):
     """Pairwise disjoint edges, stored as a lexicographically sorted tuple.
 
     The raw constructor insists the tuple is already canonical; use
     from_edges() to normalize arbitrary edge input first.
     """
 
+    __slots__ = ("edges",)
     edges: tuple[Edge, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, edges: tuple[Edge, ...]) -> None:
         seen: set[int] = set()
         previous: Edge | None = None
-        for edge in self.edges:
+        for edge in edges:
             u, v = edge
             if not 0 < u < v:
                 raise ValueError(f"edge {edge} is not canonical")
@@ -118,6 +152,16 @@ class Matching:
             seen.add(u)
             seen.add(v)
             previous = edge
+        object.__setattr__(self, "edges", edges)
+
+    # by the one field, with no key tuple built: families hash and compare many matchings
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.edges,))
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[int, int]]) -> "Matching":

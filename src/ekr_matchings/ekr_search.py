@@ -40,16 +40,16 @@ import itertools
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
 from functools import reduce
 from operator import or_
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .core import (
     Edge,
     Matching,
     MatchingFamily,
     Parameters,
+    _Frozen,
     all_edges,
     chi,
     common_edges,
@@ -75,21 +75,35 @@ __all__ = [
 
 STATUS_PROVEN = "proven"
 STATUS_BUDGET = "budget_exhausted"
+DEFAULT_MAX_NODES = 50_000_000
+DEFAULT_MAX_SECONDS = 600.0
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    """Resource limits for the clique search."""
+class SearchBudget(_Frozen):
+    """Resource limits for the clique search.
 
-    max_nodes: int = 50_000_000
-    max_seconds: float = 600.0
-    enumerate_all_maximum: bool = False
+    max_seconds may be inf, since the node limit still binds, but not nan,
+    which no deadline would ever pass.
+    """
 
-    def __post_init__(self) -> None:
-        if self.max_nodes < 1:
-            raise ValueError(f"max_nodes must be positive, got {self.max_nodes}")
-        if self.max_seconds <= 0:
-            raise ValueError(f"max_seconds must be positive, got {self.max_seconds}")
+    __slots__ = ("max_nodes", "max_seconds", "enumerate_all_maximum")
+    max_nodes: int
+    max_seconds: float
+    enumerate_all_maximum: bool
+
+    def __init__(
+        self,
+        max_nodes: int = DEFAULT_MAX_NODES,
+        max_seconds: float = DEFAULT_MAX_SECONDS,
+        enumerate_all_maximum: bool = False,
+    ) -> None:
+        if max_nodes < 1:
+            raise ValueError(f"max_nodes must be positive, got {max_nodes}")
+        if not max_seconds > 0:
+            raise ValueError(f"max_seconds must be positive, got {max_seconds}")
+        object.__setattr__(self, "max_nodes", max_nodes)
+        object.__setattr__(self, "max_seconds", max_seconds)
+        object.__setattr__(self, "enumerate_all_maximum", enumerate_all_maximum)
 
 
 class _BudgetExceeded(Exception):
@@ -112,8 +126,7 @@ class _Counter:
             raise _BudgetExceeded
 
 
-@dataclass(frozen=True)
-class EkrReport:
+class EkrReport(NamedTuple):
     """Search outcome for one (n, r) instance.
 
     witness is the best family found, or the non-star maximum family when
@@ -528,8 +541,7 @@ def verify_theorem(params: Parameters, budget: SearchBudget | None = None) -> Ek
     return max_intersecting(params, budget)
 
 
-@dataclass(frozen=True)
-class BridgeReport:
+class BridgeReport(NamedTuple):
     """Restatement of the maximum-family result on the Kneser graph side."""
 
     n: int
@@ -586,7 +598,7 @@ def kneser_complement_bridge(
             matchings.append(matching)
     except _BudgetExceeded:
         matchings = []
-        theorem = replace(theorem, status=STATUS_BUDGET)
+        theorem = theorem._replace(status=STATUS_BUDGET)
 
     chi_value = chi(params)
     phi_value = phi(params)

@@ -51,11 +51,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-from .core import Edge, Matching, Parameters, all_edges, make_edge, phi
+from .core import Edge, Matching, Parameters, _Frozen, all_edges, make_edge, phi
 from .baranyai import position_pairs, slot_positions, window_repeats
 
 __all__ = [
@@ -192,16 +191,18 @@ def compatible_member_keys(
     return windows.keys() & masks
 
 
-@dataclass(frozen=True)
-class CompatibilityCount:
+class CompatibilityCount(_Frozen):
     """The closed-form compatible-permutation count and its two-part split."""
 
+    __slots__ = ("formula_value", "split")
     formula_value: int
     split: tuple[int, int]
 
-    def __post_init__(self) -> None:
-        if sum(self.split) != self.formula_value:
+    def __init__(self, formula_value: int, split: tuple[int, int]) -> None:
+        if sum(split) != formula_value:
             raise ValueError("split parts must sum to the formula value")
+        object.__setattr__(self, "formula_value", formula_value)
+        object.__setattr__(self, "split", split)
 
 
 def q_formula(params: Parameters) -> CompatibilityCount:
@@ -264,8 +265,7 @@ def q_bruteforce(a: Matching, params: Parameters, limit: int = 10) -> int:
     return (two_n - 1) * math.factorial(two_n - 2 * params.r) * compatible
 
 
-@dataclass(frozen=True)
-class DoubleCountReport:
+class DoubleCountReport(NamedTuple):
     """Outcome of checking q * |F| <= r * (2n)! and the sweep identity."""
 
     n: int
@@ -335,8 +335,7 @@ def verify_double_count(params: Parameters, edge: Edge, limit: int = 10) -> Doub
     if 2 * n > limit:
         return report
     sizes = star_trace_sizes(n, r)
-    return replace(
-        report,
+    return report._replace(
         sweep_total=sum(sizes) * 2 * math.factorial(2 * n - 2),
         sweep_max_trace=max(sizes),
     )

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 from .baranyai import Permutation, cyclic_order, window_repeats
 from .core import lists_each_edge_once
@@ -34,17 +33,16 @@ __all__ = [
 Vertex = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class KneserGraph:
-    """K(m, 2) with bitset adjacency rows aligned to the vertex tuple."""
+class KneserGraph(NamedTuple):
+    """K(m, 2) with bitset adjacency rows aligned to the vertex tuple.
+
+    index maps each vertex to its position in vertices.
+    """
 
     m: int
     vertices: tuple[Vertex, ...]
     adjacency: tuple[int, ...]
-
-    @cached_property
-    def index(self) -> dict[Vertex, int]:
-        return {v: i for i, v in enumerate(self.vertices)}
+    index: dict[Vertex, int]
 
     def adjacent(self, a: Vertex, b: Vertex) -> bool:
         return bool(self.adjacency[self.index[a]] >> self.index[b] & 1)
@@ -62,11 +60,11 @@ def kneser_graph(m: int) -> KneserGraph:
         containing[a] |= bit
         containing[b] |= bit
     adjacency = tuple(full & ~(containing[a] | containing[b]) for a, b in vertices)
-    return KneserGraph(m=m, vertices=vertices, adjacency=adjacency)
+    index = {v: i for i, v in enumerate(vertices)}
+    return KneserGraph(m=m, vertices=vertices, adjacency=adjacency, index=index)
 
 
-@dataclass(frozen=True)
-class HamPowerCertificate:
+class HamPowerCertificate(NamedTuple):
     """A cyclic vertex order claimed to realize the k-th Hamiltonian power."""
 
     m: int

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .core import Edge, Parameters, make_edge
 from .baranyai import Permutation, half_order, position_pairs
@@ -123,8 +122,7 @@ def swap_identities(sigma: Permutation, j: int | None = None) -> Iterator[tuple[
                 yield name, k, holds(k)
 
 
-@dataclass(frozen=True)
-class CenterViolation:
+class CenterViolation(NamedTuple):
     """A permutation whose trace is not saturated with a unique common edge."""
 
     images: tuple[int, ...]
@@ -132,8 +130,7 @@ class CenterViolation:
     trace_size: int
 
 
-@dataclass(frozen=True)
-class CenterMap:
+class CenterMap(NamedTuple):
     """Center edges over S_{2n} for a star.
 
     saturated counts the permutations whose trace is saturated with a

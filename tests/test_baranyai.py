@@ -51,7 +51,7 @@ def test_permutation_basics():
     sigma = Permutation((2, 3, 1))
     assert sigma(1) == 2 and sigma(3) == 1
     assert Permutation.identity(4).images == (1, 2, 3, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^not a permutation of 1\.\.3: \(1, 1, 2\)$"):
         Permutation((1, 1, 2))
     with pytest.raises(ValueError):
         sigma(0)

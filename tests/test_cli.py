@@ -5,7 +5,6 @@ import csv
 import io
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,6 +18,7 @@ from ekr_matchings.baranyai import (
     sample_permutations,
 )
 from ekr_matchings.cli import EXIT_INTERNAL, main
+from ekr_matchings.ekr_search import SearchBudget
 from ekr_matchings.transposition_lab import SWAP_IDENTITIES, swap_identities
 
 from oracles import naive_goodness_failures
@@ -102,7 +102,7 @@ def test_construct_given_sigma(capsys):
 
 def test_construct_reports_parts_that_repeat_an_edge(capsys, monkeypatch):
     order = rooted_order(Permutation.identity(6))
-    repeated = replace(order, parts=(order.parts[0], *order.parts[:-1]))
+    repeated = order._replace(parts=(order.parts[0], *order.parts[:-1]))
     monkeypatch.setattr(cli, "rooted_order", lambda sigma: repeated)
     code, payload = run_json(capsys, "construct", "--n", "3")
     assert code == 1
@@ -542,6 +542,26 @@ def test_usage_errors_exit_2(capsys):
 
     code, out, err = run(capsys, "verify-goodness", "--n", "6", "--samples", "0")
     assert code == 2  # exhaustive sweep beyond the permutation limit
+
+
+def test_ekr_search_rejects_a_nan_time_budget(capsys):
+    # a deadline of nan never passes, so the search would run with no time budget
+    code, out, err = run(capsys, "ekr-search", "--n", "3", "--r", "2", "--max-seconds", "nan")
+    assert (code, out, err) == (2, "", "error: max_seconds must be positive, got nan\n")
+    code, payload = run_json(capsys, "ekr-search", "--n", "3", "--r", "2", "--max-seconds", "inf")
+    assert code == 0 and payload["status"] == "proven"
+
+
+def test_ekr_search_budget_defaults_are_the_search_defaults():
+    # tests/test_surface.py pins SearchBudget()'s fields
+    budget = SearchBudget()
+    argv = ["ekr-search", "--n", "3", "--r", "2"]
+    config = cli.build_parser(argv).parse_args(argv)
+    assert (config.max_nodes, config.max_seconds, config.enumerate_max) == (
+        budget.max_nodes,
+        budget.max_seconds,
+        budget.enumerate_all_maximum,
+    )
 
 
 @pytest.mark.parametrize(

@@ -30,11 +30,11 @@ from oracles import naive_matchings
 def test_parameters_validation():
     Parameters(3, 2)
     Parameters(1, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^n must be a positive integer, got 0$"):
         Parameters(0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^r must satisfy 1 <= r <= n, got r=0, n=3$"):
         Parameters(3, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^r must satisfy 1 <= r <= n, got r=4, n=3$"):
         Parameters(3, 4)
 
 
@@ -68,11 +68,11 @@ def test_all_edges_lex_order_and_count(n):
 
 
 def test_matching_rejects_bad_tuples():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^edge \(2, 1\) is not canonical$"):
         Matching(((2, 1),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^edges are not pairwise disjoint at \(2, 3\)$"):
         Matching(((1, 2), (2, 3)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^edges are not sorted$"):
         Matching(((3, 4), (1, 2)))
 
 

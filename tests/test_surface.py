@@ -1,15 +1,18 @@
-"""The package surface: exported names, the names the benchmark tracer wraps, and imports."""
+"""The package surface: exported names, value types, the names the benchmark tracer wraps, and imports."""
 
 import ast
 import importlib
 import importlib.util
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import ekr_matchings
-from ekr_matchings.baranyai import verify_goodness
-from ekr_matchings.core import Parameters, first_matching
+from ekr_matchings.baranyai import Permutation, verify_goodness
+from ekr_matchings.core import Matching, Parameters, first_matching
 from ekr_matchings.ekr_search import SearchBudget, max_intersecting
 from ekr_matchings.katona import q_bruteforce
 from ekr_matchings.kneser import ham_power_certificate, verify_ham_power
@@ -127,3 +130,53 @@ def test_unread_imports_sees_what_it_must():
         ]
     )
     assert unread_imports(source) == ["dumps (line 4)", "os (line 2)", "parse (line 4)"]
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # every CLI call pays for its imports, and these two cost more than the
+    # package itself; -I -S keeps the environment and site-packages out
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import ekr_matchings.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+    )
+    child = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert child.stdout == "[]\n"
+
+
+# a value, its field names and values, another value of its class, and its repr
+VALUE_TYPES = [
+    (Parameters(3, 2), ("n", "r"), (3, 2), Parameters(3, 1), "Parameters(n=3, r=2)"),
+    (
+        Matching(((1, 2), (3, 4))),
+        ("edges",),
+        (((1, 2), (3, 4)),),
+        Matching(((1, 2),)),
+        "Matching(edges=((1, 2), (3, 4)))",
+    ),
+    (Permutation((2, 3, 1)), ("images",), ((2, 3, 1),), Permutation((1, 2, 3)), "Permutation(images=(2, 3, 1))"),
+    (
+        SearchBudget(),
+        ("max_nodes", "max_seconds", "enumerate_all_maximum"),
+        (50_000_000, 600.0, False),
+        SearchBudget(enumerate_all_maximum=True),
+        "SearchBudget(max_nodes=50000000, max_seconds=600.0, enumerate_all_maximum=False)",
+    ),
+]
+
+
+@pytest.mark.parametrize("value, names, fields, other, text", VALUE_TYPES, ids=lambda x: type(x).__name__)
+def test_value_types_compare_hash_and_print_by_their_fields(value, names, fields, other, text):
+    cls = type(value)
+    assert tuple(getattr(value, name) for name in names) == fields
+    assert value == cls(*fields) and value != other
+    assert value != fields  # equal fields in another class are not equal
+    assert hash(value) == hash(cls(**dict(zip(names, fields)))) == hash(fields)
+    assert repr(value) == text
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(other, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert tuple(getattr(value, name) for name in names) == fields
+
