@@ -64,7 +64,7 @@ from .ekr_search import is_star  # noqa: F401
 from .kneser import kneser_graph  # noqa: F401
 from .transposition_lab import composition_identity, reflect_swap, transpose_adjacent  # noqa: F401
 
-__all__ = ["dispatch", "emit_report", "main"]
+__all__ = ["dispatch", "emit_report", "main", "parse_args"]
 
 EXIT_PASS = 0
 EXIT_FALSIFIED = 1
@@ -117,8 +117,6 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
             pairs.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise ValueError(f"pair entries must be integers, got {chunk!r}") from None
-    if not pairs:
-        raise ValueError("empty instance list")
     return pairs
 
 
@@ -614,17 +612,29 @@ COMMANDS: dict[str, tuple[str, list[str | tuple[str, str]]]] = {
 }
 
 
-def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
-    """The parser for argv: every subcommand, with its options declared only if argv names it.
+def _declare_options(parser: argparse.ArgumentParser, name: str) -> None:
+    """Declare subcommand name's options on parser: --n, its COMMANDS flags, --format, --out.
 
     OPTIONS declares each flag once.  COMMANDS gives each subcommand its
-    summary and the other flags it takes beside --n, --format and --out;
-    a (flag, help) entry keeps the flag's declaration and gives it that
-    subcommand's help text.  Argparse derives each dest from the flag.
-    Every subcommand is added, so the top-level usage, help and choice
-    errors list them all, but only the one argv dispatches to gets its
-    arguments: the first token not starting with "-", since no top-level
-    option takes a value.
+    summary and the other flags it takes; a (flag, help) entry keeps the
+    flag's declaration and gives it that subcommand's help text.  Argparse
+    derives each dest from the flag.
+    """
+    for entry in ["--n", *COMMANDS[name][1], "--format", "--out"]:
+        flag, help_text = entry if isinstance(entry, tuple) else (entry, OPTIONS[entry]["help"])
+        parser.add_argument(flag, **{**OPTIONS[flag], "help": help_text})
+
+
+def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The top-level parser for argv: every subcommand, with options only for the one argv names.
+
+    parse_args falls back to it for whatever one subcommand's parser does
+    not settle alone.  Every subcommand is added, so the top-level usage,
+    help and choice errors list them all, but only the one argv dispatches
+    to gets its options: the first token not starting with "-", since no
+    top-level option takes a value.  The named subcommand keeps its options
+    here, so an "unrecognized arguments" error names only the tokens that
+    subcommand does not take.
     """
     named = next((token for token in argv if not token.startswith("-")), None)
     parser = argparse.ArgumentParser(
@@ -632,19 +642,35 @@ def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
         description="Construct and verify intersecting families of matchings in K_{2n}.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, flags) in COMMANDS.items():
+    for name, (summary, _) in COMMANDS.items():
         sub = subparsers.add_parser(name, help=summary)
-        if name != named:
-            continue
-        for entry in ["--n", *flags, "--format", "--out"]:
-            flag, help_text = entry if isinstance(entry, tuple) else (entry, OPTIONS[entry]["help"])
-            sub.add_argument(flag, **{**OPTIONS[flag], "help": help_text})
+        if name == named:
+            _declare_options(sub, name)
     return parser
+
+
+def parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """The configuration argv asks for; argparse prints help or an error and exits otherwise.
+
+    When argv starts with a subcommand, one parser with that subcommand's
+    options reads the rest, the same parse its subparser would make.  Only
+    what that leaves to the top level (no subcommand first, or tokens left
+    over) builds build_parser(argv), which prints the top-level usage,
+    help and errors.
+    """
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog="ekr-matchings " + argv[0])
+        _declare_options(parser, argv[0])
+        config, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            config.command = argv[0]
+            return config
+    return build_parser(argv).parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    config = build_parser(argv).parse_args(argv)
+    config = parse_args(argv)
     try:
         code, payload = dispatch(config)
         emit_report(payload, config.format, config.out)

@@ -64,6 +64,10 @@ def test_count_pairs_csv(capsys):
     assert lines[2] == '3,2,45,6,240,"[80,160]",240'
 
 
+def test_count_rejects_an_empty_pair_list(capsys):
+    assert run(capsys, "count", "--pairs", "") == (2, "", "error: expected 'n:r' pairs, got ''\n")
+
+
 def test_output_is_deterministic(capsys):
     first = run(capsys, "verify-goodness", "--n", "5", "--samples", "30")
     second = run(capsys, "verify-goodness", "--n", "5", "--samples", "30")
@@ -510,7 +514,7 @@ def test_json_reports_cover_every_subcommand():
 
 @pytest.mark.parametrize("argv", JSON_REPORTS, ids=" ".join)
 def test_json_report_equals_json_dumps(tmp_path, capsys, argv):
-    expected = json.dumps(cli.dispatch(cli.build_parser(argv).parse_args(argv))[1], indent=2) + "\n"
+    expected = json.dumps(cli.dispatch(cli.parse_args(argv))[1], indent=2) + "\n"
     code, out, err = run(capsys, *argv)
     assert out == expected
     target = tmp_path / "report.json"
@@ -556,7 +560,7 @@ def test_ekr_search_budget_defaults_are_the_search_defaults():
     # tests/test_surface.py pins SearchBudget()'s fields
     budget = SearchBudget()
     argv = ["ekr-search", "--n", "3", "--r", "2"]
-    config = cli.build_parser(argv).parse_args(argv)
+    config = cli.parse_args(argv)
     assert (config.max_nodes, config.max_seconds, config.enumerate_max) == (
         budget.max_nodes,
         budget.max_seconds,
@@ -611,13 +615,57 @@ def test_star_reports_are_pinned(capsys, case):
     assert run(capsys, *case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
 
 
-def test_parser_declares_only_the_named_subcommand():
-    parser = cli.build_parser(["count", "--n", "3", "--r", "2"])
-    (commands,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+COUNT_FLAGS = [["-h", "--help"], ["--n"], ["--r"], ["--pairs"], ["--limit-perms"], ["--format"], ["--out"]]
+
+
+def record_parsers(monkeypatch):
+    """The list every argparse.ArgumentParser built from now on is appended to."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def recording_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording_init)
+    return built
+
+
+def test_a_well_formed_call_builds_one_parser(capsys, monkeypatch):
+    built = record_parsers(monkeypatch)
+    code, payload = run_json(capsys, "count", "--n", "3", "--r", "2")
+    assert (code, payload["q_oracle"]) == (0, 240)
+    assert len(built) == 1
+    assert built[0].prog == "ekr-matchings count"
+    assert [action.option_strings for action in built[0]._actions] == COUNT_FLAGS
+
+
+def test_parser_declares_only_the_named_subcommand(capsys, monkeypatch):
+    # a token the subcommand does not take is reported by the top-level parser,
+    # which lists every subcommand but declares options only for the named one
+    built = record_parsers(monkeypatch)
+    with pytest.raises(SystemExit) as info:
+        main(["count", "--n", "3", "--r", "2", "extra"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith("ekr-matchings: error: unrecognized arguments: extra\n")
+    direct, top, *subs = built
+    assert [action.option_strings for action in direct._actions] == COUNT_FLAGS
+    (commands,) = [action for action in top._actions if isinstance(action, argparse._SubParsersAction)]
     assert list(commands.choices) == list(cli.COMMANDS)
+    assert list(commands.choices.values()) == subs
     for name, sub in commands.choices.items():
         flags = [action.option_strings for action in sub._actions]
-        if name == "count":
-            assert flags == [["-h", "--help"], ["--n"], ["--r"], ["--pairs"], ["--limit-perms"], ["--format"], ["--out"]]
-        else:
-            assert flags == [["-h", "--help"]]
+        assert flags == (COUNT_FLAGS if name == "count" else [["-h", "--help"]])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--li", "6", "--n", "3", "--r", "2"),
+        ("count", "--n=3", "--r=2"),
+        ("count", "--n", "4", "--r", "2", "--n", "3"),
+    ],
+    ids=" ".join,
+)
+def test_other_spellings_give_the_canonical_report(capsys, argv):
+    assert run(capsys, *argv) == run(capsys, "count", "--n", "3", "--r", "2")
