@@ -171,20 +171,15 @@ def _sigma_sample(
 
     An exhaustive sweep streams one tuple per shift orbit and counts (2n)!.
     """
+    samples = config.samples
+    if samples is not None and samples < 0:
+        raise ValueError(f"--samples must be nonnegative, got {samples}")
     if config.sigma is not None:
         return [_parse_sigma(config.sigma, two_n).images], "given", 1
-    samples = config.samples
     if samples is None:
         samples = 0 if two_n <= EXHAUSTIVE_CUTOFF else auto_samples
     if samples == 0:
-        if two_n > config.limit_perms:
-            raise ValueError(
-                f"exhaustive sweep with 2n = {two_n} exceeds --limit-perms {config.limit_perms}; "
-                "pass --samples to sample instead"
-            )
         return rotation_classes(two_n), "exhaustive", math.factorial(two_n)
-    if samples < 0:
-        raise ValueError(f"--samples must be nonnegative, got {samples}")
     return (sigma.images for sigma in sample_permutations(two_n, samples, config.seed)), "sampled", samples
 
 
@@ -280,7 +275,7 @@ def _star(config: argparse.Namespace) -> tuple[Parameters, Edge]:
 
 def _cmd_double_count(config: argparse.Namespace) -> CommandResult:
     params, edge = _star(config)
-    report = verify_double_count(params, edge, limit=config.limit_perms)
+    report = verify_double_count(params, edge)
     payload = {
         "command": "double-count",
         "n": params.n,
@@ -294,13 +289,14 @@ def _cmd_double_count(config: argparse.Namespace) -> CommandResult:
         "sweep_total": report.sweep_total,
         "sweep_max_trace": report.sweep_max_trace,
     }
-    checks = {"bound_holds": report.bound_holds}
-    if report.sweep_total is not None:
-        checks["sweep_sum_matches"] = bool(report.sweep_matches)
-        checks["trace_sizes_bounded"] = bool(report.katona_bound_ok)
+    checks = {
+        "bound_holds": report.bound_holds,
+        "sweep_sum_matches": report.sweep_matches,
+        "trace_sizes_bounded": report.katona_bound_ok,
         # each member lies in sweep_total / phi traces, so the per-member counts
         # equal q exactly when the sum matches
-        checks["member_counts_match_formula"] = bool(report.sweep_matches)
+        "member_counts_match_formula": report.sweep_matches,
+    }
     return CommandResult(payload, checks)
 
 
@@ -348,7 +344,7 @@ def _cmd_ekr_search(config: argparse.Namespace) -> CommandResult:
 
 def _cmd_center_map(config: argparse.Namespace) -> CommandResult:
     params, edge = _star(config)
-    result = center_map(params, edge, limit=config.limit_perms)
+    result = center_map(params, edge)
     payload = {
         "command": "center-map",
         "n": params.n,
@@ -559,7 +555,7 @@ OPTIONS: dict[str, dict[str, Any]] = {
         "help": "random permutations to check; 0 forces the exhaustive sweep (auto by size)",
     },
     "--seed": {"type": int, "default": DEFAULT_SEED, "help": "sampling seed"},
-    "--limit-perms": {"type": int, "default": 10, "help": "largest 2n allowed for exhaustive sweeps"},
+    "--limit-perms": {"type": int, "default": 10, "help": "largest 2n for the brute-force oracle"},
     "--pairs": {"help": "sweep instances, e.g. '2:1,3:1,3:2'"},
     "--edge": {"help": "star edge as 'a,b', default 1,2"},
     "--enumerate-max": {
@@ -582,15 +578,15 @@ COMMANDS: dict[str, tuple[str, list[str | tuple[str, str]]]] = {
     "verify-goodness": (
         "check that short cyclic-order intervals are matchings",
         [("--r", "interval length, default n-1"), ("--sigma", "check a single permutation"),
-         "--samples", "--seed", "--limit-perms"],
+         "--samples", "--seed"],
     ),
     "count": (
         "matching counts and the compatibility constant",
-        ["--r", "--pairs", ("--limit-perms", "largest 2n for the brute-force oracle")],
+        ["--r", "--pairs", "--limit-perms"],
     ),
     "double-count": (
         "the counting bound for a star family, with exhaustive sweep",
-        ["--r", "--edge", ("--limit-perms", "largest 2n for the exhaustive sweep")],
+        ["--r", "--edge"],
     ),
     "ekr-search": (
         "exact maximum intersecting family search",
@@ -598,11 +594,11 @@ COMMANDS: dict[str, tuple[str, list[str | tuple[str, str]]]] = {
     ),
     "center-map": (
         "trace every permutation against a star family",
-        ["--r", "--edge", ("--limit-perms", "largest 2n allowed for the sweep")],
+        ["--r", "--edge"],
     ),
     "lemma-identities": (
         "involution and composition identities",
-        [("--sigma", "check a single permutation"), "--j", "--samples", "--seed", "--limit-perms"],
+        [("--sigma", "check a single permutation"), "--j", "--samples", "--seed"],
     ),
     "kneser-cert": ("emit a Hamiltonian-power certificate", ["--sigma", "--k"]),
     "kneser-verify": (
@@ -625,27 +621,21 @@ def _declare_options(parser: argparse.ArgumentParser, name: str) -> None:
         parser.add_argument(flag, **{**OPTIONS[flag], "help": help_text})
 
 
-def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
-    """The top-level parser for argv: every subcommand, with options only for the one argv names.
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser: every subcommand, each with its options.
 
     parse_args falls back to it for whatever one subcommand's parser does
-    not settle alone.  Every subcommand is added, so the top-level usage,
-    help and choice errors list them all, but only the one argv dispatches
-    to gets its options: the first token not starting with "-", since no
-    top-level option takes a value.  The named subcommand keeps its options
-    here, so an "unrecognized arguments" error names only the tokens that
-    subcommand does not take.
+    not settle alone, so it prints the top-level usage, help and choice
+    errors, and an "unrecognized arguments" error names only the tokens
+    the subcommand does not take.
     """
-    named = next((token for token in argv if not token.startswith("-")), None)
     parser = argparse.ArgumentParser(
         prog="ekr-matchings",
         description="Construct and verify intersecting families of matchings in K_{2n}.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     for name, (summary, _) in COMMANDS.items():
-        sub = subparsers.add_parser(name, help=summary)
-        if name == named:
-            _declare_options(sub, name)
+        _declare_options(subparsers.add_parser(name, help=summary), name)
     return parser
 
 
@@ -655,8 +645,8 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
     When argv starts with a subcommand, one parser with that subcommand's
     options reads the rest, the same parse its subparser would make.  Only
     what that leaves to the top level (no subcommand first, or tokens left
-    over) builds build_parser(argv), which prints the top-level usage,
-    help and errors.
+    over) builds build_parser(), which prints the top-level usage, help
+    and errors.
     """
     if argv and argv[0] in COMMANDS:
         parser = argparse.ArgumentParser(prog="ekr-matchings " + argv[0])
@@ -665,7 +655,7 @@ def parse_args(argv: Sequence[str]) -> argparse.Namespace:
         if not rest:
             config.command = argv[0]
             return config
-    return build_parser(argv).parse_args(argv)
+    return build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

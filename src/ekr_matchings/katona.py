@@ -141,7 +141,14 @@ def star_trace_sizes(n: int, r: int) -> tuple[int, ...]:
     fails = [0] * total
     for start in window_repeats(position_pairs(n), 2 * n, r, total):
         fails[start - 1] = 1
-    return tuple(r - sum(fails[(p - k) % total] for k in range(r)) for p in range(total))
+    # the windows covering p start at p-r+1..p, so one running count of the
+    # failing ones gains fails[p] and loses fails[p-r] at each step
+    failing = sum(fails[total - r:])
+    sizes = []
+    for p in range(total):
+        failing += fails[p] - fails[p - r]
+        sizes.append(r - failing)
+    return tuple(sizes)
 
 
 def star_placements(n: int, edge: Edge) -> Iterator[tuple[int, ...]]:
@@ -274,8 +281,8 @@ class DoubleCountReport(NamedTuple):
     q_value: int
     weighted_count: int
     bound: int
-    sweep_total: int | None = None
-    sweep_max_trace: int | None = None
+    sweep_total: int
+    sweep_max_trace: int
 
     @property
     def bound_holds(self) -> bool:
@@ -286,56 +293,47 @@ class DoubleCountReport(NamedTuple):
         return self.weighted_count == self.bound
 
     @property
-    def sweep_matches(self) -> bool | None:
+    def sweep_matches(self) -> bool:
         """Whether the exhaustive sum of trace sizes equals q * |F|."""
-        if self.sweep_total is None:
-            return None
         return self.sweep_total == self.weighted_count
 
     @property
-    def katona_bound_ok(self) -> bool | None:
-        if self.sweep_max_trace is None:
-            return None
+    def katona_bound_ok(self) -> bool:
         return self.sweep_max_trace <= self.r
 
     @property
     def passed(self) -> bool:
-        checks = (self.bound_holds, self.sweep_matches, self.katona_bound_ok)
-        return all(c is not False for c in checks)
+        return self.bound_holds and self.sweep_matches and self.katona_bound_ok
 
 
-def verify_double_count(params: Parameters, edge: Edge, limit: int = 10) -> DoubleCountReport:
-    """Check the double-counting inequality for the star at edge.
+def verify_double_count(params: Parameters, edge: Edge) -> DoubleCountReport:
+    """Check the double-counting inequality for the star at edge, and sweep S_{2n}.
 
-    Always compares q * phi against r * (2n)!.  When 2n <= limit, also
-    sweeps S_{2n}: the sum of the trace sizes must equal q * phi, and no
-    trace may hold more than r members.  edge must be an edge of K_{2n},
-    else ValueError.
+    Compares q * phi against r * (2n)!.  The sweep's sum of trace sizes
+    must equal q * phi, and no trace may hold more than r members.  edge
+    must be an edge of K_{2n}, else ValueError.
 
     The sweep reads the trace size at each cyclic position of the edge
     (star_trace_sizes) and weights it 2(2n-2)!, the number of permutations
-    that put the edge at that position.  With no window repeating a vertex,
-    every trace holds r members, so the sum is r * (2n)!.  The permutations
-    fixing the set edge map the star onto itself and are transitive on it,
-    so each member lies in sum / phi traces, and that equals the closed-form
-    q exactly when the sum equals q * phi.
+    that put the edge at that position, so it costs n(2n-1) steps at any n.
+    With no window repeating a vertex, every trace holds r members, so the
+    sum is r * (2n)!.  The permutations fixing the set edge map the star
+    onto itself and are transitive on it, so each member lies in sum / phi
+    traces, and that equals the closed-form q exactly when the sum equals
+    q * phi.
     """
     n, r = params.n, params.r
     make_edge(edge[0], edge[1], 2 * n)
     q = q_formula(params).formula_value
     size = phi(params)
-    report = DoubleCountReport(
+    sizes = star_trace_sizes(n, r)
+    return DoubleCountReport(
         n=n,
         r=r,
         family_size=size,
         q_value=q,
         weighted_count=q * size,
         bound=r * math.factorial(2 * n),
-    )
-    if 2 * n > limit:
-        return report
-    sizes = star_trace_sizes(n, r)
-    return report._replace(
         sweep_total=sum(sizes) * 2 * math.factorial(2 * n - 2),
         sweep_max_trace=max(sizes),
     )

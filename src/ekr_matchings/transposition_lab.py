@@ -164,7 +164,7 @@ class CenterMap(NamedTuple):
 MAX_RECORDED_VIOLATIONS = 10
 
 
-def center_map(params: Parameters, edge: Edge, limit: int = 10) -> CenterMap:
+def center_map(params: Parameters, edge: Edge) -> CenterMap:
     """The centre of the star at edge's trace at every permutation of S_{2n}.
 
     Each permutation must be saturated (trace size exactly r) with a single
@@ -184,8 +184,6 @@ def center_map(params: Parameters, edge: Edge, limit: int = 10) -> CenterMap:
     n, r = params.n, params.r
     two_n = 2 * n
     edge = make_edge(edge[0], edge[1], two_n)
-    if two_n > limit:
-        raise ValueError(f"2n = {two_n} exceeds the enumeration limit {limit}")
     if r > n - 1:
         raise ValueError(f"tracing needs r <= n-1, got r={r}, n={n}")
     sizes = star_trace_sizes(n, r)

@@ -544,8 +544,16 @@ def test_usage_errors_exit_2(capsys):
     code, out, err = run(capsys, "kneser-verify", "--cert", "/nonexistent/cert.json")
     assert code == 2
 
-    code, out, err = run(capsys, "verify-goodness", "--n", "6", "--samples", "0")
-    assert code == 2  # exhaustive sweep beyond the permutation limit
+    code, payload = run_json(capsys, "verify-goodness", "--n", "6", "--samples", "0")
+    assert (code, payload["mode"], payload["permutations_checked"]) == (0, "exhaustive", math.factorial(12))
+
+
+@pytest.mark.parametrize("command", ["verify-goodness", "lemma-identities"])
+def test_negative_samples_exit_2_with_a_given_sigma(capsys, command):
+    argv = [command, "--n", "3", "--samples", "-4"]
+    expected = (2, "", "error: --samples must be nonnegative, got -4\n")
+    assert run(capsys, *argv) == expected
+    assert run(capsys, *argv, "--sigma", "1,2,3,4,5,6") == expected
 
 
 def test_ekr_search_rejects_a_nan_time_budget(capsys):
@@ -606,13 +614,21 @@ def test_parser_text_is_pinned(capsys, monkeypatch, case):
 
 
 # stdout, stderr and exit code of double-count and center-map, recorded when both
-# built the star and traced one permutation per position of its edge
+# built the star and traced one permutation per position of its edge; the eight argv
+# with --limit-perms or at (7,6) were re-recorded when both commands lost that option
 STAR_REPORTS = json.loads((Path(__file__).parent / "star_reports.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("case", STAR_REPORTS, ids=lambda case: " ".join(case["argv"]))
-def test_star_reports_are_pinned(capsys, case):
-    assert run(capsys, *case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
+def test_star_reports_are_pinned(capsys, monkeypatch, case):
+    # an unrecognized option is an argparse error, whose usage wraps at COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(case["argv"])
+    except SystemExit as stop:
+        code = stop.code
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (case["exit"], case["stdout"], case["stderr"])
 
 
 COUNT_FLAGS = [["-h", "--help"], ["--n"], ["--r"], ["--pairs"], ["--limit-perms"], ["--format"], ["--out"]]
@@ -640,9 +656,9 @@ def test_a_well_formed_call_builds_one_parser(capsys, monkeypatch):
     assert [action.option_strings for action in built[0]._actions] == COUNT_FLAGS
 
 
-def test_parser_declares_only_the_named_subcommand(capsys, monkeypatch):
+def test_fallback_parser_declares_each_subcommands_options(capsys, monkeypatch):
     # a token the subcommand does not take is reported by the top-level parser,
-    # which lists every subcommand but declares options only for the named one
+    # which declares every subcommand with its COMMANDS options
     built = record_parsers(monkeypatch)
     with pytest.raises(SystemExit) as info:
         main(["count", "--n", "3", "--r", "2", "extra"])
@@ -655,7 +671,9 @@ def test_parser_declares_only_the_named_subcommand(capsys, monkeypatch):
     assert list(commands.choices.values()) == subs
     for name, sub in commands.choices.items():
         flags = [action.option_strings for action in sub._actions]
-        assert flags == (COUNT_FLAGS if name == "count" else [["-h", "--help"]])
+        declared = [entry[0] if isinstance(entry, tuple) else entry for entry in cli.COMMANDS[name][1]]
+        assert flags == [["-h", "--help"], ["--n"], *([flag] for flag in declared), ["--format"], ["--out"]]
+        assert (["--limit-perms"] in flags) == (name == "count")
 
 
 @pytest.mark.parametrize(

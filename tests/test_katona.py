@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ekr_matchings.baranyai import (
     Permutation,
     cyclic_order,
+    position_pairs,
     rotation_classes,
     sample_permutations,
 )
@@ -312,25 +313,25 @@ def test_double_count_triangle_not_tight():
 
 
 def test_double_count_rejects_edges_outside_the_graph():
-    # the edge is checked first, so a bad --edge is reported before r and the limit
+    # the edge is checked first, so a bad --edge is reported before r
     for params, edge, message in (
         (Parameters(3, 2), (1, 7), "out of range 1..6"),
         (Parameters(3, 2), (0, 2), "1-based"),
         (Parameters(3, 2), (4, 4), "loops"),
         (Parameters(3, 3), (1, 99), "out of range 1..6"),
+        (Parameters(9, 7), (1, 99), "out of range 1..18"),
     ):
-        for limit in (10, 4):
-            with pytest.raises(ValueError, match=message):
-                verify_double_count(params, edge, limit=limit)
+        with pytest.raises(ValueError, match=message):
+            verify_double_count(params, edge)
 
 
-def test_double_count_without_sweep():
-    # 2n = 6 exceeds the limit, so only the bound is checked
-    params = Parameters(3, 2)
-    report = verify_double_count(params, (3, 4), limit=4)
-    assert report.sweep_total is None
-    assert report.sweep_matches is None
-    assert report.passed  # bound alone
+def test_double_count_sweeps_past_ten_points():
+    # the window scan takes n(2n-1) steps whatever the size of S_{2n}
+    for n, r in ((7, 6), (9, 7)):
+        report = verify_double_count(Parameters(n, r), (3, 2 * n))
+        assert report.sweep_total == r * math.factorial(2 * n) == report.weighted_count
+        assert report.sweep_max_trace == r
+        assert report.passed
 
 
 @settings(max_examples=15, deadline=None)
@@ -413,15 +414,19 @@ def test_star_trace_sizes_match_the_traces_at_each_placement(n):
 
 
 def test_star_trace_sizes_drop_each_failing_window_from_the_positions_it_covers(monkeypatch):
-    n, r = 4, 3
-    total = n * (2 * n - 1)
-    for failing in ([1], [total], [2, 5, 6], list(range(1, total + 1))):
-        monkeypatch.setattr(katona, "window_repeats", lambda *args, failing=failing: failing)
-        covers = {s: {(s - 1 + k) % total for k in range(r)} for s in range(1, total + 1)}
-        expected = tuple(
-            sum(p in covers[s] for s in covers if s not in failing) for p in range(total)
-        )
-        assert star_trace_sizes(n, r) == expected
+    # the running count against the r cells summed at each position, for every
+    # 1 <= r < n <= 12, under the real scan and under scans failing chosen starts
+    real = katona.window_repeats
+    for n in range(2, 13):
+        total = n * (2 * n - 1)
+        for r in range(1, n):
+            for failing in (real(position_pairs(n), 2 * n, r, total), [1], [1, 3], [2, 5, 6], [total],
+                            list(range(1, total + 1))):
+                monkeypatch.setattr(katona, "window_repeats", lambda *args, failing=failing: failing)
+                expected = tuple(
+                    r - sum((p - k) % total + 1 in failing for k in range(r)) for p in range(total)
+                )
+                assert star_trace_sizes(n, r) == expected, (n, r, failing)
 
 
 def not_whole_stars(params):

@@ -153,7 +153,7 @@ def test_composition_identity_sampled_n6():
 
 
 def test_center_map_rejects_edges_outside_the_graph():
-    # the edge is checked first, so a bad --edge is reported before the limit and r
+    # the edge is checked first, so a bad --edge is reported before r
     for params, edge, message in (
         (Parameters(3, 2), (1, 7), "out of range 1..6"),
         (Parameters(3, 2), (0, 2), "1-based"),
@@ -165,10 +165,12 @@ def test_center_map_rejects_edges_outside_the_graph():
             center_map(params, edge)
 
 
-def test_center_map_respects_limit():
-    params = Parameters(3, 2)
-    with pytest.raises(ValueError):
-        center_map(params, (1, 2), limit=4)
+def test_center_map_sweeps_past_ten_points():
+    # the window scan takes n(2n-1) steps whatever the size of S_{2n}
+    for n, r in ((7, 6), (9, 8)):
+        result = center_map(Parameters(n, r), (3, 2 * n))
+        assert result.saturated == result.total == math.factorial(2 * n)
+        assert result.constant_edge == (3, 2 * n)
 
 
 @pytest.mark.parametrize("n,r", [(3, 2), (4, 2)])
