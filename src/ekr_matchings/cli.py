@@ -4,7 +4,8 @@ Every subcommand emits a machine-readable report (json, csv, or text) and
 exits 0 when all claims checked out, 1 when a claim was falsified, 2 on
 usage or input errors, and 3 when a search budget ran out before a proof.
 Exit code 4 is an internal error: an internal consistency check failed
-(ArithmeticError) or a search recursed too deep (RecursionError).  Neither
+(ArithmeticError), or the r nested generators of core.iter_matchings ran
+past Python's recursion limit (RecursionError).  Neither
 says anything about the claims, so neither is reported as falsified; one
 "internal error: ..." line goes to stderr and no report is written.
 Reports never contain wall-clock data, so identical invocations produce
@@ -73,8 +74,6 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 DEFAULT_SEED = 1729
-# auto sampling modes exhaust S_{2n} only up to this many points
-EXHAUSTIVE_CUTOFF = 8
 
 FORMATS = ("json", "csv", "text")
 
@@ -165,19 +164,18 @@ def _over_instances(
 
 
 def _sigma_sample(
-    config: argparse.Namespace, two_n: int, auto_samples: int
+    config: argparse.Namespace, two_n: int
 ) -> tuple[Iterable[tuple[int, ...]], str, int]:
     """Image tuples of the permutations swept, drawn as read, a label, and their count.
 
-    An exhaustive sweep streams one tuple per shift orbit and counts (2n)!.
+    An exhaustive sweep, the default, streams one tuple per shift orbit
+    and counts (2n)!.
     """
     samples = config.samples
-    if samples is not None and samples < 0:
+    if samples < 0:
         raise ValueError(f"--samples must be nonnegative, got {samples}")
     if config.sigma is not None:
         return [_parse_sigma(config.sigma, two_n).images], "given", 1
-    if samples is None:
-        samples = 0 if two_n <= EXHAUSTIVE_CUTOFF else auto_samples
     if samples == 0:
         return rotation_classes(two_n), "exhaustive", math.factorial(two_n)
     return (sigma.images for sigma in sample_permutations(two_n, samples, config.seed)), "sampled", samples
@@ -217,7 +215,7 @@ def _cmd_construct(config: argparse.Namespace) -> CommandResult:
 
 def _cmd_verify_goodness(config: argparse.Namespace) -> CommandResult:
     n = _require_n(config)
-    sigmas, mode, count = _sigma_sample(config, 2 * n, auto_samples=1000)
+    sigmas, mode, count = _sigma_sample(config, 2 * n)
     report = verify_goodness(n, r=config.r)
     payload = {
         "command": "verify-goodness",
@@ -369,7 +367,7 @@ def _cmd_center_map(config: argparse.Namespace) -> CommandResult:
 
 def _cmd_lemma_identities(config: argparse.Namespace) -> CommandResult:
     n = _require_n(config)
-    sigmas, mode, count = _sigma_sample(config, 2 * n, auto_samples=200)
+    sigmas, mode, count = _sigma_sample(config, 2 * n)
     if config.j is not None and not 1 <= config.j <= 2 * n - 1:
         raise ValueError(f"--j {config.j} is outside every identity's index range for n={n}")
     # the outcomes compare position maps only, so they are the same for every sigma
@@ -552,7 +550,8 @@ OPTIONS: dict[str, dict[str, Any]] = {
     "--j": {"type": int, "help": "restrict to one swap index"},
     "--samples": {
         "type": int,
-        "help": "random permutations to check; 0 forces the exhaustive sweep (auto by size)",
+        "default": 0,
+        "help": "random permutations to check; 0, the default, sweeps all of S_{2n}",
     },
     "--seed": {"type": int, "default": DEFAULT_SEED, "help": "sampling seed"},
     "--limit-perms": {"type": int, "default": 10, "help": "largest 2n for the brute-force oracle"},

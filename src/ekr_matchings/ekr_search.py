@@ -4,7 +4,8 @@ The r-matchings of K_{2n} form an intersection graph (vertices are
 matchings, edges join pairs sharing an edge of K_{2n}); an intersecting
 family is a clique.  The search is a branch-and-bound maximum-clique
 solver over bitsets: greedy coloring gives the upper bound at every node
-and a star provides the initial incumbent.
+and a star provides the initial incumbent.  It is one loop over an
+explicit stack (_search), so no clique is too large for Python's stack.
 
 S_{2n} acts transitively on the r-matchings and preserves intersection,
 so every maximum clique has an image through the first matching
@@ -17,13 +18,14 @@ matchings through each edge of K_{2n}) and, per matching, the masks of its
 r edges; a neighbourhood is their union less the matching's own bit.  At
 (8,4) the masks take 2.5 MiB, where adjacency rows would take 3.5 GiB.  Star
 uniqueness asks one more question: is there a clique of size omega
-through v0 whose members share no edge?  A second search looks for one.
-While the family S built so far has a common edge
-e, the clique needs a member avoiding e, so it branches on that member;
-each level loses a common edge, so it nests at most r + 1 levels, and the
-color bound cuts it short, because non-star intersecting families are much
-smaller than stars (Hilton and Milner).  At the first level it branches on
-one member per orbit of the stabiliser of v0 and its least edge.  If there
+through v0 whose members share no edge?  The same loop, started from v0
+with its r edges common, looks for one and stops at the first it finds.
+While the family S built so far has a common edge e, the clique needs a
+member avoiding e, so it branches on that member; each such level loses
+a common edge, so there are at most r + 1 of them, and the color bound
+cuts them short, because non-star intersecting families are much smaller
+than stars (Hilton and Milner).  At the first level it branches on one
+member per orbit of the stabiliser of v0 and its least edge.  If there
 is no such clique, stars go to stars under S_{2n}, so every maximum family
 is a star, and the maximum families are the distinct stars of size omega.
 Their centres follow in closed form (_star_centers), so no matching
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import time
 from collections import Counter
 from functools import reduce
@@ -270,29 +273,77 @@ def _color_order(
     return order, bounds
 
 
-def _expand(
+def _search(
     table: list[tuple[int, ...]],
-    stack: list[int],
+    edge_bits: Sequence[int],
+    clique: list[int],
     candidates: int,
+    common: int,
     best: list[list[int]],
     counter: _Counter,
+    branches: Iterable[tuple[int, int]] | None = None,
 ) -> None:
-    counter.tick()
-    if len(stack) + candidates.bit_count() <= len(best[0]):
-        return
-    order, bounds = _color_order(candidates, table, counter.deadline)
-    for t in range(len(order) - 1, -1, -1):
-        if len(stack) + bounds[t] <= len(best[0]):
+    """Branch and bound for a clique larger than best[0] that extends `clique`.
+
+    Every candidate is adjacent to every member of `clique`, whose members
+    share exactly the edges in the bitmask `common` (bit j for the j-th
+    edge of vertex 0, edge_bits[v] for those of v).  One loop runs over a
+    stack of open frames: a node's clique length, candidates, common edges
+    and pending branches.  Each node ticks the counter, stops if its clique
+    and candidates cannot beat best[0], or, while an edge is common, if its
+    clique already does, and colours its candidates once.  With no common
+    edge it branches from the highest colour down, up to the first colour
+    bound that cannot beat best[0].  While an edge e is common, a clique
+    with no common edge has a member avoiding e: if the top colour can beat
+    best[0], the node branches on each candidate avoiding the least common
+    edge, or at the root on the (candidate, mask to drop after its branch)
+    pairs of `branches`, and drops it after its branch.  A branch that makes
+    the clique larger than best[0] with no common edge is recorded; a search
+    whose root has a common edge stops at its first record.
+    """
+    stop = common != 0
+    frames: list[list] = []
+    while True:
+        counter.tick()
+        size = len(clique)
+        if size + candidates.bit_count() > len(best[0]) and not (common and size > len(best[0])):
+            order, bounds = _color_order(candidates, table, counter.deadline)
+            if not common:
+                branches = zip(reversed(order), reversed(bounds), itertools.repeat(0))
+            else:
+                if branches is None:
+                    e = (common & -common).bit_length() - 1
+                    branches = ((w, 0) for w in _members(candidates ^ (candidates & table[0][e])))
+                top = zip(branches, itertools.repeat(bounds[-1]))  # read now: later nodes rebind `bounds`
+                branches = ((w, bound, dropped) for (w, dropped), bound in top)
+            frames.append([size, candidates, common, branches])
+        branches = None
+        while frames:
+            size, candidates, common, pending = frame = frames[-1]
+            branch = next(pending, None)
+            if branch is None or size + branch[1] <= len(best[0]):
+                frames.pop()
+                continue
+            v, _, dropped = branch
+            candidates ^= 1 << v  # first, so that the union of v's masks needs no clear of bit v
+            narrowed = candidates & reduce(or_, table[v])
+            if dropped:
+                candidates ^= candidates & dropped
+            frame[1] = candidates
+            del clique[size:]
+            clique.append(v)
+            descend = narrowed or common  # every branch of a node with a common edge is a node
+            if common:
+                common &= edge_bits[v]
+            if not common and len(clique) > len(best[0]):
+                best[0] = clique.copy()
+                if stop:
+                    return
+            if descend:
+                candidates = narrowed
+                break
+        else:
             return
-        v = order[t]
-        candidates ^= 1 << v  # first, so that the union of v's masks needs no clear of bit v
-        stack.append(v)
-        narrowed = candidates & reduce(or_, table[v])
-        if narrowed:
-            _expand(table, stack, narrowed, best, counter)
-        elif len(stack) > len(best[0]):
-            best[0] = stack.copy()
-        stack.pop()
 
 
 def _first_level_orbits(
@@ -344,63 +395,6 @@ def _first_level_orbits(
     return orbits
 
 
-def _non_star_clique(
-    table: list[tuple[int, ...]],
-    edge_bits: list[int],
-    family: list[int],
-    candidates: int,
-    common: int,
-    size: int,
-    counter: _Counter,
-    branches: Iterable[tuple[int, int]] | None = None,
-) -> list[int] | None:
-    """A clique of `size` vertices whose members share no edge, or None.
-
-    The clique extends `family`, whose first member is vertex 0 and whose
-    members share exactly the edges in the bitmask `common` (bit j for the
-    j-th edge of vertex 0), by vertices of `candidates`.  While an edge e is
-    common, such a clique has a member avoiding e, so the search branches
-    on each candidate w that avoids the least common edge and drops w from
-    the candidates before the next branch.  Every branch removes an edge
-    from `common`, so the search nests at most r + 1 levels.  `branches`
-    replaces the default branching with (vertex, mask of vertices to drop
-    after its branch) pairs.  Once no edge is common, _expand looks for the
-    rest of the clique inside the candidates.
-    """
-    need = size - len(family)
-    if not common:
-        if need == 0:
-            return family
-        best = [[0] * (need - 1)]  # sentinel: any clique of `need` vertices beats it
-        _expand(table, [], candidates, best, counter)
-        return family + best[0][:need] if len(best[0]) >= need else None
-    counter.tick()
-    if need == 0 or candidates.bit_count() < need:
-        return None
-    _, bounds = _color_order(candidates, table, counter.deadline)
-    if bounds[-1] < need:
-        return None
-    if branches is None:
-        e = (common & -common).bit_length() - 1
-        avoiding = candidates ^ (candidates & table[0][e])
-        # one single-bit mask at a time: a list of them would take |avoiding| |N[v0]|/16 bytes
-        branches = ((w, 1 << w) for w in _members(avoiding))
-    for w, dropped in branches:
-        found = _non_star_clique(
-            table,
-            edge_bits,
-            family + [w],
-            candidates & _neighbours(table, w),
-            common & edge_bits[w],
-            size,
-            counter,
-        )
-        if found is not None:
-            return found
-        candidates ^= candidates & dropped
-    return None
-
-
 def _non_star_through_v0(
     matchings: Sequence[Matching],
     two_n: int,
@@ -423,7 +417,9 @@ def _non_star_through_v0(
     edge_bits = [sum(1 << j for j, e in enumerate(own) if e in m.edges) for m in matchings]
     near = _neighbours(table, 0)
     orbits = _first_level_orbits(matchings, near ^ (near & table[0][0]), two_n, counter.deadline)
-    return _non_star_clique(table, edge_bits, [0], near, edge_bits[0], size, counter, orbits)
+    best = [[0] * (size - 1)]  # sentinel: any family of `size` members beats it
+    _search(table, edge_bits, [0], near, edge_bits[0], best, counter, orbits)
+    return best[0] if len(best[0]) == size else None
 
 
 def max_intersecting(params: Parameters, budget: SearchBudget | None = None) -> EkrReport:
@@ -446,12 +442,15 @@ def max_intersecting(params: Parameters, budget: SearchBudget | None = None) -> 
     re-verified intersecting.  The seed star is listed before the clock is
     first read; the clock is read for the last time by the second search.
     If the deadline passes in the search for every maximum family, the
-    report is budget_exhausted with the best witness and no centres.
+    report is budget_exhausted with the best witness and no centres.  A
+    seed star too large to list, phi > sys.maxsize, is a ValueError.
     """
     if budget is None:
         budget = SearchBudget()
     counter = _Counter(budget)
     phi_value = phi(params)
+    if phi_value > sys.maxsize:
+        raise ValueError(f"the seed star cannot be listed: phi({params.n}, {params.r}) > {sys.maxsize}")
     near = iter_matchings(params, first_matching(params.r))
     # the star at (1, 2) comes first in lexicographic order; it seeds the search and is
     # listed before the clock is read, so that every report has a witness
@@ -466,7 +465,7 @@ def max_intersecting(params: Parameters, budget: SearchBudget | None = None) -> 
         if masks[(1, 2)] != (1 << phi_value) - 1:
             raise ArithmeticError("star seed size does not match phi")
         table = _mask_table(matchings, masks, counter.deadline)
-        _expand(table, [0], _neighbours(table, 0), best, counter)
+        _search(table, [], [0], _neighbours(table, 0), 0, best, counter)
     except _BudgetExceeded:
         status = STATUS_BUDGET
 

@@ -29,10 +29,10 @@ from ekr_matchings.ekr_search import (
     SearchBudget,
     _Counter,
     _edge_masks,
-    _expand,
     _mask_table,
     _neighbours,
     _non_star_through_v0,
+    _search,
 )
 from ekr_matchings.katona import compatible_member_keys, member_windows, trace_center
 
@@ -340,7 +340,7 @@ def full_graph_search(params: Parameters, budget: SearchBudget | None = None) ->
             stars.setdefault(edge, []).append(idx)
     table = _mask_table(matchings, _edge_masks(matchings))
     best = [stars[(1, 2)]]
-    _expand(table, [0], _neighbours(table, 0), best, counter)
+    _search(table, [], [0], _neighbours(table, 0), 0, best, counter)
 
     def family(indices: Sequence[int]) -> MatchingFamily:
         return MatchingFamily(matchings[v] for v in indices)

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -178,14 +179,18 @@ def count_reads(monkeypatch, name, module=cli):
         (("verify-goodness", "--n", "30", "--samples", "1000"), "sampled", 1000),
         (("lemma-identities", "--n", "4", "--samples", "0"), "exhaustive", 40320),
         (("lemma-identities", "--n", "20", "--samples", "1000"), "sampled", 1000),
+        (("verify-goodness", "--n", "5"), "exhaustive", math.factorial(10)),
+        (("lemma-identities", "--n", "6"), "exhaustive", math.factorial(12)),
     ],
 )
 def test_passing_sweeps_read_no_permutation(capsys, monkeypatch, argv, mode, permutations):
-    # the claims do not depend on sigma, so the permutations are only counted
+    # the claims do not depend on sigma, so the permutations are only counted;
+    # without --samples the sweep is exhaustive at any n
     exhaustive = count_reads(monkeypatch, "rotation_classes")
     sampled = count_reads(monkeypatch, "sample_permutations")
     code, payload = run_json(capsys, *argv)
     assert (code, payload["mode"], payload["permutations_checked"]) == (0, mode, permutations)
+    assert payload["seed"] == (cli.DEFAULT_SEED if mode == "sampled" else None)
     assert exhaustive == sampled == []
 
 
@@ -543,6 +548,10 @@ def test_usage_errors_exit_2(capsys):
 
     code, out, err = run(capsys, "kneser-verify", "--cert", "/nonexistent/cert.json")
     assert code == 2
+
+    code, out, err = run(capsys, "ekr-search", "--n", "600", "--r", "600")
+    message = f"error: the seed star cannot be listed: phi(600, 600) > {sys.maxsize}\n"
+    assert (code, out, err) == (2, "", message)
 
     code, payload = run_json(capsys, "verify-goodness", "--n", "6", "--samples", "0")
     assert (code, payload["mode"], payload["permutations_checked"]) == (0, "exhaustive", math.factorial(12))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 import time
 import types
 
@@ -26,12 +27,12 @@ from ekr_matchings.ekr_search import (
     SearchBudget,
     _Counter,
     _edge_masks,
-    _expand,
     _first_level_orbits,
     _mask_table,
     _neighbours,
     _neighbourhood_size,
     _non_star_through_v0,
+    _search,
     intersection_graph,
     is_star,
     kneser_complement_bridge,
@@ -124,7 +125,7 @@ def test_reduced_search_matches_unreduced(n, r):
     matchings = enumerate_matchings(params)
     table = _mask_table(matchings, _edge_masks(matchings))
     best: list[list[int]] = [[]]
-    _expand(table, [], (1 << len(matchings)) - 1, best, _Counter(SearchBudget()))
+    _search(table, [], [], (1 << len(matchings)) - 1, 0, best, _Counter(SearchBudget()))
     naive = naive_matchings(2 * n, r)
     cliques = [
         frozenset(clique)
@@ -268,19 +269,21 @@ def test_first_level_orbits_are_stabiliser_orbits(n, r):
 
 
 def test_non_star_search_nests_at_most_r_plus_one_levels(monkeypatch):
-    inner = ekr_search._non_star_clique
-    depth = deepest = 0
+    # the loop reads edge_bits[v] only on a branch of a node with a common edge,
+    # once v has joined the clique, so the longest clique seen there is the depth
+    search = ekr_search._search
+    deepest = 0
 
-    def tracked(*args, **kwargs):
-        nonlocal depth, deepest
-        depth += 1
-        deepest = max(deepest, depth)
-        try:
-            return inner(*args, **kwargs)
-        finally:
-            depth -= 1
+    def tracked(table, edge_bits, clique, *args):
+        class Recording(list):
+            def __getitem__(self, v):
+                nonlocal deepest
+                deepest = max(deepest, len(clique))
+                return super().__getitem__(v)
 
-    monkeypatch.setattr(ekr_search, "_non_star_clique", tracked)
+        return search(table, Recording(edge_bits), clique, *args)
+
+    monkeypatch.setattr(ekr_search, "_search", tracked)
     for n, r, target in [(3, 2, 3), (4, 3, 10), (4, 4, 7), (5, 4, None)]:
         deepest = 0
         if target is None:
@@ -293,6 +296,21 @@ def test_non_star_search_nests_at_most_r_plus_one_levels(monkeypatch):
         assert 2 <= deepest <= r + 1
         if target == 3:
             assert deepest == r + 1  # the triangle {12 34, 34 56, 12 56} needs every level
+
+
+def test_non_star_search_runs_deeper_than_the_recursion_limit():
+    # the Hilton-Milner size at (5,4): the family found has far more members than frames allowed
+    matchings, table = _graph(Parameters(5, 4))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(100)
+    try:
+        found = _non_star_through_v0(matchings, 10, table, 149, _Counter(SearchBudget()))
+    finally:
+        sys.setrecursionlimit(limit)
+    family = MatchingFamily(matchings[v] for v in found)
+    assert len(family) == 149 and matchings[0] in family
+    assert family.is_intersecting
+    assert is_star(family) is None
 
 
 def test_max_perfect_matchings_single():
