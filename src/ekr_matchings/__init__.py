@@ -3,8 +3,9 @@
 The package builds rotational one-factorizations of K_{2n}, orders their
 edges cyclically, and uses window counting over the symmetric group to
 bound and then pin down the largest families of pairwise-intersecting
-r-matchings.  A small exact search and a Kneser-graph bridge double-check
-the combinatorics on instances where exhaustion is feasible.
+r-matchings.  A small exact search double-checks the combinatorics on
+instances where exhaustion is feasible, and Kneser-graph certificates
+check that the cyclic edge order gives powers of a Hamiltonian cycle.
 """
 
 from .core import (
@@ -61,14 +62,11 @@ from .kneser import (
     verify_ham_power,
 )
 from .ekr_search import (
-    BridgeReport,
     EkrReport,
     SearchBudget,
     intersection_graph,
     is_star,
-    kneser_complement_bridge,
     max_intersecting,
-    verify_theorem,
 )
 
 __version__ = "0.1.0"
@@ -117,13 +115,10 @@ __all__ = [
     "ham_power_certificate",
     "kneser_graph",
     "verify_ham_power",
-    "BridgeReport",
     "EkrReport",
     "SearchBudget",
     "intersection_graph",
     "is_star",
-    "kneser_complement_bridge",
     "max_intersecting",
-    "verify_theorem",
     "__version__",
 ]

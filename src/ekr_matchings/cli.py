@@ -4,10 +4,11 @@ Every subcommand emits a machine-readable report (json, csv, or text) and
 exits 0 when all claims checked out, 1 when a claim was falsified, 2 on
 usage or input errors, and 3 when a search budget ran out before a proof.
 Exit code 4 is an internal error: an internal consistency check failed
-(ArithmeticError), or the r nested generators of core.iter_matchings ran
-past Python's recursion limit (RecursionError).  Neither
-says anything about the claims, so neither is reported as falsified; one
-"internal error: ..." line goes to stderr and no report is written.
+(ArithmeticError), the r nested generators of core.iter_matchings ran
+past Python's recursion limit (RecursionError), or memory ran out
+(MemoryError).  None of them says anything about the claims, so none is
+reported as falsified; one "internal error: ..." line goes to stderr and
+no report is written.
 Reports never contain wall-clock data, so identical invocations produce
 byte-identical output.
 """
@@ -244,7 +245,7 @@ def _count_instance(n: int, r: int, config: argparse.Namespace) -> CommandResult
         row["q_formula"] = count.formula_value
         row["q_split"] = list(count.split)
         if 2 * n <= config.limit_perms:
-            oracle = q_bruteforce(first_matching(r), params, limit=config.limit_perms)
+            oracle = q_bruteforce(first_matching(r), params)
             row["q_oracle"] = oracle
             checks["q_formula_matches_oracle"] = oracle == count.formula_value
         else:
@@ -669,7 +670,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ArithmeticError, RecursionError) as exc:
+    except (ArithmeticError, RecursionError, MemoryError) as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     return code

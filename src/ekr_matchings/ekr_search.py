@@ -42,7 +42,6 @@ import itertools
 import math
 import sys
 import time
-from collections import Counter
 from functools import reduce
 from operator import or_
 from typing import Iterable, Iterator, NamedTuple, Sequence, TypeVar
@@ -54,26 +53,21 @@ from .core import (
     Parameters,
     _Frozen,
     all_edges,
-    chi,
     common_edges,
     first_matching,
     iter_matchings,
     matching_count,
     phi,
 )
-from .kneser import kneser_graph
 # looked up only by the benchmark tracer, see ENTRY_POINTS in bench/spans.py
 from .core import enumerate_matchings  # noqa: F401
 
 __all__ = [
     "SearchBudget",
     "EkrReport",
-    "BridgeReport",
     "intersection_graph",
     "max_intersecting",
     "is_star",
-    "verify_theorem",
-    "kneser_complement_bridge",
 ]
 
 STATUS_PROVEN = "proven"
@@ -155,11 +149,6 @@ class EkrReport(NamedTuple):
     @property
     def maximum_family_count(self) -> int | None:
         return None if self.centers is None else len(self.centers)
-
-    @property
-    def bound_confirmed(self) -> bool:
-        """The search optimum equals the star size phi(n, r)."""
-        return self.proven and self.max_size == self.phi_value
 
 
 T = TypeVar("T")
@@ -279,7 +268,7 @@ def _search(
     clique: list[int],
     candidates: int,
     common: int,
-    best: list[list[int]],
+    best: list[Sequence[int]],
     counter: _Counter,
     branches: Iterable[tuple[int, int]] | None = None,
 ) -> None:
@@ -439,11 +428,13 @@ def max_intersecting(params: Parameters, budget: SearchBudget | None = None) -> 
     _star_centers and the star at (1, 2), the incumbent, as the witness.
     If there is one, the report gives it as the witness, with
     all_maximum_are_stars False and no centres.  Either witness is
-    re-verified intersecting.  The seed star is listed before the clock is
-    first read; the clock is read for the last time by the second search.
-    If the deadline passes in the search for every maximum family, the
-    report is budget_exhausted with the best witness and no centres.  A
-    seed star too large to list, phi > sys.maxsize, is a ValueError.
+    re-verified intersecting.  N[v0] is listed in one pass that reads the
+    clock once per matching; the clock is read for the last time by the
+    second search.  If the deadline passes before the star at (1, 2) is
+    fully listed, the report is budget_exhausted and its witness is the
+    listed part of that star; if it passes later, the report is
+    budget_exhausted with the best witness found, and no centres.  A seed
+    star too large to index, phi > sys.maxsize, is a ValueError.
     """
     if budget is None:
         budget = SearchBudget()
@@ -451,14 +442,12 @@ def max_intersecting(params: Parameters, budget: SearchBudget | None = None) -> 
     phi_value = phi(params)
     if phi_value > sys.maxsize:
         raise ValueError(f"the seed star cannot be listed: phi({params.n}, {params.r}) > {sys.maxsize}")
-    near = iter_matchings(params, first_matching(params.r))
-    # the star at (1, 2) comes first in lexicographic order; it seeds the search and is
-    # listed before the clock is read, so that every report has a witness
-    matchings = list(itertools.islice(near, phi_value))
-    best = [list(range(phi_value))]
+    matchings: list[Matching] = []
+    # the star at (1, 2) is the first phi members of N[v0] in lexicographic order
+    best: list[Sequence[int]] = [range(phi_value)]
     status = STATUS_PROVEN
     try:
-        matchings.extend(_clocked(near, counter.deadline))
+        matchings.extend(_clocked(iter_matchings(params, first_matching(params.r)), counter.deadline))
         if len(matchings) != _neighbourhood_size(params):
             raise ArithmeticError("closed neighbourhood of v0 does not match inclusion-exclusion")
         masks = _edge_masks(matchings, counter.deadline)
@@ -475,9 +464,10 @@ def max_intersecting(params: Parameters, budget: SearchBudget | None = None) -> 
             raise ArithmeticError("witness family is not intersecting")
         return family
 
-    witness = to_family(best[0])
+    # a listing cut short by the deadline leaves the listed part of the star as the witness
+    witness = to_family(best[0][: len(matchings)])
     max_size = len(witness)
-    if max_size < phi_value:
+    if status == STATUS_PROVEN and max_size < phi_value:
         raise ArithmeticError("maximum smaller than the star lower bound")
 
     centers: tuple[Edge, ...] | None = None
@@ -523,97 +513,3 @@ def is_star(family: MatchingFamily) -> Edge | None:
         raise ValueError("empty family")
     common = common_edges(family.members)
     return common[0] if common else None
-
-
-def verify_theorem(params: Parameters, budget: SearchBudget | None = None) -> EkrReport:
-    """Check that stars are the unique maximum intersecting families.
-
-    Requires r <= n-1.  Runs the exact search (with the search for a
-    non-star maximum family unless the caller's budget says otherwise) and
-    returns the report; bound_confirmed and all_maximum_are_stars summarize
-    the claims.
-    """
-    if params.r > params.n - 1:
-        raise ValueError(f"the uniqueness statement needs r <= n-1, got r={params.r}, n={params.n}")
-    if budget is None:
-        budget = SearchBudget(enumerate_all_maximum=True)
-    return max_intersecting(params, budget)
-
-
-class BridgeReport(NamedTuple):
-    """Restatement of the maximum-family result on the Kneser graph side."""
-
-    n: int
-    r: int
-    vertex_count: int
-    independent_set_count: int
-    chi_value: int
-    phi_value: int
-    bijection_ok: bool
-    star_sizes_ok: bool
-    theorem: EkrReport
-
-    @property
-    def strictly_ekr(self) -> bool | None:
-        """Stars attain the maximum and nothing else does, on the complement graph."""
-        uniqueness = self.theorem.all_maximum_are_stars
-        if not self.theorem.proven or uniqueness is None:
-            return None
-        return self.theorem.bound_confirmed and uniqueness
-
-    @property
-    def passed(self) -> bool:
-        return bool(self.bijection_ok and self.star_sizes_ok and self.strictly_ekr)
-
-
-def kneser_complement_bridge(
-    params: Parameters, budget: SearchBudget | None = None
-) -> BridgeReport:
-    """Check the dictionary between r-matchings and the complement of K(2n, 2).
-
-    Independent r-sets of the complement Kneser graph are r-cliques of
-    K(2n, 2), the r-sets of pairwise disjoint pairs, which are exactly the
-    r-matchings of K_{2n}.  One pass over the matchings checks the
-    dictionary without enumerating cliques: the edges of each matching are
-    pairwise adjacent in K(2n, 2), the matchings are distinct and there are
-    chi(n, r) of them, and every vertex of K(2n, 2) lies in phi(n, r) of
-    them.  The maximum-family theorem then reads as the strict EKR property
-    of the complement graph.  The pass has its own deadline from the
-    caller's budget, checked once per matching as the matchings are
-    listed, so the listing itself is clocked; if it passes, the
-    dictionary checks fail and theorem.status is "budget_exhausted".
-    """
-    if params.r > params.n - 1:
-        raise ValueError(f"the bridge needs r <= n-1, got r={params.r}, n={params.n}")
-    theorem = verify_theorem(params, budget)
-    graph = kneser_graph(2 * params.n)
-    deadline = time.monotonic() + (budget or SearchBudget()).max_seconds
-    matchings: list[Matching] = []
-    cliques_ok = True
-    try:
-        for matching in _clocked(iter_matchings(params), deadline):
-            pairs = itertools.combinations(matching.edges, 2)
-            cliques_ok &= all(graph.adjacent(a, b) for a, b in pairs)
-            matchings.append(matching)
-    except _BudgetExceeded:
-        matchings = []
-        theorem = theorem._replace(status=STATUS_BUDGET)
-
-    chi_value = chi(params)
-    phi_value = phi(params)
-    distinct = len({m.edges for m in matchings}) == len(matchings)
-    bijection_ok = cliques_ok and distinct and len(matchings) == chi_value
-    star_sizes = Counter(edge for matching in matchings for edge in matching.edges)
-    star_sizes_ok = [*star_sizes.values()] == [phi_value] * len(graph.vertices)
-
-    return BridgeReport(
-        n=params.n,
-        r=params.r,
-        vertex_count=len(graph.vertices),
-        independent_set_count=len(matchings),
-        chi_value=chi_value,
-        phi_value=phi_value,
-        bijection_ok=bijection_ok,
-        star_sizes_ok=star_sizes_ok,
-        theorem=theorem,
-    )

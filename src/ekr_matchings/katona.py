@@ -228,11 +228,11 @@ def q_formula(params: Parameters) -> CompatibilityCount:
     return CompatibilityCount(formula_value=interior + straddling, split=(interior, straddling))
 
 
-def q_bruteforce(a: Matching, params: Parameters, limit: int = 10) -> int:
+def q_bruteforce(a: Matching, params: Parameters) -> int:
     """Count compatible permutations for a, exhaustively, without listing S_{2n}.
 
-    Refuses to run when 2n exceeds limit (default 10, the size of the
-    largest S_{2n} it stands for).  Whether a is a run of sigma's cyclic
+    It visits (2n)!/((2n-1)(2n-2r)!) placements, so callers bound 2n
+    (the CLI's --limit-perms).  Whether a is a run of sigma's cyclic
     order depends only on the slots sigma gives a's 2r vertices, and each
     of those injective placements is shared by the (2n-2r)! permutations
     that fill the other slots.  Shifting the 2n-1 corners rotates the
@@ -244,8 +244,6 @@ def q_bruteforce(a: Matching, params: Parameters, limit: int = 10) -> int:
     """
     n = params.n
     two_n = 2 * n
-    if two_n > limit:
-        raise ValueError(f"2n = {two_n} exceeds the enumeration limit {limit}")
     if len(a) != params.r:
         raise ValueError(f"matching has {len(a)} edges, expected r = {params.r}")
     if params.r > n - 1:

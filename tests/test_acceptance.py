@@ -6,6 +6,7 @@ permutation sweeps, or seeded samples) and compares against the closed
 forms with exact integer equality.
 """
 
+import itertools
 import math
 import random
 import time
@@ -27,13 +28,13 @@ from ekr_matchings.core import (
 from ekr_matchings.ekr_search import (
     STATUS_PROVEN,
     SearchBudget,
-    kneser_complement_bridge,
     max_intersecting,
 )
 from ekr_matchings.katona import member_windows, q_bruteforce, q_formula, verify_double_count
 from ekr_matchings.kneser import (
     HamPowerCertificate,
     ham_power_certificate,
+    kneser_graph,
     verify_ham_power,
 )
 from ekr_matchings.transposition_lab import center_map, swap_identities
@@ -250,22 +251,24 @@ def test_criterion_09_hamiltonian_powers():
 
 
 def test_criterion_10_kneser_bridge():
+    # independent r-sets of the complement of K(2n, 2) are r-cliques of K(2n, 2), pairwise
+    # disjoint edges of K_{2n}: the r-matchings; the theorem is then the strict EKR
+    # property of the complement graph, whose stars are the phi cliques through a vertex
     start = time.perf_counter()
     problems = []
     for n in (3, 4):
         params = Parameters(n, 2)
-        budget = SearchBudget(max_seconds=300.0, enumerate_all_maximum=True)
-        report = kneser_complement_bridge(params, budget)
-        if not report.bijection_ok:
-            problems.append(f"n={n}: clique/matching bijection failed")
-        if not report.star_sizes_ok:
+        graph = kneser_graph(2 * n)
+        matchings = enumerate_matchings(params)
+        if not all(graph.adjacent(a, b) for m in matchings for a, b in itertools.combinations(m.edges, 2)):
+            problems.append(f"n={n}: a matching is not a clique of K(2n, 2)")
+        if len({m.edges for m in matchings}) != len(matchings) or len(matchings) != chi(params):
+            problems.append(f"n={n}: cliques are not chi distinct matchings")
+        if any(sum(v in m.edges for m in matchings) != phi(params) for v in graph.vertices):
             problems.append(f"n={n}: vertex star sizes differ from phi")
-        # must agree with the direct search of criterion 5
-        direct = max_intersecting(params, budget)
-        if report.theorem.max_size != direct.max_size:
-            problems.append(f"n={n}: bridge max differs from direct search")
-        if report.strictly_ekr is not None and not report.strictly_ekr:
+        report = max_intersecting(params, SearchBudget(max_seconds=300.0, enumerate_all_maximum=True))
+        if report.status != STATUS_PROVEN:
+            problems.append(f"n={n}: search not proven")
+        elif report.max_size != phi(params) or not report.all_maximum_are_stars:
             problems.append(f"n={n}: strict EKR property falsified")
-        if report.theorem.status == STATUS_PROVEN and report.strictly_ekr is not True:
-            problems.append(f"n={n}: proven search without strict EKR confirmation")
     _verdict(10, "kneser complement bridge", problems, time.perf_counter() - start)

@@ -586,7 +586,8 @@ def test_ekr_search_budget_defaults_are_the_search_defaults():
 
 
 @pytest.mark.parametrize(
-    "error", [ArithmeticError("witness family is not intersecting"), RecursionError("too deep")]
+    "error",
+    [ArithmeticError("witness family is not intersecting"), RecursionError("too deep"), MemoryError()],
 )
 def test_internal_errors_exit_4(capsys, monkeypatch, error):
     def fail(*args):

@@ -1,4 +1,4 @@
-"""Exact maximum-family search, the non-star search, and the bridge."""
+"""Exact maximum-family search, the non-star search, and their budgets."""
 
 import itertools
 import math
@@ -8,12 +8,13 @@ import types
 
 import pytest
 
-from ekr_matchings import cli, core, ekr_search
+from ekr_matchings import cli, ekr_search
 from ekr_matchings.core import (
     Matching,
     MatchingFamily,
     Parameters,
     all_edges,
+    chi,
     enumerate_matchings,
     first_matching,
     intersects,
@@ -35,9 +36,7 @@ from ekr_matchings.ekr_search import (
     _search,
     intersection_graph,
     is_star,
-    kneser_complement_bridge,
     max_intersecting,
-    verify_theorem,
 )
 from ekr_matchings.kneser import kneser_graph
 from oracles import full_graph_search, naive_cliques_through, naive_matchings
@@ -320,7 +319,7 @@ def test_max_perfect_matchings_single():
 
 
 def test_enumeration_n3_all_stars():
-    report = verify_theorem(Parameters(3, 2))
+    report = max_intersecting(Parameters(3, 2), SearchBudget(enumerate_all_maximum=True))
     assert report.status == STATUS_PROVEN
     assert report.max_size == 6
     assert report.maximum_family_count == math.comb(6, 2)  # one star per edge of K_6
@@ -348,7 +347,7 @@ def test_degenerate_star_centres(n, r, centers):
 
 def test_enumeration_trivial_r1():
     # 1-matchings intersect only when equal: maxima are the singletons
-    report = verify_theorem(Parameters(3, 1))
+    report = max_intersecting(Parameters(3, 1), SearchBudget(enumerate_all_maximum=True))
     assert report.max_size == 1
     assert report.maximum_family_count == 15
     assert report.all_maximum_are_stars
@@ -382,6 +381,34 @@ def test_deadline_binds_graph_build():
     assert report.status == STATUS_BUDGET
     assert time.monotonic() - start < 1.0
     assert report.max_size == phi(Parameters(7, 4))
+
+
+@pytest.mark.parametrize("k", [0, 1, 11, 209, 210])
+def test_deadline_binds_the_seed_star_listing(monkeypatch, k):
+    # the clock jumps past the deadline as the (k+1)-th matching of N[v0] is listed; the
+    # star at (1, 2) is its first phi(5, 3) = 210 members, and its listed part is the witness
+    params = Parameters(5, 3)
+    budget = SearchBudget(max_seconds=60.0)
+    offset = [0.0]
+    clock = time.monotonic
+    monkeypatch.setattr(ekr_search, "time", types.SimpleNamespace(monotonic=lambda: clock() + offset[0]))
+    listed = ekr_search.iter_matchings
+    pulled = []
+
+    def jumping(params, meeting=None):
+        for matching in listed(params, meeting):
+            if len(pulled) == k:
+                offset[0] = 2 * budget.max_seconds
+            pulled.append(matching)
+            yield matching
+
+    monkeypatch.setattr(ekr_search, "iter_matchings", jumping)
+    report = max_intersecting(params, budget)
+    assert len(pulled) == k + 1  # the deadline is checked once per matching
+    assert report.status == STATUS_BUDGET
+    assert list(report.witness) == pulled[:k]
+    assert report.max_size == k and report.search_nodes == 0
+    assert all((1, 2) in m for m in report.witness)
 
 
 def test_deadline_binds_witness_rechecks(monkeypatch):
@@ -502,101 +529,18 @@ def test_is_star():
         is_star(MatchingFamily([]))
 
 
-def test_verify_theorem_rejects_perfect_matchings():
-    with pytest.raises(ValueError):
-        verify_theorem(Parameters(3, 3))
-
-
 @pytest.mark.parametrize("n,r", [(2, 1), (3, 2), (4, 2), (4, 3), (5, 2)])
 def test_bridge_matches_naive_clique_count(n, r):
+    # the r-matchings of K_{2n} are the r-cliques of the Kneser graph K(2n, 2), whose
+    # vertices are the edges of K_{2n}, adjacent when disjoint; each lies in phi of them
     params = Parameters(n, r)
-    report = kneser_complement_bridge(params)
     graph = kneser_graph(2 * n)
-    naive = sum(
-        all(graph.adjacent(a, b) for a, b in itertools.combinations(clique, 2))
+    naive = {
+        frozenset(clique)
         for clique in itertools.combinations(graph.vertices, r)
-    )
-    assert report.vertex_count == math.comb(2 * n, 2)
-    assert report.independent_set_count == report.chi_value == naive
-    assert report.phi_value == phi(params)
-    assert report.bijection_ok
-    assert report.star_sizes_ok
-    assert report.strictly_ekr
-    assert report.passed
-
-
-def test_bridge_flags_a_broken_dictionary(monkeypatch):
-    # one matching listed twice in place of another: the count holds, distinctness
-    # and the phi matchings per vertex do not
-    params = Parameters(3, 2)
-    theorem = verify_theorem(params)
-    listed = enumerate_matchings(params)
-    broken = [*listed[:-1], listed[0]]
-    monkeypatch.setattr(ekr_search, "verify_theorem", lambda params, budget: theorem)
-    monkeypatch.setattr(ekr_search, "iter_matchings", lambda params: iter(broken))
-    report = kneser_complement_bridge(params)
-    assert report.independent_set_count == report.chi_value
-    assert not report.bijection_ok
-    assert not report.star_sizes_ok
-    assert report.strictly_ekr
-    assert not report.passed
-
-
-def test_bridge_budget_exhaustion(monkeypatch):
-    # the clock jumps past the bridge's deadline at the eleventh matching of its pass
-    params = Parameters(3, 2)
-    budget = SearchBudget(max_seconds=60.0, enumerate_all_maximum=True)
-    theorem = verify_theorem(params, budget)
-    assert theorem.proven
-    monkeypatch.setattr(ekr_search, "verify_theorem", lambda params, budget: theorem)
-    offset = [0.0]
-    clock = time.monotonic
-    monkeypatch.setattr(ekr_search, "time", types.SimpleNamespace(monotonic=lambda: clock() + offset[0]))
-    listed = ekr_search.iter_matchings
-    pulled = []
-
-    def jumping(params):
-        for matching in listed(params):
-            pulled.append(matching)
-            if len(pulled) == 11:
-                offset[0] = 2 * budget.max_seconds
-            yield matching
-
-    monkeypatch.setattr(ekr_search, "iter_matchings", jumping)
-    report = kneser_complement_bridge(params, budget)
-    assert len(pulled) == 11  # the deadline is checked once per matching
-    assert report.theorem.status == STATUS_BUDGET
-    assert not report.bijection_ok
-    assert report.strictly_ekr is None
-    assert not report.passed
-
-
-def test_bridge_listing_runs_under_its_deadline(monkeypatch):
-    # the clock reads far past the deadline from its second reading on, so the
-    # pass stops at the first matching instead of listing all chi(4, 2) = 210
-    params = Parameters(4, 2)
-    theorem = verify_theorem(params)
-    monkeypatch.setattr(ekr_search, "verify_theorem", lambda params, budget: theorem)
-    readings = itertools.count()
-    clock = time.monotonic
-    monkeypatch.setattr(
-        ekr_search,
-        "time",
-        types.SimpleNamespace(monotonic=lambda: clock() + 1e9 * min(next(readings), 1)),
-    )
-    listed = core.iter_matchings
-    pulled = []
-
-    def counted(params, meeting=None):
-        for matching in listed(params, meeting):
-            pulled.append(matching)
-            yield matching
-
-    # enumerate_matchings reads the name in core, the bridge in ekr_search
-    monkeypatch.setattr(core, "iter_matchings", counted)
-    monkeypatch.setattr(ekr_search, "iter_matchings", counted)
-    report = kneser_complement_bridge(params)
-    assert len(pulled) <= 1
-    assert report.theorem.status == STATUS_BUDGET
-    assert report.independent_set_count == 0
-    assert not report.passed
+        if all(graph.adjacent(a, b) for a, b in itertools.combinations(clique, 2))
+    }
+    matchings = enumerate_matchings(params)
+    assert {frozenset(m.edges) for m in matchings} == naive
+    assert len(matchings) == len(naive) == chi(params)
+    assert all(sum(v in m.edges for m in matchings) == phi(params) for v in graph.vertices)

@@ -19,6 +19,7 @@ from ekr_matchings.core import (
     chi,
     common_edges,
     enumerate_matchings,
+    first_matching,
     star_family,
 )
 from ekr_matchings import katona
@@ -228,10 +229,12 @@ def test_q_bruteforce_exhaustive_over_matchings_n3():
 
 
 def test_q_bruteforce_guards():
-    with pytest.raises(ValueError):
-        q_bruteforce(Matching.from_edges([(1, 2)]), Parameters(6, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^matching has 1 edges, expected r = 2$"):
         q_bruteforce(Matching.from_edges([(1, 2)]), Parameters(3, 2))
+    with pytest.raises(ValueError, match=r"^compatibility needs r <= n-1, got r=3, n=3$"):
+        q_bruteforce(first_matching(3), Parameters(3, 3))
+    with pytest.raises(ValueError, match=r"^matching uses vertices outside 1\.\.6$"):
+        q_bruteforce(Matching.from_edges([(1, 8)]), Parameters(3, 1))
 
 
 def test_trace_star_worked_example():
