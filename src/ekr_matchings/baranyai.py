@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import Edge, _Frozen, make_edge
@@ -124,13 +123,13 @@ def rooted_order(sigma: Permutation) -> RootedBaranyaiOrder:
     return RootedBaranyaiOrder(root=sigma(2 * n), parts=parts)
 
 
-@lru_cache(maxsize=None)
 def position_pairs(n: int) -> tuple[tuple[int, int], ...]:
     """0-based image-tuple index pairs feeding each cyclic-order position.
 
     Entry k says the edge at cyclic position k+1 is {images[p], images[q]}
     for any permutation given as its raw image tuple.  The table depends
-    only on n, so it is cached and shared by every sweep over S_{2n}.
+    only on n, so a sweep over S_{2n} builds it once and reads it for
+    every permutation.
     """
     m = 2 * n - 1
     pairs: list[tuple[int, int]] = []
@@ -141,7 +140,6 @@ def position_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-@lru_cache(maxsize=None)
 def slot_positions(n: int) -> tuple[tuple[int, ...], ...]:
     """0-based cyclic position of the edge joining image-tuple slots p and q.
 

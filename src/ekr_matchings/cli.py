@@ -142,26 +142,23 @@ def _instances(config: argparse.Namespace) -> list[tuple[int, int]]:
     return [(config.n, config.r)]
 
 
-def _over_instances(
-    config: argparse.Namespace, command: str, run: Callable[[int, int], CommandResult]
-) -> CommandResult:
+def _over_instances(config: argparse.Namespace, run: Callable[[int, int], CommandResult]) -> CommandResult:
     """Run every requested (n, r) instance and merge the per-instance results.
 
     A single instance reports its row at the top level.  A sweep reports
     the rows under "instances" and suffixes each check name with _n{n}_r{r}.
     """
     results = [(n, r, run(n, r)) for n, r in _instances(config)]
-    exhausted = any(result.budget_exhausted for _, _, result in results)
     if len(results) == 1:
-        result = results[0][2]
-        return CommandResult({"command": command, **result.payload}, result.checks, exhausted)
+        return results[0][2]
     rows = [result.payload for _, _, result in results]
     checks = {
         f"{name}_n{n}_r{r}": ok
         for n, r, result in results
         for name, ok in result.checks.items()
     }
-    return CommandResult({"command": command, "instances": rows}, checks, exhausted)
+    exhausted = any(result.budget_exhausted for _, _, result in results)
+    return CommandResult({"instances": rows}, checks, exhausted)
 
 
 def _sigma_sample(
@@ -203,7 +200,6 @@ def _cmd_construct(config: argparse.Namespace) -> CommandResult:
     covered = [e for part in order.parts for e in part]
     partitioned = lists_each_edge_once(2 * n, covered)
     payload = {
-        "command": "construct",
         "n": n,
         "sigma": list(sigma.images),
         "root": order.root,
@@ -219,7 +215,6 @@ def _cmd_verify_goodness(config: argparse.Namespace) -> CommandResult:
     sigmas, mode, count = _sigma_sample(config, 2 * n)
     report = verify_goodness(n, r=config.r)
     payload = {
-        "command": "verify-goodness",
         "n": n,
         "r": report.r,
         "mode": mode,
@@ -258,7 +253,7 @@ def _count_instance(n: int, r: int, config: argparse.Namespace) -> CommandResult
 
 
 def _cmd_count(config: argparse.Namespace) -> CommandResult:
-    return _over_instances(config, "count", lambda n, r: _count_instance(n, r, config))
+    return _over_instances(config, lambda n, r: _count_instance(n, r, config))
 
 
 def _star(config: argparse.Namespace) -> tuple[Parameters, Edge]:
@@ -276,7 +271,6 @@ def _cmd_double_count(config: argparse.Namespace) -> CommandResult:
     params, edge = _star(config)
     report = verify_double_count(params, edge)
     payload = {
-        "command": "double-count",
         "n": params.n,
         "r": params.r,
         "edge": list(edge),
@@ -338,14 +332,13 @@ def _cmd_ekr_search(config: argparse.Namespace) -> CommandResult:
         max_seconds=config.max_seconds,
         enumerate_all_maximum=config.enumerate_max,
     )
-    return _over_instances(config, "ekr-search", lambda n, r: _search_instance(n, r, budget))
+    return _over_instances(config, lambda n, r: _search_instance(n, r, budget))
 
 
 def _cmd_center_map(config: argparse.Namespace) -> CommandResult:
     params, edge = _star(config)
     result = center_map(params, edge)
     payload = {
-        "command": "center-map",
         "n": params.n,
         "r": params.r,
         "edge": list(edge),
@@ -378,7 +371,6 @@ def _cmd_lemma_identities(config: argparse.Namespace) -> CommandResult:
     for name, _, _ in outcomes:
         counts[name] += count
     payload = {
-        "command": "lemma-identities",
         "n": n,
         "mode": mode,
         "seed": config.seed if mode == "sampled" else None,
@@ -426,7 +418,6 @@ def _cmd_kneser_verify(config: argparse.Namespace) -> CommandResult:
     m = certificate.m if config.n is None else 2 * _require_n(config)
     valid = verify_ham_power(m, certificate)
     payload = {
-        "command": "kneser-verify",
         "m": certificate.m,
         "k": certificate.k,
         "vertices": len(certificate.order),
@@ -523,24 +514,32 @@ def emit_report(payload: dict[str, Any], fmt: str, out: str | None) -> None:
 
 
 def dispatch(config: argparse.Namespace) -> tuple[int, dict[str, Any]]:
-    """Run one subcommand; returns (exit code, report payload)."""
+    """Run one subcommand; returns (exit code, report payload).
+
+    Every report but a bare one is framed here: "command" first, then the
+    handler's fields, its checks, and "passed", true exactly when the exit
+    code is 0, so a search whose budget ran out has not passed.
+    """
     if config.format not in FORMATS:
         raise ValueError(f"unknown format {config.format!r}")
     handler = HANDLERS.get(config.command)
     if handler is None:
         raise ValueError(f"unknown subcommand {config.command!r}")
     result = handler(config)
-    payload = result.payload
-    if not result.bare_payload:
-        payload["checks"] = result.checks
-        payload["passed"] = all(result.checks.values())
-    if result.checks and not all(result.checks.values()):
+    if not all(result.checks.values()):
         code = EXIT_FALSIFIED
     elif result.budget_exhausted:
         code = EXIT_BUDGET
     else:
         code = EXIT_PASS
-    return code, payload
+    if result.bare_payload:
+        return code, result.payload
+    return code, {
+        "command": config.command,
+        **result.payload,
+        "checks": result.checks,
+        "passed": code == EXIT_PASS,
+    }
 
 
 OPTIONS: dict[str, dict[str, Any]] = {

@@ -403,7 +403,9 @@ def _non_star_through_v0(
     image family, still through v0, meets no earlier orbit.
     """
     own = matchings[0].edges
-    edge_bits = [sum(1 << j for j, e in enumerate(own) if e in m.edges) for m in matchings]
+    edge_bits = [
+        sum(1 << j for j, e in enumerate(own) if e in m.edges) for m in _clocked(matchings, counter.deadline)
+    ]
     near = _neighbours(table, 0)
     orbits = _first_level_orbits(matchings, near ^ (near & table[0][0]), two_n, counter.deadline)
     best = [[0] * (size - 1)]  # sentinel: any family of `size` members beats it

@@ -71,7 +71,6 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
 def _window_position_masks(n: int, r: int) -> frozenset[int]:
     """The position mask of each length-r window of the cyclic order.
 

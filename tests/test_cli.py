@@ -337,6 +337,26 @@ def test_ekr_search_budget_exit(capsys):
     assert payload["status"] == "budget_exhausted"
 
 
+@pytest.mark.parametrize("fmt", cli.FORMATS)
+@pytest.mark.parametrize(
+    "argv",
+    [("--n", "5", "--r", "5", "--max-nodes", "5"), ("--n", "5", "--r", "3", "--max-seconds", "1e-9")],
+    ids=" ".join,
+)
+def test_a_budget_exhausted_search_has_not_passed(capsys, argv, fmt):
+    # no check fails, yet nothing was proven: passed is false exactly when the exit code is not 0
+    code, out, err = run(capsys, "ekr-search", *argv, "--format", fmt)
+    assert (code, err) == (cli.EXIT_BUDGET, "")
+    if fmt == "json":
+        payload = json.loads(out)
+        assert (payload["status"], payload["passed"]) == ("budget_exhausted", False)
+    elif fmt == "csv":
+        (row,) = csv.DictReader(io.StringIO(out))
+        assert (row["status"], row["passed"]) == ("budget_exhausted", "False")
+    else:
+        assert "status = budget_exhausted\n" in out and out.endswith("\nRESULT: FAIL\n")
+
+
 def test_ekr_search_non_star_maxima_exit(capsys, planted_non_star):
     code, payload = run_json(
         capsys, "ekr-search", "--n", "3", "--r", "2", "--enumerate-max"

@@ -411,6 +411,36 @@ def test_deadline_binds_the_seed_star_listing(monkeypatch, k):
     assert all((1, 2) in m for m in report.witness)
 
 
+@pytest.mark.parametrize("k", [0, 1, 100])
+def test_deadline_binds_the_edge_bits_pass(monkeypatch, k):
+    # the clock jumps past the deadline as the non-star search's first pass over N[v0],
+    # which gives each matching its common-edge bits, reads the (k+1)-th matching;
+    # the pass stops there, and the non-star search takes no node
+    params = Parameters(5, 3)
+    budget = SearchBudget(max_seconds=60.0, enumerate_all_maximum=True)
+    offset = [0.0]
+    clock = time.monotonic
+    monkeypatch.setattr(ekr_search, "time", types.SimpleNamespace(monotonic=lambda: clock() + offset[0]))
+    read = []
+
+    class Jumping(list):
+        def __iter__(self):
+            for matching in list.__iter__(self):
+                if len(read) == k:
+                    offset[0] = 2 * budget.max_seconds
+                read.append(matching)
+                yield matching
+
+    search = ekr_search._non_star_through_v0
+    monkeypatch.setattr(ekr_search, "_non_star_through_v0", lambda matchings, *args: search(Jumping(matchings), *args))
+    report = max_intersecting(params, budget)
+    assert len(read) == k + 1  # the deadline is checked once per matching
+    assert report.status == STATUS_BUDGET
+    assert report.search_nodes == max_intersecting(params).search_nodes
+    assert report.max_size == phi(params) and is_star(report.witness) == (1, 2)
+    assert report.centers is None and report.all_maximum_are_stars is None
+
+
 def test_deadline_binds_witness_rechecks(monkeypatch):
     # the clock runs out once the non-star search has ended; nothing after it reads
     # the clock, so the report is proven, and only the best witness is re-checked

@@ -144,6 +144,17 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert child.stdout == "[]\n"
 
 
+def test_the_package_root_loads_no_module_and_exports_only_its_version():
+    # each name is imported from its module, so importing the package alone loads none of them
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import ekr_matchings; "
+        "print(sorted(name for name in sys.modules if name.startswith('ekr_matchings.')), ekr_matchings.__all__)"
+    )
+    child = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True)
+    assert child.stdout == "[] ['__version__']\n"
+
+
 # a value, its field names and values, another value of its class, and its repr
 VALUE_TYPES = [
     (Parameters(3, 2), ("n", "r"), (3, 2), Parameters(3, 1), "Parameters(n=3, r=2)"),
