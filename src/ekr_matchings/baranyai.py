@@ -45,8 +45,8 @@ def wrap_index(a: int, modulus: int) -> int:
     """Reduce a to the representative in 1..modulus.
 
     Arithmetic on the 1-based polygon corners goes through this helper so
-    that 0 never appears as a corner; position_pairs works on 0-based
-    tuple slots and reduces with % directly.
+    that 0 never appears as a corner; _parts slices the corners repeated
+    three times instead.
     """
     return (a - 1) % modulus + 1
 
@@ -100,8 +100,8 @@ def baranyai_edge(sigma: Permutation, i: int, j: int) -> Edge:
         raise ValueError(f"part index must be in 1..{m}, got {i}")
     if not 0 <= j <= n - 1:
         raise ValueError(f"edge index must be in 0..{n - 1}, got {j}")
-    p, q = position_pairs(n)[i * n - 1 - j]
-    return make_edge(sigma.images[p], sigma.images[q])
+    part = tuple(next(_parts(sigma.images, i)))
+    return make_edge(*part[n - 1 - j])
 
 
 class RootedBaranyaiOrder(NamedTuple):
@@ -123,21 +123,33 @@ def rooted_order(sigma: Permutation) -> RootedBaranyaiOrder:
     return RootedBaranyaiOrder(root=sigma(2 * n), parts=parts)
 
 
+def _parts(labels: Sequence[int], first: int = 1) -> Iterator[Iterator[tuple[int, int]]]:
+    """The label pairs of parts first, ..., 2n-1 of the rotational partition on 2n labels.
+
+    The last label is the root and the others are the corners 1..2n-1 in
+    order.  Each part is a zip of two slices of the corners repeated three
+    times: with c the part's corner in the middle copy, the pairs are
+    (ring[c+j], ring[c-j]) for j = n-1 down to 1, the chords longest first,
+    then the spoke (ring[c], root).  Parts are built as they are read, so
+    next(_parts(labels, i)) builds part i alone.
+    """
+    n = len(labels) // 2
+    m = 2 * n - 1
+    *corners, root = labels
+    ring = corners * 3
+    for c in range(m + first - 1, 2 * m):
+        yield zip(ring[c + n - 1 : c : -1] + [ring[c]], ring[c - n + 1 : c] + [root])
+
+
 def position_pairs(n: int) -> tuple[tuple[int, int], ...]:
     """0-based image-tuple index pairs feeding each cyclic-order position.
 
     Entry k says the edge at cyclic position k+1 is {images[p], images[q]}
-    for any permutation given as its raw image tuple.  The table depends
-    only on n, so a sweep over S_{2n} builds it once and reads it for
-    every permutation.
+    for any permutation given as its raw image tuple: the parts of _parts
+    on the slots 0..2n-1, concatenated.  The table depends only on n, so a
+    sweep over S_{2n} builds it once and reads it for every permutation.
     """
-    m = 2 * n - 1
-    pairs: list[tuple[int, int]] = []
-    for i in range(m):
-        # part i+1: the chords, longest first, then the spoke to slot 2n-1
-        pairs += [((i + j) % m, (i - j) % m) for j in range(n - 1, 0, -1)]
-        pairs.append((i, m))
-    return tuple(pairs)
+    return tuple(itertools.chain.from_iterable(_parts(range(2 * n))))
 
 
 def slot_positions(n: int) -> tuple[tuple[int, ...], ...]:
@@ -159,16 +171,17 @@ def cyclic_order(sigma: Permutation) -> tuple[Edge, ...]:
     """The cyclic order on the n(2n-1) edges induced by sigma: the canonical edge at each position.
 
     The concatenation of the ordered parts, and the one builder of the
-    cyclic order as edges; rooted_order slices it into parts.  The sweeps
-    read position_pairs themselves: verify_goodness and
-    katona.star_trace_sizes scan its slots with window_repeats, for every
-    sigma at once, and katona.compatible_member_keys, the trace of any
-    family at one sigma, turns each position's two ends into an edge bit.
+    cyclic order as edges; rooted_order slices it into parts.  Each pair of
+    _parts(sigma.images) is canonicalised as it is read, so no position
+    table is built.  The sweeps read position_pairs themselves:
+    verify_goodness and katona.star_trace_sizes scan its slots with
+    window_repeats, for every sigma at once, and
+    katona.compatible_member_keys, the trace of any family at one sigma,
+    turns each position's two ends into an edge bit.
     """
-    images = sigma.images
+    half_order(sigma)  # _parts itself would read an odd-sized sigma without complaint
     return tuple(
-        (a, b) if (a := images[p]) < (b := images[q]) else (b, a)
-        for p, q in position_pairs(half_order(sigma))
+        (a, b) if a < b else (b, a) for a, b in itertools.chain.from_iterable(_parts(sigma.images))
     )
 
 

@@ -374,10 +374,17 @@ def _pieces(value: dict | list | tuple, newline: str) -> Iterator[str]:
 
 
 def _int_rows(rows: list | tuple) -> bool:
-    """True iff every row is a list or tuple of ints only."""
+    """True iff every row is a list or tuple of ints only.
+
+    A first item that is not an int decides at once, so a list of rows of
+    rows (construct's parts) is rejected without reading every row.
+    """
     if not {*map(type, rows)} <= {list, tuple}:
         return False
-    return {*map(type, itertools.chain.from_iterable(rows))} <= {int}
+    items = itertools.chain.from_iterable(rows)
+    if type(next(items, 0)) is not int:
+        return False
+    return {*map(type, items)} <= {int}
 
 
 def _rows_text(rows: list | tuple, newline: str) -> str:

@@ -19,7 +19,7 @@ import math
 from typing import Iterator, NamedTuple
 
 from .core import Edge, Parameters, make_edge
-from .baranyai import Permutation, half_order, position_pairs
+from .baranyai import Permutation, _parts, half_order
 from .katona import star_placements, star_trace_sizes
 # looked up only by the benchmark tracer, see ENTRY_POINTS in bench/spans.py
 from .katona import compatible_member_keys  # noqa: F401
@@ -96,14 +96,15 @@ def swap_identities(sigma: Permutation, j: int | None = None) -> Iterator[tuple[
     j given, only the checks at index j run.  A swap composes sigma with a
     fixed position permutation, so the outcomes do not depend on sigma and
     a sweep over S_{2n} runs the suite once.  The swaps act on sigma's
-    image tuple, and the last part is the last n entries of position_pairs.
+    image tuple, and the last part's slot pairs are the part formula's
+    part 2n-1 on the slots 0..2n-1, built alone.
     """
     n = half_order(sigma)
     if n < 2:
         raise ValueError("swap identities need n >= 2")
     images = sigma.images
     m = 2 * n - 1
-    last_part = position_pairs(n)[-n:]
+    last_part = list(next(_parts(range(2 * n), m)))
 
     def keeps_last_part(k: int) -> bool:
         swapped = _swap(images, (k, m - k))

@@ -26,7 +26,7 @@ from ekr_matchings.baranyai import (
     wrap_index,
 )
 from ekr_matchings.cli import _first_failures
-from ekr_matchings.core import all_edges
+from ekr_matchings.core import all_edges, make_edge
 
 from oracles import naive_cyclic_sequence, naive_goodness_failures, naive_position_pairs
 
@@ -135,6 +135,31 @@ def test_slot_positions_inverts_position_pairs():
 def test_position_pairs_match_the_circle_formula():
     for n in range(1, 41):
         assert position_pairs(n) == naive_position_pairs(n)
+
+
+def test_cyclic_order_and_rooted_order_agree_with_position_pairs():
+    # cyclic_order reads the part formula on sigma's images, the sweeps read it on slots
+    rng = random.Random(34)
+    for n in range(1, 31):
+        images = list(range(1, 2 * n + 1))
+        rng.shuffle(images)
+        sigma = Permutation(tuple(images))
+        psi = cyclic_order(sigma)
+        assert psi == tuple(make_edge(images[p], images[q]) for p, q in position_pairs(n))
+        parts = rooted_order(sigma).parts
+        assert tuple(itertools.chain.from_iterable(parts)) == psi
+        if n <= 8:
+            for i in range(1, 2 * n):
+                assert [baranyai_edge(sigma, i, j) for j in range(n - 1, -1, -1)] == list(parts[i - 1])
+
+
+@pytest.mark.parametrize("images", [(1,), (1, 2, 3), (2, 5, 1, 4, 3)])
+def test_odd_sized_permutations_have_no_rotational_order(images):
+    sigma = Permutation(images)
+    with pytest.raises(ValueError, match="2n points"):
+        cyclic_order(sigma)
+    with pytest.raises(ValueError, match="2n points"):
+        rooted_order(sigma)
 
 
 def test_short_intervals_are_matchings_identity():

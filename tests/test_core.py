@@ -278,6 +278,8 @@ _json_trees = st.recursive(
 @example([[], ()])
 @example({1: [[-(10**50), 10**50]], 2.5: {}, True: [], None: ()})
 @example({"rows": [[1, 2], [3], [], (4, 5, 6), [7, 8], [9], (10, 11)]})
+@example([[[1, 2], [3, 4]], [(5, 6)], [], [[7, 8], [9, 10], [11, 12]]])
+@example([[1, 2], [[3, 4]], [5, 6], [7, [8]]])
 def test_dumps_indented_matches_json(value):
     # the pieces of iter_indented, joined, are exactly json.dumps(value, indent=2)
     expected = json.dumps(value, indent=2)
