@@ -26,29 +26,17 @@ __all__ = [
     "Permutation",
     "RootedBaranyaiOrder",
     "GoodnessReport",
-    "wrap_index",
     "half_order",
     "baranyai_edge",
     "rooted_order",
     "cyclic_order",
     "position_pairs",
-    "slot_positions",
     "shift",
     "verify_goodness",
     "all_permutations",
     "rotation_classes",
     "sample_permutations",
 ]
-
-
-def wrap_index(a: int, modulus: int) -> int:
-    """Reduce a to the representative in 1..modulus.
-
-    Arithmetic on the 1-based polygon corners goes through this helper so
-    that 0 never appears as a corner; _parts slices the corners repeated
-    three times instead.
-    """
-    return (a - 1) % modulus + 1
 
 
 class Permutation(_Frozen):
@@ -152,21 +140,6 @@ def position_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(itertools.chain.from_iterable(_parts(range(2 * n))))
 
 
-def slot_positions(n: int) -> tuple[tuple[int, ...], ...]:
-    """0-based cyclic position of the edge joining image-tuple slots p and q.
-
-    The inverse of position_pairs: entry [p][q] == [q][p] is k exactly when
-    position_pairs(n)[k] is (p, q) or (q, p); the diagonal holds -1.  The
-    edge {u, v} of a permutation sits at position [slot of u][slot of v],
-    whatever the permutation, so this is the one table that locates edges.
-    """
-    two_n = 2 * n
-    table = [[-1] * two_n for _ in range(two_n)]
-    for k, (p, q) in enumerate(position_pairs(n)):
-        table[p][q] = table[q][p] = k
-    return tuple(map(tuple, table))
-
-
 def cyclic_order(sigma: Permutation) -> tuple[Edge, ...]:
     """The cyclic order on the n(2n-1) edges induced by sigma: the canonical edge at each position.
 
@@ -188,16 +161,16 @@ def cyclic_order(sigma: Permutation) -> tuple[Edge, ...]:
 def shift(pi: Permutation, c: int) -> Permutation:
     """Rotate the polygon positions of pi forward by c, fixing the root.
 
-    The result pi_c satisfies pi_c(i) = pi(i + c) for i in 1..2n-1 (wrapped)
-    and pi_c(2n) = pi(2n).  Part i of the shifted permutation equals part
-    i + c of the original, including the internal edge order.
+    The result pi_c satisfies pi_c(i) = pi(i + c) for i in 1..2n-1, taken
+    modulo 2n-1 with representatives 1..2n-1, and pi_c(2n) = pi(2n): the
+    corners are sliced at c, the way _parts reads them.  Part i of the
+    shifted permutation equals part i + c of the original, including the
+    internal edge order.
     """
-    n = half_order(pi)
-    m = 2 * n - 1
+    m = 2 * half_order(pi) - 1
     if not 1 <= c <= m:
         raise ValueError(f"shift offset must be in 1..{m}, got {c}")
-    images = tuple(pi(wrap_index(i + c, m)) for i in range(1, m + 1)) + (pi(2 * n),)
-    return Permutation(images)
+    return Permutation(pi.images[c:m] + pi.images[:c] + pi.images[m:])
 
 
 def window_repeats(pairs: Sequence[tuple[int, int]], labels: int, width: int, cap: int) -> list[int]:

@@ -426,19 +426,6 @@ def _cmd_kneser_verify(config: argparse.Namespace) -> CommandResult:
     return CommandResult(payload, {"power_certified": valid})
 
 
-HANDLERS: dict[str, Callable[[argparse.Namespace], CommandResult]] = {
-    "construct": _cmd_construct,
-    "verify-goodness": _cmd_verify_goodness,
-    "count": _cmd_count,
-    "double-count": _cmd_double_count,
-    "ekr-search": _cmd_ekr_search,
-    "center-map": _cmd_center_map,
-    "lemma-identities": _cmd_lemma_identities,
-    "kneser-cert": _cmd_kneser_cert,
-    "kneser-verify": _cmd_kneser_verify,
-}
-
-
 def _flatten_cell(value: Any) -> Any:
     if value is None:
         return ""
@@ -522,10 +509,9 @@ def dispatch(config: argparse.Namespace) -> tuple[int, dict[str, Any]]:
     """
     if config.format not in FORMATS:
         raise ValueError(f"unknown format {config.format!r}")
-    handler = HANDLERS.get(config.command)
-    if handler is None:
+    if config.command not in COMMANDS:
         raise ValueError(f"unknown subcommand {config.command!r}")
-    result = handler(config)
+    result = COMMANDS[config.command][0](config)
     if not all(result.checks.values()):
         code = EXIT_FALSIFIED
     elif result.budget_exhausted:
@@ -572,35 +558,44 @@ OPTIONS: dict[str, dict[str, Any]] = {
     "--format": {"choices": FORMATS, "default": "json", "help": "report format"},
     "--out": {"help": "write the report to this file"},
 }
-COMMANDS: dict[str, tuple[str, list[str | tuple[str, str]]]] = {
-    "construct": ("rotational partition and cyclic edge order", ["--sigma", "--c"]),
+COMMANDS: dict[
+    str, tuple[Callable[[argparse.Namespace], CommandResult], str, list[str | tuple[str, str]]]
+] = {
+    "construct": (_cmd_construct, "rotational partition and cyclic edge order", ["--sigma", "--c"]),
     "verify-goodness": (
+        _cmd_verify_goodness,
         "check that short cyclic-order intervals are matchings",
         [("--r", "interval length, default n-1"), ("--sigma", "check a single permutation"),
          "--samples", "--seed"],
     ),
     "count": (
+        _cmd_count,
         "matching counts and the compatibility constant",
         ["--r", "--pairs", "--limit-perms"],
     ),
     "double-count": (
+        _cmd_double_count,
         "the counting bound for a star family, with exhaustive sweep",
         ["--r", "--edge"],
     ),
     "ekr-search": (
+        _cmd_ekr_search,
         "exact maximum intersecting family search",
         ["--r", "--pairs", "--enumerate-max", "--max-nodes", "--max-seconds"],
     ),
     "center-map": (
+        _cmd_center_map,
         "trace every permutation against a star family",
         ["--r", "--edge"],
     ),
     "lemma-identities": (
+        _cmd_lemma_identities,
         "involution and composition identities",
         [("--sigma", "check a single permutation"), "--j", "--samples", "--seed"],
     ),
-    "kneser-cert": ("emit a Hamiltonian-power certificate", ["--sigma", "--k"]),
+    "kneser-cert": (_cmd_kneser_cert, "emit a Hamiltonian-power certificate", ["--sigma", "--k"]),
     "kneser-verify": (
+        _cmd_kneser_verify,
         "verify a Hamiltonian-power certificate",
         ["--cert", ("--sigma", "generate from this permutation instead"), "--k"],
     ),
@@ -611,11 +606,11 @@ def _declare_options(parser: argparse.ArgumentParser, name: str) -> None:
     """Declare subcommand name's options on parser: --n, its COMMANDS flags, --format, --out.
 
     OPTIONS declares each flag once.  COMMANDS gives each subcommand its
-    summary and the other flags it takes; a (flag, help) entry keeps the
-    flag's declaration and gives it that subcommand's help text.  Argparse
-    derives each dest from the flag.
+    handler, its summary and the other flags it takes; a (flag, help)
+    entry keeps the flag's declaration and gives it that subcommand's help
+    text.  Argparse derives each dest from the flag.
     """
-    for entry in ["--n", *COMMANDS[name][1], "--format", "--out"]:
+    for entry in ["--n", *COMMANDS[name][2], "--format", "--out"]:
         flag, help_text = entry if isinstance(entry, tuple) else (entry, OPTIONS[entry]["help"])
         parser.add_argument(flag, **{**OPTIONS[flag], "help": help_text})
 
@@ -633,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct and verify intersecting families of matchings in K_{2n}.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, _) in COMMANDS.items():
+    for name, (_, summary, _) in COMMANDS.items():
         _declare_options(subparsers.add_parser(name, help=summary), name)
     return parser
 
@@ -663,10 +658,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code, payload = dispatch(config)
         emit_report(payload, config.format, config.out)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ArithmeticError, RecursionError, MemoryError) as exc:

@@ -20,11 +20,13 @@ r edges; a neighbourhood is their union less the matching's own bit.  At
 uniqueness asks one more question: is there a clique of size omega
 through v0 whose members share no edge?  The same loop, started from v0
 with its r edges common, looks for one and stops at the first it finds.
-While the family S built so far has a common edge e, the clique needs a
-member avoiding e, so it branches on that member; each such level loses
-a common edge, so there are at most r + 1 of them, and the color bound
-cuts them short, because non-star intersecting families are much smaller
-than stars (Hilton and Milner).  At the first level it branches on one
+It keeps the common edges as their masks, v0's entries of the table, so
+a new member v keeps the masks that hold v.  While the family S built so
+far has a common edge e, the clique needs a member avoiding e, so it
+branches on that member; each such level loses a common edge, so there
+are at most r + 1 of them, and the color bound cuts them short, because
+non-star intersecting families are much smaller than stars (Hilton and
+Milner).  At the first level it branches on one
 member per orbit of the stabiliser of v0 and its least edge.  If there
 is no such clique, stars go to stars under S_{2n}, so every maximum family
 is a star, and the maximum families are the distinct stars of size omega.
@@ -264,10 +266,9 @@ def _color_order(
 
 def _search(
     table: list[tuple[int, ...]],
-    edge_bits: Sequence[int],
     clique: list[int],
     candidates: int,
-    common: int,
+    common: tuple[int, ...],
     best: list[Sequence[int]],
     counter: _Counter,
     branches: Iterable[tuple[int, int]] | None = None,
@@ -275,22 +276,24 @@ def _search(
     """Branch and bound for a clique larger than best[0] that extends `clique`.
 
     Every candidate is adjacent to every member of `clique`, whose members
-    share exactly the edges in the bitmask `common` (bit j for the j-th
-    edge of vertex 0, edge_bits[v] for those of v).  One loop runs over a
-    stack of open frames: a node's clique length, candidates, common edges
-    and pending branches.  Each node ticks the counter, stops if its clique
-    and candidates cannot beat best[0], or, while an edge is common, if its
-    clique already does, and colours its candidates once.  With no common
-    edge it branches from the highest colour down, up to the first colour
-    bound that cannot beat best[0].  While an edge e is common, a clique
-    with no common edge has a member avoiding e: if the top colour can beat
-    best[0], the node branches on each candidate avoiding the least common
-    edge, or at the root on the (candidate, mask to drop after its branch)
-    pairs of `branches`, and drops it after its branch.  A branch that makes
-    the clique larger than best[0] with no common edge is recorded; a search
-    whose root has a common edge stops at its first record.
+    share exactly the edges of vertex 0 whose masks, entries of table[0]
+    least edge first, are in `common`, so the least common edge's mask is
+    common[0].  One loop runs over a stack of open frames: a node's clique
+    length, candidates, common edges and pending branches.  Each node
+    ticks the counter, stops if its clique and candidates cannot beat
+    best[0], or, while an edge is common, if its clique already does, and
+    colours its candidates once.  With no common edge it branches from the
+    highest colour down, up to the first colour bound that cannot beat
+    best[0].  While an edge e is common, a clique with no common edge has a
+    member avoiding e: if the top colour can beat best[0], the node
+    branches on each candidate avoiding the least common edge, or at the
+    root on the (candidate, mask to drop after its branch) pairs of
+    `branches`, and drops it after its branch.  A branch on v keeps the
+    common masks that hold v.  A branch that makes the clique larger than
+    best[0] with no common edge is recorded; a search whose root has a
+    common edge stops at its first record.
     """
-    stop = common != 0
+    stop = bool(common)
     frames: list[list] = []
     while True:
         counter.tick()
@@ -301,8 +304,7 @@ def _search(
                 branches = zip(reversed(order), reversed(bounds), itertools.repeat(0))
             else:
                 if branches is None:
-                    e = (common & -common).bit_length() - 1
-                    branches = ((w, 0) for w in _members(candidates ^ (candidates & table[0][e])))
+                    branches = ((w, 0) for w in _members(candidates ^ (candidates & common[0])))
                 top = zip(branches, itertools.repeat(bounds[-1]))  # read now: later nodes rebind `bounds`
                 branches = ((w, bound, dropped) for (w, dropped), bound in top)
             frames.append([size, candidates, common, branches])
@@ -323,7 +325,7 @@ def _search(
             clique.append(v)
             descend = narrowed or common  # every branch of a node with a common edge is a node
             if common:
-                common &= edge_bits[v]
+                common = tuple(star for star in common if star >> v & 1)
             if not common and len(clique) > len(best[0]):
                 best[0] = clique.copy()
                 if stop:
@@ -390,11 +392,11 @@ def _non_star_through_v0(
     table: list[tuple[int, ...]],
     size: int,
     counter: _Counter,
-) -> list[int] | None:
+) -> Sequence[int] | None:
     """An intersecting family of `size` matchings with v0 = matchings[0] and no common edge.
 
-    Only edges of v0 can be common, so bit j of a common-edge mask stands
-    for the j-th edge of v0, and e1 = (1, 2) is bit 0.  A non-star family
+    Only edges of v0 can be common, so the search starts with all of
+    table[0] common, and e1 = (1, 2) is the first.  A non-star family
     through v0 has a member avoiding e1; at the first level the search
     branches on one member per orbit of Stab(v0, e1) and drops the whole
     orbit after its branch.  This is orbital branching: if i is the least
@@ -402,14 +404,10 @@ def _non_star_through_v0(
     stabiliser moves that member to the orbit's representative, and the
     image family, still through v0, meets no earlier orbit.
     """
-    own = matchings[0].edges
-    edge_bits = [
-        sum(1 << j for j, e in enumerate(own) if e in m.edges) for m in _clocked(matchings, counter.deadline)
-    ]
     near = _neighbours(table, 0)
     orbits = _first_level_orbits(matchings, near ^ (near & table[0][0]), two_n, counter.deadline)
-    best = [[0] * (size - 1)]  # sentinel: any family of `size` members beats it
-    _search(table, edge_bits, [0], near, edge_bits[0], best, counter, orbits)
+    best: list[Sequence[int]] = [range(size - 1)]  # sentinel: any family of `size` members beats it
+    _search(table, [0], near, table[0], best, counter, orbits)
     return best[0] if len(best[0]) == size else None
 
 
@@ -456,7 +454,7 @@ def max_intersecting(params: Parameters, budget: SearchBudget | None = None) -> 
         if masks[(1, 2)] != (1 << phi_value) - 1:
             raise ArithmeticError("star seed size does not match phi")
         table = _mask_table(matchings, masks, counter.deadline)
-        _search(table, [], [0], _neighbours(table, 0), 0, best, counter)
+        _search(table, [0], _neighbours(table, 0), (), best, counter)
     except _BudgetExceeded:
         status = STATUS_BUDGET
 

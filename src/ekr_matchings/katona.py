@@ -6,7 +6,7 @@ run of r consecutive edges in the cyclic order for sigma.  Because every
 edge occurs exactly once in the cyclic order, A occupies a fixed set of r
 positions and is compatible iff those positions are consecutive, so each
 matching matches at most one interval.  The position of an edge depends
-only on the slots sigma gives its two ends (baranyai.slot_positions), so
+only on the slots sigma gives its two ends (baranyai.position_pairs), so
 the q oracle (q_bruteforce below) decides compatibility from the slots of
 A's vertices alone: A's positions form a bitmask, and A is compatible
 exactly when that mask is one of the n(2n-1) window masks.
@@ -55,7 +55,7 @@ from functools import lru_cache, reduce
 from typing import Iterable, Iterator, NamedTuple
 
 from .core import Edge, Matching, Parameters, _Frozen, all_edges, make_edge, phi
-from .baranyai import position_pairs, slot_positions, window_repeats
+from .baranyai import position_pairs, window_repeats
 
 __all__ = [
     "CompatibilityCount",
@@ -238,8 +238,10 @@ def q_bruteforce(a: Matching, params: Parameters) -> int:
     cyclic order by whole parts, so the verdict is constant on each shift
     orbit of placements, and every orbit has 2n-1 members because a
     placement puts a vertex on a corner.  So q = (2n-1) * (2n-2r)! times
-    the number of compatible orbit representatives, which are read off
-    slot_positions and tested against the window masks.
+    the number of compatible orbit representatives.  Each slot pair of
+    position_pairs(n) gets the bit of its position, so a representative's
+    positions are the OR of its r pairs' bits, tested against the window
+    masks.
     """
     n = params.n
     two_n = 2 * n
@@ -249,7 +251,9 @@ def q_bruteforce(a: Matching, params: Parameters) -> int:
         raise ValueError(f"compatibility needs r <= n-1, got r={params.r}, n={n}")
     if any(v > two_n for _, v in a.edges):
         raise ValueError(f"matching uses vertices outside 1..{two_n}")
-    bits = [[1 << k if k >= 0 else 0 for k in row] for row in slot_positions(n)]
+    bits = [[0] * two_n for _ in range(two_n)]
+    for k, (p, q) in enumerate(position_pairs(n)):
+        bits[p][q] = bits[q][p] = 1 << k
     windows = _window_position_masks(n, params.r)
     pairs = range(0, 2 * params.r - 2, 2)
     # one placement per shift orbit: a corner u1 is rotated to slot 0, and

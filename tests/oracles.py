@@ -2,8 +2,7 @@
 
 Everything here recomputes results straight from definitions with
 itertools and sets, sharing no logic with the package internals, except
-wrap_index, the 1..m reduction the circle construction is written in,
-and three routines.  full_graph_search runs the package's own search
+three routines.  full_graph_search runs the package's own search
 routines on the graph of every matching, so that it pins exactly what
 narrowing the graph to N[v0] may change; it files the stars by index
 itself.  trace reads one family at one permutation through the
@@ -21,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from ekr_matchings.baranyai import Permutation, half_order, wrap_index
+from ekr_matchings.baranyai import Permutation, half_order
 from ekr_matchings.core import Edge, Matching, MatchingFamily, Parameters, enumerate_matchings, phi
 from ekr_matchings.ekr_search import (
     STATUS_PROVEN,
@@ -82,7 +81,7 @@ def naive_position_pairs(n: int) -> tuple[tuple[int, int], ...]:
     pairs: list[tuple[int, int]] = []
     for i in range(1, m + 1):
         for j in range(n - 1, 0, -1):
-            pairs.append((wrap_index(i + j, m) - 1, wrap_index(i - j + 2 * n - 1, m) - 1))
+            pairs.append(((i + j - 1) % m, (i - j + 2 * n - 2) % m))  # position p in 1..m is slot p - 1
         pairs.append((i - 1, 2 * n - 1))
     return tuple(pairs)
 
@@ -340,7 +339,7 @@ def full_graph_search(params: Parameters, budget: SearchBudget | None = None) ->
             stars.setdefault(edge, []).append(idx)
     table = _mask_table(matchings, _edge_masks(matchings))
     best = [stars[(1, 2)]]
-    _search(table, [], [0], _neighbours(table, 0), 0, best, counter)
+    _search(table, [0], _neighbours(table, 0), (), best, counter)
 
     def family(indices: Sequence[int]) -> MatchingFamily:
         return MatchingFamily(matchings[v] for v in indices)

@@ -20,10 +20,8 @@ from ekr_matchings.baranyai import (
     rotation_classes,
     sample_permutations,
     shift,
-    slot_positions,
     verify_goodness,
     window_repeats,
-    wrap_index,
 )
 from ekr_matchings.cli import _first_failures
 from ekr_matchings.core import all_edges, make_edge
@@ -33,18 +31,6 @@ from oracles import naive_cyclic_sequence, naive_goodness_failures, naive_positi
 
 def permutations_of(two_n):
     return st.permutations(list(range(1, two_n + 1))).map(lambda p: Permutation(tuple(p)))
-
-
-def test_wrap_index_never_zero():
-    m = 5
-    assert wrap_index(1, m) == 1
-    assert wrap_index(5, m) == 5
-    assert wrap_index(6, m) == 1
-    assert wrap_index(0, m) == 5
-    assert wrap_index(-4, m) == 1
-    assert wrap_index(-5, m) == 5
-    for a in range(-20, 21):
-        assert 1 <= wrap_index(a, m) <= m
 
 
 def test_permutation_basics():
@@ -123,18 +109,13 @@ def test_cyclic_order_worked_position():
     assert cyclic_order(Permutation.identity(6))[12:14] == ((2, 3), (1, 4))
 
 
-def test_slot_positions_inverts_position_pairs():
-    for n in range(1, 7):
-        table = slot_positions(n)
-        pairs = position_pairs(n)
-        assert [table[p][q] for p, q in pairs] == list(range(n * (2 * n - 1)))
-        assert [table[q][p] for p, q in pairs] == list(range(n * (2 * n - 1)))
-        assert [table[s][s] for s in range(2 * n)] == [-1] * (2 * n)
-
-
 def test_position_pairs_match_the_circle_formula():
     for n in range(1, 41):
         assert position_pairs(n) == naive_position_pairs(n)
+    # every pair of distinct slots is the ends of exactly one position
+    for n in range(1, 7):
+        ends = sorted(tuple(sorted(pair)) for pair in position_pairs(n))
+        assert ends == list(itertools.combinations(range(2 * n), 2))
 
 
 def test_cyclic_order_and_rooted_order_agree_with_position_pairs():

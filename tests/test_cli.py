@@ -534,7 +534,7 @@ JSON_REPORTS = [
 
 
 def test_json_reports_cover_every_subcommand():
-    assert {argv[0] for argv in JSON_REPORTS} == set(cli.HANDLERS)
+    assert {argv[0] for argv in JSON_REPORTS} == set(cli.COMMANDS)
 
 
 @pytest.mark.parametrize("argv", JSON_REPORTS, ids=" ".join)
@@ -701,7 +701,7 @@ def test_fallback_parser_declares_each_subcommands_options(capsys, monkeypatch):
     assert list(commands.choices.values()) == subs
     for name, sub in commands.choices.items():
         flags = [action.option_strings for action in sub._actions]
-        declared = [entry[0] if isinstance(entry, tuple) else entry for entry in cli.COMMANDS[name][1]]
+        declared = [entry[0] if isinstance(entry, tuple) else entry for entry in cli.COMMANDS[name][2]]
         assert flags == [["-h", "--help"], ["--n"], *([flag] for flag in declared), ["--format"], ["--out"]]
         assert (["--limit-perms"] in flags) == (name == "count")
 

@@ -124,7 +124,7 @@ def test_reduced_search_matches_unreduced(n, r):
     matchings = enumerate_matchings(params)
     table = _mask_table(matchings, _edge_masks(matchings))
     best: list[list[int]] = [[]]
-    _search(table, [], [], (1 << len(matchings)) - 1, 0, best, _Counter(SearchBudget()))
+    _search(table, [], (1 << len(matchings)) - 1, (), best, _Counter(SearchBudget()))
     naive = naive_matchings(2 * n, r)
     cliques = [
         frozenset(clique)
@@ -268,21 +268,28 @@ def test_first_level_orbits_are_stabiliser_orbits(n, r):
 
 
 def test_non_star_search_nests_at_most_r_plus_one_levels(monkeypatch):
-    # the loop reads edge_bits[v] only on a branch of a node with a common edge,
-    # once v has joined the clique, so the longest clique seen there is the depth
-    search = ekr_search._search
+    # inside the loop, _members lists the candidates avoiding the least common edge
+    # once per non-root node with a common edge, and each of their branches puts one
+    # more member in that node's clique, so the longest clique so made is the depth
+    search, members = ekr_search._search, ekr_search._members
+    running = []
     deepest = 0
 
-    def tracked(table, edge_bits, clique, *args):
-        class Recording(list):
-            def __getitem__(self, v):
-                nonlocal deepest
-                deepest = max(deepest, len(clique))
-                return super().__getitem__(v)
+    def tracked_search(table, clique, *args):
+        running.append(clique)
+        try:
+            return search(table, clique, *args)
+        finally:
+            running.pop()
 
-        return search(table, Recording(edge_bits), clique, *args)
+    def tracked_members(mask):
+        nonlocal deepest
+        if running:
+            deepest = max(deepest, len(running[-1]) + 1)
+        return members(mask)
 
-    monkeypatch.setattr(ekr_search, "_search", tracked)
+    monkeypatch.setattr(ekr_search, "_search", tracked_search)
+    monkeypatch.setattr(ekr_search, "_members", tracked_members)
     for n, r, target in [(3, 2, 3), (4, 3, 10), (4, 4, 7), (5, 4, None)]:
         deepest = 0
         if target is None:
@@ -412,29 +419,37 @@ def test_deadline_binds_the_seed_star_listing(monkeypatch, k):
 
 
 @pytest.mark.parametrize("k", [0, 1, 100])
-def test_deadline_binds_the_edge_bits_pass(monkeypatch, k):
-    # the clock jumps past the deadline as the non-star search's first pass over N[v0],
-    # which gives each matching its common-edge bits, reads the (k+1)-th matching;
-    # the pass stops there, and the non-star search takes no node
+def test_deadline_binds_the_orbit_pass(monkeypatch, k):
+    # the clock jumps past the deadline as the non-star search's first-level orbit
+    # pass reads its (k+1)-th member; the pass stops there, and the non-star search
+    # takes no node
     params = Parameters(5, 3)
     budget = SearchBudget(max_seconds=60.0, enumerate_all_maximum=True)
     offset = [0.0]
     clock = time.monotonic
     monkeypatch.setattr(ekr_search, "time", types.SimpleNamespace(monotonic=lambda: clock() + offset[0]))
     read = []
+    clocked = ekr_search._clocked
 
-    class Jumping(list):
-        def __iter__(self):
-            for matching in list.__iter__(self):
+    def jumping(items, deadline):
+        def counted():
+            for item in items:
                 if len(read) == k:
                     offset[0] = 2 * budget.max_seconds
-                read.append(matching)
-                yield matching
+                read.append(item)
+                yield item
 
-    search = ekr_search._non_star_through_v0
-    monkeypatch.setattr(ekr_search, "_non_star_through_v0", lambda matchings, *args: search(Jumping(matchings), *args))
+        return clocked(counted(), deadline)
+
+    orbits = ekr_search._first_level_orbits
+
+    def orbit_pass(*args):
+        monkeypatch.setattr(ekr_search, "_clocked", jumping)  # the pass is the last reader of _clocked
+        return orbits(*args)
+
+    monkeypatch.setattr(ekr_search, "_first_level_orbits", orbit_pass)
     report = max_intersecting(params, budget)
-    assert len(read) == k + 1  # the deadline is checked once per matching
+    assert len(read) == k + 1  # the deadline is checked once per member
     assert report.status == STATUS_BUDGET
     assert report.search_nodes == max_intersecting(params).search_nodes
     assert report.max_size == phi(params) and is_star(report.witness) == (1, 2)
