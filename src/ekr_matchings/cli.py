@@ -4,11 +4,11 @@ Every subcommand emits a machine-readable report (json, csv, or text) and
 exits 0 when all claims checked out, 1 when a claim was falsified, 2 on
 usage or input errors, and 3 when a search budget ran out before a proof.
 Exit code 4 is an internal error: an internal consistency check failed
-(ArithmeticError), the r nested generators of core.iter_matchings ran
-past Python's recursion limit (RecursionError), or memory ran out
-(MemoryError).  None of them says anything about the claims, so none is
-reported as falsified; one "internal error: ..." line goes to stderr and
-no report is written.
+(ArithmeticError), memory ran out (MemoryError), or Python's recursion
+limit was reached where no input check caught it (RecursionError).  None
+of them says anything about the claims, so none is reported as
+falsified; one "internal error: ..." line goes to stderr and no report is
+written.
 Reports never contain wall-clock data, so identical invocations produce
 byte-identical output.
 """

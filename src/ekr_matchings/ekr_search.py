@@ -13,10 +13,10 @@ v0 = {(1, 2), (3, 4), ..., (2r-1, 2r)}.  The search therefore only looks
 inside N(v0): the optimum is omega = 1 + omega(N(v0)).  The graph is
 built on the closed neighbourhood N[v0] alone, the matchings that share
 an edge with v0, enumerated directly and counted against inclusion-
-exclusion over the edges of v0.  The graph is kept as its edge masks (the
-matchings through each edge of K_{2n}) and, per matching, the masks of its
-r edges; a neighbourhood is their union less the matching's own bit.  At
-(8,4) the masks take 2.5 MiB, where adjacency rows would take 3.5 GiB.  Star
+exclusion over the edges of v0.  One builder, _mask_table, makes the
+graph: per matching, the masks of its r edges (the matchings through
+each edge of K_{2n}); a neighbourhood is their union less its own bit.
+At (8,4) the masks take 2.5 MiB, where adjacency rows would take 3.5 GiB.  Star
 uniqueness asks one more question: is there a clique of size omega
 through v0 whose members share no edge?  The same loop, started from v0
 with its r edges common, looks for one and stops at the first it finds.
@@ -191,37 +191,20 @@ def _star_centers(params: Parameters) -> tuple[Edge, ...]:
     return tuple(all_edges(params.n))
 
 
-def _edge_masks(matchings: Sequence[Matching], deadline: float = math.inf) -> dict[Edge, int]:
-    """The bitmask of the matchings through each edge; the deadline is checked once per matching."""
+def _mask_table(matchings: Sequence[Matching], deadline: float = math.inf) -> list[tuple[int, ...]]:
+    """The search graph: per matching, the masks of the matchings through its edges, in edge order.
+
+    This is the one builder of the graph; the searches, intersection_graph
+    and the tests all read it.  It makes two passes, each checking the
+    deadline once per matching: the first ORs each matching's bit into
+    the mask of each of its edges, the second looks up each matching's
+    masks.
+    """
     masks: dict[Edge, int] = {}
     for i, matching in enumerate(_clocked(matchings, deadline)):
         bit = 1 << i
         for edge in matching.edges:
             masks[edge] = masks.get(edge, 0) | bit
-    return masks
-
-
-def intersection_graph(matchings: Sequence[Matching]) -> list[int]:
-    """Bitset adjacency rows: i and j are adjacent iff the matchings share an edge.
-
-    Row i is the union of the masks of the edges of matching i, less bit i.
-    The search reads neighbourhoods from _mask_table instead and builds no
-    rows; the rows are the tests' reference for them.
-    """
-    masks = _edge_masks(matchings)
-    rows: list[int] = []
-    for i, matching in enumerate(matchings):
-        row = 0
-        for edge in matching.edges:
-            row |= masks[edge]
-        rows.append(row ^ (1 << i))
-    return rows
-
-
-def _mask_table(
-    matchings: Sequence[Matching], masks: dict[Edge, int], deadline: float = math.inf
-) -> list[tuple[int, ...]]:
-    """The masks of each matching's edges, in edge order; the deadline is checked once per matching."""
     return [tuple(map(masks.__getitem__, m.edges)) for m in _clocked(matchings, deadline)]
 
 
@@ -236,6 +219,16 @@ def _members(mask: int) -> Iterator[int]:
 def _neighbours(table: list[tuple[int, ...]], v: int) -> int:
     """The neighbourhood of vertex v: the union of the masks of its edges, less bit v."""
     return reduce(or_, table[v]) ^ 1 << v
+
+
+def intersection_graph(matchings: Sequence[Matching]) -> list[int]:
+    """Bitset adjacency rows: i and j are adjacent iff the matchings share an edge.
+
+    A view over _mask_table, the one builder of the graph: row v is
+    _neighbours(table, v).  The search builds no rows.
+    """
+    table = _mask_table(matchings)
+    return [_neighbours(table, v) for v in range(len(table))]
 
 
 def _color_order(
@@ -419,8 +412,9 @@ def max_intersecting(params: Parameters, budget: SearchBudget | None = None) -> 
     optimality inside N(v0) only, with the star at the edge (1, 2), which
     contains v0, as the incumbent.  Only the closed neighbourhood N[v0] is
     enumerated and indexed, in lexicographic order, so v0 is index 0 and
-    the star at (1, 2) is its first phi members; the searches read each
-    neighbourhood from the masks of the matching's edges, so no row of
+    the star at (1, 2) is its first phi members, the bits of table[0][0]
+    (the mask of v0's least edge) in the table that _mask_table builds; the
+    searches read each neighbourhood from that table, so no row of
     |N[v0]| bits is built.  When the budget asks for every maximum family, a
     second search looks for a maximum family through v0 with no common
     edge.  If there is none, S_{2n} maps stars to stars, so every maximum
@@ -428,13 +422,14 @@ def max_intersecting(params: Parameters, budget: SearchBudget | None = None) -> 
     _star_centers and the star at (1, 2), the incumbent, as the witness.
     If there is one, the report gives it as the witness, with
     all_maximum_are_stars False and no centres.  Either witness is
-    re-verified intersecting.  N[v0] is listed in one pass that reads the
-    clock once per matching; the clock is read for the last time by the
-    second search.  If the deadline passes before the star at (1, 2) is
-    fully listed, the report is budget_exhausted and its witness is the
-    listed part of that star; if it passes later, the report is
-    budget_exhausted with the best witness found, and no centres.  A seed
-    star too large to index, phi > sys.maxsize, is a ValueError.
+    re-verified intersecting.  N[v0] is listed in one pass and its table
+    built in two more, each reading the clock once per matching; the clock
+    is read for the last time by the second search.  If the deadline passes
+    before the star at (1, 2) is fully listed, the report is
+    budget_exhausted and its witness is the listed part of that star; if it
+    passes later, the report is budget_exhausted with the best witness
+    found, and no centres.  A seed star too large to index,
+    phi > sys.maxsize, is a ValueError.
     """
     if budget is None:
         budget = SearchBudget()
@@ -450,10 +445,9 @@ def max_intersecting(params: Parameters, budget: SearchBudget | None = None) -> 
         matchings.extend(_clocked(iter_matchings(params, first_matching(params.r)), counter.deadline))
         if len(matchings) != _neighbourhood_size(params):
             raise ArithmeticError("closed neighbourhood of v0 does not match inclusion-exclusion")
-        masks = _edge_masks(matchings, counter.deadline)
-        if masks[(1, 2)] != (1 << phi_value) - 1:
+        table = _mask_table(matchings, counter.deadline)
+        if table[0][0] != (1 << phi_value) - 1:  # the mask of (1, 2), v0's least edge
             raise ArithmeticError("star seed size does not match phi")
-        table = _mask_table(matchings, masks, counter.deadline)
         _search(table, [0], _neighbours(table, 0), (), best, counter)
     except _BudgetExceeded:
         status = STATUS_BUDGET

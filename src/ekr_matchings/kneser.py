@@ -131,6 +131,8 @@ def certificate_from_json(text: str) -> HamPowerCertificate:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"certificate is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError("certificate is nested too deeply to parse") from exc
     if not isinstance(payload, dict):
         raise ValueError("certificate must be a JSON object")
     missing = {"m", "k", "order"} - payload.keys()

@@ -2,10 +2,12 @@
 
 Everything here recomputes results straight from definitions with
 itertools and sets, sharing no logic with the package internals, except
-three routines.  full_graph_search runs the package's own search
-routines on the graph of every matching, so that it pins exactly what
-narrowing the graph to N[v0] may change; it files the stars by index
-itself.  trace reads one family at one permutation through the
+three routines.  full_graph_search runs the package's own graph builder
+and search routines on the graph of every matching, so that it pins
+exactly what narrowing the graph to N[v0] may change; it files the stars
+by index itself.  naive_rows, which builds the graph from pairwise tests
+of edge sets, is the reference for that builder.  trace reads one family
+at one permutation through the
 package's window scan, so that tests can check the scan's hits, centres
 and the Katona bound member by member.  full_sweep reads one family through the same scan at
 every permutation of S_{2n}, with no symmetry quotient, so that tests
@@ -27,7 +29,6 @@ from ekr_matchings.ekr_search import (
     EkrReport,
     SearchBudget,
     _Counter,
-    _edge_masks,
     _mask_table,
     _neighbours,
     _non_star_through_v0,
@@ -48,6 +49,15 @@ def naive_matchings(two_n: int, r: int) -> list[frozenset[tuple[int, int]]]:
         if len(support) == 2 * r:
             out.append(frozenset(combo))
     return out
+
+
+def naive_rows(matchings: Sequence[Matching]) -> list[int]:
+    """Bitset adjacency rows of the intersection graph, from pairwise tests of edge sets."""
+    edge_sets = [frozenset(m.edges) for m in matchings]
+    return [
+        sum(1 << j for j, b in enumerate(edge_sets) if j != i and a & b)
+        for i, a in enumerate(edge_sets)
+    ]
 
 
 def naive_cyclic_sequence(images: Sequence[int], n: int) -> list[tuple[int, int]]:
@@ -337,7 +347,7 @@ def full_graph_search(params: Parameters, budget: SearchBudget | None = None) ->
     for idx, matching in enumerate(matchings):
         for edge in matching.edges:
             stars.setdefault(edge, []).append(idx)
-    table = _mask_table(matchings, _edge_masks(matchings))
+    table = _mask_table(matchings)
     best = [stars[(1, 2)]]
     _search(table, [0], _neighbours(table, 0), (), best, counter)
 

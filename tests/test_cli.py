@@ -506,6 +506,13 @@ def test_kneser_verify_rejects_json_booleans(tmp_path, capsys, field):
     assert run(capsys, "kneser-verify", "--cert", str(target)) == (2, "", message)
 
 
+def test_kneser_verify_rejects_a_deeply_nested_certificate(tmp_path, capsys):
+    target = tmp_path / "cert.json"
+    target.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "kneser-verify", "--cert", str(target))
+    assert (code, out, err) == (2, "", "error: certificate is nested too deeply to parse\n")
+
+
 @pytest.mark.parametrize("k", [0, -3])
 def test_kneser_cert_refuses_power_below_1(tmp_path, capsys, k):
     target = tmp_path / "cert.json"

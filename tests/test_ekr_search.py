@@ -27,7 +27,6 @@ from ekr_matchings.ekr_search import (
     STATUS_PROVEN,
     SearchBudget,
     _Counter,
-    _edge_masks,
     _first_level_orbits,
     _mask_table,
     _neighbours,
@@ -39,7 +38,7 @@ from ekr_matchings.ekr_search import (
     max_intersecting,
 )
 from ekr_matchings.kneser import kneser_graph
-from oracles import full_graph_search, naive_cliques_through, naive_matchings
+from oracles import full_graph_search, naive_cliques_through, naive_matchings, naive_rows
 
 
 def star_sets(params, centers):
@@ -72,12 +71,12 @@ def test_intersection_graph_degrees():
     "n,r", [(n, r) for n in range(1, 6) for r in range(1, n + 1)]
 )
 def test_mask_table_neighbourhoods_are_the_rows(n, r):
-    # the search reads each neighbourhood from the vertex's edge masks; the rows are the reference
+    # the search reads each neighbourhood from the vertex's edge masks; rows built
+    # from pairwise intersection tests are the reference
     params = Parameters(n, r)
     for matchings in (enumerate_matchings(params), list(iter_matchings(params, first_matching(r)))):
-        table = _mask_table(matchings, _edge_masks(matchings))
-        rows = intersection_graph(matchings)
-        assert [_neighbours(table, v) for v in range(len(matchings))] == rows
+        table = _mask_table(matchings)
+        assert [_neighbours(table, v) for v in range(len(matchings))] == naive_rows(matchings)
 
 
 @pytest.mark.parametrize("n,r", [(2, 1), (3, 1), (3, 2), (4, 1)])
@@ -122,7 +121,7 @@ def test_reduced_search_matches_unreduced(n, r):
     # stars at the reported centres are exactly those cliques
     params = Parameters(n, r)
     matchings = enumerate_matchings(params)
-    table = _mask_table(matchings, _edge_masks(matchings))
+    table = _mask_table(matchings)
     best: list[list[int]] = [[]]
     _search(table, [], (1 << len(matchings)) - 1, (), best, _Counter(SearchBudget()))
     naive = naive_matchings(2 * n, r)
@@ -182,7 +181,7 @@ def test_non_star_maxima_are_reported(planted_non_star):
 def _graph(params):
     # the graph the search runs on: the mask table of the closed neighbourhood N[v0]
     matchings = list(iter_matchings(params, first_matching(params.r)))
-    return matchings, _mask_table(matchings, _edge_masks(matchings))
+    return matchings, _mask_table(matchings)
 
 
 @pytest.mark.parametrize(
@@ -525,15 +524,14 @@ def test_enumerate_max_lists_the_matchings_once(monkeypatch, capsys):
 
 def test_mask_table_checks_the_deadline():
     matchings = enumerate_matchings(Parameters(3, 2))
-    masks = _edge_masks(matchings)
     with pytest.raises(ekr_search._BudgetExceeded):
-        _mask_table(matchings, masks, time.monotonic() - 1.0)
+        _mask_table(matchings, time.monotonic() - 1.0)
 
 
 def test_colouring_checks_the_deadline():
     # a large colouring reads the clock once per colour class, not only at the next node
     matchings = enumerate_matchings(Parameters(3, 2))
-    table = _mask_table(matchings, _edge_masks(matchings))
+    table = _mask_table(matchings)
     everyone = (1 << len(matchings)) - 1
     order, bounds = ekr_search._color_order(everyone, table, math.inf)
     assert sorted(order) == list(range(len(matchings))) and bounds[-1] > 1

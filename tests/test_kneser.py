@@ -252,6 +252,11 @@ def test_json_parse_rejects_malformed():
         certificate_from_json(json.dumps({"m": 8, "k": 2, "order": [[2, 1]]}))
     with pytest.raises(ValueError):
         certificate_from_json(json.dumps({"m": 8, "k": "2", "order": []}))
+    # the decoder recurses once per level of nesting, so a deep one is malformed input too
+    nested = "[" * 100_000 + "]" * 100_000
+    for text in (nested, '{"m": 8, "k": 2, "order": ' + nested + "}"):
+        with pytest.raises(ValueError, match="^certificate is nested too deeply to parse$"):
+            certificate_from_json(text)
 
 
 def test_json_parse_rejects_bools_and_reports_the_first_bad_entry():
